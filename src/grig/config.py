@@ -48,7 +48,9 @@ _TOP_KEYS = {
     "profile",
 }
 
-_PROFILE_KEYS = {"n_radii", "t_max", "tol", "base_nodes", "max_refinements", "method"}
+# profile key -> smallest allowed integer value
+_PROFILE_INTS = {"n_radii": 2, "base_nodes": 1, "max_refinements": 0}
+_PROFILE_KEYS = set(_PROFILE_INTS) | {"t_max", "tol", "method"}
 
 DEFAULT_TORUS = {"d": 2, "measure": "area", "value": 1000.0}
 
@@ -71,6 +73,8 @@ def resolve_torus(payload) -> Torus:
         value = float(payload["value"])
     except KeyError as exc:
         raise ConfigError(f"torus is missing required key {exc}") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"torus d and value must be numbers, got {payload!r}") from None
     if measure == "side":
         side = value
     elif measure == "area":
@@ -105,6 +109,27 @@ def _unit_interval(payload, key, default):
     if not 0 < value < 1:
         raise ConfigError(f"{key} must lie in (0, 1), got {value}")
     return value
+
+
+def _profile_options(payload) -> dict:
+    """Check the profile overrides' types and ranges; values pass unchanged."""
+    options = payload.get("profile", {})
+    if not isinstance(options, dict):
+        raise ConfigError("profile must be an object")
+    bad = set(options) - _PROFILE_KEYS
+    if bad:
+        raise ConfigError(f"unknown profile keys: {sorted(bad)}")
+    for key, low in _PROFILE_INTS.items():
+        value = options.get(key, low)
+        if not isinstance(value, int) or value < low:
+            raise ConfigError(f"profile {key} must be an integer >= {low}, got {value!r}")
+    if options.get("t_max") is not None and not _float_or_none(options, "t_max") > 0:
+        raise ConfigError(f"profile t_max must be null or a number > 0, got {options['t_max']!r}")
+    if "tol" in options and not (_float_or_none(options, "tol") or 0.0) > 0:
+        raise ConfigError(f"profile tol must be a number > 0, got {options['tol']!r}")
+    if options.get("method", "auto") not in ("auto", "tabulated"):
+        raise ConfigError(f'profile method must be "auto" or "tabulated", got {options["method"]!r}')
+    return dict(options)
 
 
 def _float_tuple(payload, key):
@@ -171,13 +196,6 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
     confidence = _unit_interval(payload, "confidence", 0.99)
     dispersion_alpha = _unit_interval(payload, "dispersion_alpha", 0.01)
 
-    profile_options = payload.get("profile", {})
-    if not isinstance(profile_options, dict):
-        raise ConfigError("profile must be an object")
-    bad = set(profile_options) - _PROFILE_KEYS
-    if bad:
-        raise ConfigError(f"unknown profile keys: {sorted(bad)}")
-
     lambda_values = _float_tuple(payload, "lambda_values")
     mu_values = _float_tuple(payload, "mu_values")
     if resolved_kind == "phase":
@@ -202,7 +220,7 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
         probe_distances=_float_tuple(payload, "probe_distances"),
         confidence=confidence,
         dispersion_alpha=dispersion_alpha,
-        profile_options=dict(profile_options),
+        profile_options=_profile_options(payload),
     )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics, stats
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, GrigError
 from .serialize import write_json as _write_json
 from .geometry import (
     GROUP,
@@ -40,11 +40,10 @@ from .geometry import (
 )
 from .graph import (
     BuildOptions,
+    bipartite_labels,
     build_bipartite,
     degree_histogram,
     edges_to_csv,
-    largest_component_fraction,
-    project_onto_groups,
     project_onto_vertices,
 )
 from .kernels import (
@@ -114,7 +113,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "mode": self.mode,
             "eps_tail": self.eps_tail,
-            "threads": self.threads,
             "probe_distances": list(self.probe_distances),
             "confidence": self.confidence,
             "dispersion_alpha": self.dispersion_alpha,
@@ -263,6 +261,11 @@ class PhaseGrid:
     failures: list = field(default_factory=list)
 
 
+def _largest_share(labels: np.ndarray) -> float:
+    """Largest label count as a fraction of all labels; NaN when empty."""
+    return float(np.bincount(labels).max() / labels.size) if labels.size else math.nan
+
+
 def _phase_cell_replicate(args):
     (seed, kernel, torus, lam, mu, i, j, k, mode, eps_tail) = args
     try:
@@ -272,14 +275,13 @@ def _phase_cell_replicate(args):
         V = sample_poisson(torus, lam, rng_v, role=VERTEX)
         U = sample_poisson(torus, mu, rng_u, role=GROUP)
         bi = build_bipartite(V, U, kernel, rng_m, BuildOptions(mode=mode, eps_tail=eps_tail))
-        frac_v = (
-            largest_component_fraction(project_onto_vertices(bi)) if bi.vertex_count else math.nan
-        )
-        frac_u = (
-            largest_component_fraction(project_onto_groups(bi)) if bi.group_count else math.nan
-        )
+        # each projection's components are the bipartite components
+        # restricted to its side, so one component search serves both
+        labels = bipartite_labels(bi)
+        frac_v = _largest_share(labels[: bi.vertex_count])
+        frac_u = _largest_share(labels[bi.vertex_count :])
         return (i, j, k, frac_v, frac_u, None)
-    except Exception as exc:  # per-cell failures recorded, sweep continues
+    except GrigError as exc:  # per-cell failures recorded, sweep continues
         return (i, j, k, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
 
 
@@ -376,7 +378,8 @@ def _planted_pair_cloud(torus: Torus, t: float) -> PointCloud:
 
 
 def _shared_group_count(bi) -> int:
-    return int(np.intersect1d(bi.memberships[0], bi.memberships[1]).size)
+    first, second = (bi.indices[bi.indptr[v] : bi.indptr[v + 1]] for v in (0, 1))
+    return int(np.intersect1d(first, second, assume_unique=True).size)
 
 
 def run_joint_groups_check(config: ExperimentConfig, out_dir=None) -> dict:

@@ -1,39 +1,49 @@
 """Bipartite membership graphs and their one-mode projections.
 
 A build connects vertex cloud V to group cloud U: each pair (v, u) joins
-independently with probability g(torus_distance(v, u)).  Projecting onto
-V links two vertices iff they share a group (counting shared groups);
-projecting onto U is symmetric.  Components of the projections match the
-respective restrictions of the bipartite components exactly, which the
-test suite checks sample by sample.
+independently with probability g(torus_distance(v, u)).  The result is
+the incidence matrix B (vertices x groups) in CSR layout, kept as two
+plain arrays: ``indptr`` and ``indices``, vertex-major with groups
+ascending within each vertex.  Projecting onto V links two vertices iff
+they share a group: the off-diagonal entries of B Bᵀ count the shared
+groups.  Projecting onto U uses Bᵀ B.  Components of the projections
+match the respective restrictions of the bipartite components exactly,
+which the test suite checks sample by sample.
 
-Two build modes:
+Both build modes draw one uniform per considered pair, vertex-major with
+groups ascending within a vertex, so drawing block by block leaves the
+stream unchanged:
 
-* exact: one uniform per (vertex, group) pair, drawn vertex-major; the
-  default when the pair count is small enough.
-* truncated: a uniform grid over the torus indexes groups by cell; only
-  pairs within the truncation radius support_radius(spec, eps_tail) are
-  considered, skipping at most an eps_tail fraction of membership mass.
-  For bounded-support kernels the radius is the exact support, so no mass
-  is lost.  Uniforms are assigned per vertex in ascending vertex order
-  (candidates in ascending group order), making the result independent of
-  the cell iteration order.
+* exact: every (vertex, group) pair is considered; the default when the
+  pair count is small enough.
+* truncated: only pairs within the truncation radius
+  support_radius(spec, eps_tail) are considered, skipping at most an
+  eps_tail fraction of membership mass.  For bounded-support kernels the
+  radius is the exact support, so no mass is lost.  Candidates come from
+  a periodic KD-tree (scipy's cKDTree with boxsize = side, which gives
+  the torus metric), queried per block of vertices so that memory stays
+  bounded.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError
-from .geometry import GROUP, VERTEX, PointCloud
+from .geometry import GROUP, VERTEX, PointCloud, ball_volume
 from .kernels import KernelSpec, _eval_kernel_array, support_radius
+
+# pairs per vertex block: dense distances in exact builds, expected
+# candidates in truncated builds; bounds the memory of one block
+_EXACT_BLOCK_PAIRS = 4_000_000
+_TRUNCATED_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,36 +63,38 @@ class BuildOptions:
 
 @dataclass
 class BipartiteGraph:
+    """Incidence matrix B in CSR layout: vertex v belongs to the groups
+    ``indices[indptr[v]:indptr[v + 1]]``, sorted and duplicate-free."""
+
     vertex_count: int
     group_count: int
-    memberships: list  # per vertex: sorted, duplicate-free group index array
+    indptr: np.ndarray  # (vertex_count + 1,) row offsets into indices
+    indices: np.ndarray  # group index per membership
     build_options: dict = field(default_factory=dict)
 
     def membership_counts(self) -> np.ndarray:
-        return np.array([m.size for m in self.memberships], dtype=np.int64)
+        return np.diff(self.indptr)
 
-    def group_members(self) -> list:
-        """Inverse mapping: per group, the sorted vertex indices in it."""
-        counts = self.membership_counts()
-        src = np.repeat(np.arange(self.vertex_count, dtype=np.int64), counts)
-        dst = (
-            np.concatenate(self.memberships)
-            if self.vertex_count and counts.sum()
-            else np.empty(0, dtype=np.int64)
+    def incidence(self) -> sparse.csr_matrix:
+        """B as a scipy matrix with unit entries."""
+        return sparse.csr_matrix(
+            (np.ones(self.indices.size, dtype=np.int64), self.indices, self.indptr),
+            shape=(self.vertex_count, self.group_count),
         )
-        order = np.argsort(dst, kind="stable")  # stable keeps vertex order sorted
-        dst_sorted, src_sorted = dst[order], src[order]
-        bounds = np.searchsorted(dst_sorted, np.arange(self.group_count + 1))
-        return [src_sorted[bounds[k] : bounds[k + 1]] for k in range(self.group_count)]
 
 
-def _min_image_distance_matrix(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
-    """Pairwise torus distances, rows a, columns b."""
-    if a.size == 0 or b.size == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
-    delta = np.abs(a[:, None, :] - b[None, :, :])
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row offsets for sorted row indices over n rows."""
+    return np.searchsorted(rows, np.arange(n + 1))
+
+
+def _min_image_distance(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
+    """Torus distances between broadcast point arrays (coordinates last)."""
+    delta = np.abs(a - b)
     delta = np.minimum(delta, side - delta)
-    return np.sqrt(np.sum(delta**2, axis=2))
+    # np.add.reduce is np.sum without its Python-level dispatch, which
+    # shows in the per-call cost of tiny builds
+    return np.sqrt(np.add.reduce(delta**2, axis=-1))
 
 
 def build_bipartite(
@@ -107,38 +119,42 @@ def build_bipartite(
         mode = "exact" if n_pairs <= opts.exact_pair_limit else "truncated"
 
     if mode == "exact":
-        memberships = _build_exact(V, U, spec, rng)
+        rows, cols = _build_exact(V, U, spec, rng)
         record = {"mode": "exact"}
     else:
-        memberships, radius = _build_truncated(V, U, spec, rng, opts.eps_tail)
+        rows, cols, radius = _build_truncated(V, U, spec, rng, opts.eps_tail)
         record = {"mode": "truncated", "eps_tail": opts.eps_tail, "truncation_radius": radius}
+    n_v = V.positions.shape[0]
     return BipartiteGraph(
-        vertex_count=V.positions.shape[0],
+        vertex_count=n_v,
         group_count=U.positions.shape[0],
-        memberships=memberships,
+        indptr=_indptr(rows, n_v),
+        indices=cols,
         build_options=record,
     )
 
 
 def _build_exact(V, U, spec, rng):
+    """Row and group index of every membership, one uniform per pair."""
     side = V.torus.side
     n_v, n_u = V.positions.shape[0], U.positions.shape[0]
-    memberships = []
-    # vertex-major uniform order; chunking rows leaves the stream unchanged
-    block = max(1, int(4_000_000 // max(n_u, 1)))
-    for start in range(0, n_v, block):
+    block = max(1, _EXACT_BLOCK_PAIRS // max(n_u, 1))
+    rows, cols = [], []
+    for start in range(0, max(n_v, 1), block):  # one empty block when n_v = 0
         vp = V.positions[start : start + block]
-        dist = _min_image_distance_matrix(vp, U.positions, side)
-        probs = _eval_kernel_array(spec, dist)
-        hits = rng.random((vp.shape[0], n_u)) < probs
-        for row in hits:
-            memberships.append(np.nonzero(row)[0].astype(np.int64))
-    if n_v and not memberships:
-        memberships = [np.empty(0, dtype=np.int64) for _ in range(n_v)]
-    return memberships
+        dist = _min_image_distance(vp[:, None, :], U.positions[None, :, :], side)
+        hits = rng.random((vp.shape[0], n_u)) < _eval_kernel_array(spec, dist)
+        r, c = np.nonzero(hits)
+        rows.append(r + start)
+        cols.append(c)
+    if len(rows) == 1:  # the common case: skip the copies
+        return rows[0], cols[0]
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def _build_truncated(V, U, spec, rng, eps_tail):
+    """Like _build_exact, but only pairs within the truncation radius
+    are considered; also returns the radius."""
     torus = V.torus
     radius = support_radius(spec, 0.0)
     if not math.isfinite(radius):
@@ -147,59 +163,35 @@ def _build_truncated(V, U, spec, rng, eps_tail):
                 "truncated build needs eps_tail > 0 for a kernel with unbounded support"
             )
         radius = support_radius(spec, eps_tail)
-    n_v, n_u, d = V.positions.shape[0], U.positions.shape[0], torus.d
-    if radius <= 0.0:
-        # zero-support kernel: nothing can ever connect
-        return [np.empty(0, dtype=np.int64) for _ in range(n_v)], radius
+    n_v, n_u = V.positions.shape[0], U.positions.shape[0]
+    empty = np.empty(0, dtype=np.intp)
+    if radius <= 0.0 or n_v == 0 or n_u == 0:
+        # zero-support kernel or an empty cloud: nothing can ever connect
+        return empty, empty, radius
 
-    n_cells = max(1, int(torus.side / radius))
-    cell_size = torus.side / n_cells
-    shape = (n_cells,) * d
-
-    def flat_cells(points):
-        idx = np.clip((points / cell_size).astype(np.int64), 0, n_cells - 1)
-        return np.ravel_multi_index(tuple(idx.T), shape) if points.size else np.empty(0, np.int64)
-
-    u_flat = flat_cells(U.positions)
-    u_order = np.argsort(u_flat, kind="stable")
-    u_flat_sorted = u_flat[u_order]
-    v_flat = flat_cells(V.positions)
-
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)), dtype=np.int64)
-
-    cand_idx = [None] * n_v
-    cand_prob = [None] * n_v
-    for cell in np.unique(v_flat) if n_v else []:
-        in_cell = np.nonzero(v_flat == cell)[0]
-        multi = np.array(np.unravel_index(cell, shape), dtype=np.int64)
-        neigh = np.unique(
-            np.ravel_multi_index(tuple(((multi + offsets) % n_cells).T), shape)
+    side = torus.side
+    # the tree may round distances differently: query a little wider,
+    # then keep exactly the pairs the min-image formula puts within radius
+    query = radius * (1.0 + 1e-9)
+    groups = cKDTree(U.positions, boxsize=side)
+    per_vertex = n_u * min(1.0, ball_volume(torus.d, radius) / torus.volume)
+    block = max(1, int(_TRUNCATED_BLOCK_PAIRS / max(per_vertex, 1.0)))
+    rows, cols = [], []
+    for start in range(0, n_v, block):
+        vp = V.positions[start : start + block]
+        pairs = cKDTree(vp, boxsize=side).sparse_distance_matrix(
+            groups, query, output_type="ndarray"
         )
-        lo = np.searchsorted(u_flat_sorted, neigh, side="left")
-        hi = np.searchsorted(u_flat_sorted, neigh, side="right")
-        pieces = [u_order[a:b] for a, b in zip(lo, hi) if b > a]
-        if not pieces:
-            for i in in_cell:
-                cand_idx[i] = np.empty(0, dtype=np.int64)
-                cand_prob[i] = np.empty(0)
-            continue
-        cand = np.sort(np.concatenate(pieces))
-        dist = _min_image_distance_matrix(V.positions[in_cell], U.positions[cand], torus.side)
+        # vertex-major, groups ascending: the order the uniforms are drawn in
+        keys = np.sort(pairs["i"] * n_u + pairs["j"])
+        r, c = np.divmod(keys, n_u)
+        dist = _min_image_distance(vp[r], U.positions[c], side)
         within = dist <= radius
-        probs = _eval_kernel_array(spec, dist)
-        for row, i in enumerate(in_cell):
-            sel = within[row]
-            cand_idx[i] = cand[sel]
-            cand_prob[i] = probs[row][sel]
-
-    counts = np.array([c.size for c in cand_idx], dtype=np.int64) if n_v else np.empty(0, np.int64)
-    uniforms = rng.random(int(counts.sum()))
-    memberships, pos = [], 0
-    for i in range(n_v):
-        u = uniforms[pos : pos + counts[i]]
-        pos += counts[i]
-        memberships.append(cand_idx[i][u < cand_prob[i]])
-    return memberships, radius
+        r, c = r[within], c[within]
+        hits = rng.random(r.size) < _eval_kernel_array(spec, dist[within])
+        rows.append(r[hits] + start)
+        cols.append(c[hits])
+    return np.concatenate(rows), np.concatenate(cols), radius
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +206,19 @@ class IntersectionGraph:
     node_count: int
     edges: np.ndarray  # (m, 2) with edges[:, 0] < edges[:, 1], lexicographically sorted
     shared_counts: np.ndarray  # (m,) common-membership multiplicity, >= 1
-    indptr: np.ndarray = None
+    indptr: np.ndarray = None  # symmetric adjacency in CSR layout, neighbors sorted
     indices: np.ndarray = None
 
     def __post_init__(self):
         if self.indptr is None:
-            self.indptr, self.indices = _adjacency_csr(self.node_count, self.edges)
+            a, b = self.edges[:, 0], self.edges[:, 1]
+            src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+            adjacency = sparse.csr_matrix(
+                (np.ones(src.size, dtype=np.int8), (src, dst)),
+                shape=(self.node_count, self.node_count),
+            )
+            adjacency.sort_indices()
+            self.indptr, self.indices = adjacency.indptr, adjacency.indices
 
     @property
     def edge_count(self) -> int:
@@ -232,77 +231,34 @@ class IntersectionGraph:
         return np.diff(self.indptr)
 
 
-def _adjacency_csr(n: int, edges: np.ndarray):
-    if edges.size == 0:
-        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    return np.cumsum(indptr), dst
-
-
-def _pair_keys_from_member_lists(member_lists, node_count: int) -> np.ndarray:
-    """Expand every membership list into its node pairs, packed as int keys.
-
-    Lists are grouped by size so the pair expansion is one vectorized
-    indexing op per distinct size instead of per list.
-    """
-    sizes = np.array([len(m) for m in member_lists], dtype=np.int64)
-    order = np.argsort(sizes, kind="stable")
-    sorted_sizes = sizes[order]
-    keys = []
-    i = int(np.searchsorted(sorted_sizes, 2))
-    while i < order.size:
-        s = int(sorted_sizes[i])
-        j = int(np.searchsorted(sorted_sizes, s, side="right"))
-        stacked = np.stack([member_lists[k] for k in order[i:j]])
-        a, b = np.triu_indices(s, 1)
-        left, right = stacked[:, a], stacked[:, b]  # lists sorted, so left < right
-        keys.append((left * node_count + right).ravel())
-        i = j
-    if not keys:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(keys)
-
-
-def _project(member_lists, node_count: int, side: str) -> IntersectionGraph:
-    if node_count * node_count >= np.iinfo(np.int64).max:
-        raise ValueError("node count too large for packed pair keys")
-    keys = _pair_keys_from_member_lists(member_lists, node_count)
-    uniq, counts = np.unique(keys, return_counts=True)
-    edges = np.stack([uniq // node_count, uniq % node_count], axis=1) if uniq.size else np.empty((0, 2), dtype=np.int64)
+def _project(incidence: sparse.spmatrix, side: str) -> IntersectionGraph:
+    """Projection onto the rows of an incidence matrix: its Gram matrix
+    off the diagonal, upper triangle as the edge list."""
+    shared = (incidence @ incidence.T).tocsr()
+    shared.sort_indices()
+    n = shared.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(shared.indptr))
+    off = rows != shared.indices
+    rows, cols, counts = rows[off], shared.indices[off].astype(np.int64), shared.data[off]
+    upper = rows < cols
     return IntersectionGraph(
         side=side,
-        node_count=node_count,
-        edges=edges.astype(np.int64),
-        shared_counts=counts.astype(np.int64),
+        node_count=n,
+        edges=np.stack([rows[upper], cols[upper]], axis=1),
+        shared_counts=counts[upper],
+        indptr=_indptr(rows, n),
+        indices=cols,
     )
 
 
 def project_onto_vertices(bi: BipartiteGraph) -> IntersectionGraph:
     """Link vertices sharing at least one group; counts the shared groups."""
-    return _project(bi.group_members(), bi.vertex_count, side="V")
+    return _project(bi.incidence(), side="V")
 
 
 def project_onto_groups(bi: BipartiteGraph) -> IntersectionGraph:
     """Link groups sharing at least one vertex; counts the shared vertices."""
-    return _project(bi.memberships, bi.group_count, side="U")
-
-
-def shared_count_lookup(graph: IntersectionGraph, a: int, b: int) -> int:
-    """Shared-membership multiplicity of the pair (a, b); 0 if not an edge."""
-    if a == b:
-        raise ValueError("no self-loops in a projection")
-    lo, hi = (a, b) if a < b else (b, a)
-    key = lo * graph.node_count + hi
-    packed = graph.edges[:, 0] * graph.node_count + graph.edges[:, 1]
-    pos = np.searchsorted(packed, key)
-    if pos < packed.size and packed[pos] == key:
-        return int(graph.shared_counts[pos])
-    return 0
+    return _project(bi.incidence().T, side="U")
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +309,26 @@ def components(graph: IntersectionGraph) -> ComponentPartition:
     return _canonical_partition(labels.astype(np.int64))
 
 
+def bipartite_labels(bi: BipartiteGraph) -> np.ndarray:
+    """Component label of every node of the bipartite graph: vertices
+    first, then group u at index vertex_count + u.
+
+    The graph is the block matrix [[0, B], [Bᵀ, 0]]; only the upper block
+    is stored, since an undirected component search reads each stored
+    entry in both directions.
+    """
+    n_v, n = bi.vertex_count, bi.vertex_count + bi.group_count
+    indptr = np.concatenate([bi.indptr, np.full(bi.group_count, bi.indptr[-1])])
+    mat = sparse.csr_matrix(
+        (np.ones(bi.indices.size, dtype=np.int8), bi.indices + n_v, indptr), shape=(n, n)
+    )
+    return csgraph.connected_components(mat, directed=False)[1].astype(np.int64)
+
+
 def bipartite_components(bi: BipartiteGraph) -> ComponentPartition:
     """Components of the bipartite graph; groups follow the vertices in the
     node numbering (group u sits at index vertex_count + u)."""
-    n = bi.vertex_count + bi.group_count
-    counts = bi.membership_counts()
-    if n == 0:
-        return ComponentPartition(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if counts.sum() == 0:
-        ids = np.arange(n, dtype=np.int64)
-        return ComponentPartition(n, ids, np.ones(n, dtype=np.int64))
-    src = np.repeat(np.arange(bi.vertex_count, dtype=np.int64), counts)
-    dst = bi.vertex_count + np.concatenate(bi.memberships)
-    ones = np.ones(src.size, dtype=np.int8)
-    mat = sparse.coo_matrix((ones, (src, dst)), shape=(n, n))
-    _, labels = csgraph.connected_components(mat, directed=False)
-    return _canonical_partition(labels.astype(np.int64))
+    return _canonical_partition(bipartite_labels(bi))
 
 
 def restrict_partition(partition: ComponentPartition, node_indices: np.ndarray) -> ComponentPartition:

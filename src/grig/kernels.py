@@ -681,7 +681,7 @@ def kernel_from_json(obj: dict) -> KernelSpec:
                 values=np.asarray(params["values"], dtype=float),
                 d=d,
             )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid kernel parameters for family {family!r}: {exc}") from exc
     raise ConfigError(f"unknown kernel family {family!r}")
 

@@ -107,13 +107,21 @@ def test_cli_degrees_ok(tmp_path, capsys):
 
 
 def test_cli_config_error_writes_nothing(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.json", {"kind": "degrees", "kernel": GAUSS, "typo": 1})
-    out = tmp_path / "out"
-    assert main(["degrees", "--config", bad, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "config error" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
+    torus = {"d": 2, "measure": "side", "value": 12.0}
+    bad_configs = [
+        {"kind": "degrees", "kernel": GAUSS, "typo": 1},
+        {"kind": "degrees", "kernel": dict(BOOL, r=None), "torus": torus},
+        {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value="abc")},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"n_radii": "x"}},
+    ]
+    for k, payload in enumerate(bad_configs):
+        bad = _write(tmp_path, f"bad{k}.json", dict(payload, **{"lambda": 1.0, "mu": 1.0}))
+        out = tmp_path / f"out{k}"
+        assert main(["degrees", "--config", bad, "--out", str(out)]) == 2, payload
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_cli_missing_config_file(tmp_path):
@@ -362,4 +370,29 @@ def test_cli_reruns_are_byte_identical(tmp_path, capsys):
     assert names == sorted(os.listdir(out_b))
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_phase_byte_identical_across_threads(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "cfg.json",
+        {
+            "kind": "phase",
+            "kernel": BOOL,
+            "torus": {"d": 2, "measure": "side", "value": 8.0},
+            "lambda_values": [0.5, 1.5],
+            "mu_values": [1.0],
+            "replicates": 2,
+            "seed": 4,
+        },
+    )
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for threads, out in zip(("1", "2"), outs):
+        assert main(["phase", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert "manifest.json" in names
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     capsys.readouterr()

@@ -205,6 +205,30 @@ def test_phase_sweep_requires_grids():
         run_phase_sweep(_cfg(kind="phase", lambda_values=(), mu_values=(1.0,)))
 
 
+def _failing_build(exc):
+    def build(*args, **kwargs):
+        raise exc
+
+    return build
+
+
+def test_phase_sweep_records_package_errors(monkeypatch):
+    monkeypatch.setattr(
+        "grig.experiments.build_bipartite", _failing_build(ConfigError("bad cell"))
+    )
+    cfg = _cfg(kind="phase", lambda_values=(0.5,), mu_values=(0.5,), replicates=2)
+    grid = run_phase_sweep(cfg)
+    assert [f["error"] for f in grid.failures] == ["ConfigError: bad cell"] * 2
+    assert np.isnan(grid.mean_v).all() and np.isnan(grid.mean_u).all()
+
+
+def test_phase_sweep_raises_programming_errors(monkeypatch):
+    monkeypatch.setattr("grig.experiments.build_bipartite", _failing_build(TypeError("bug")))
+    cfg = _cfg(kind="phase", lambda_values=(0.5,), mu_values=(0.5,), replicates=2)
+    with pytest.raises(TypeError, match="bug"):
+        run_phase_sweep(cfg)
+
+
 # ---------------------------------------------------------------------------
 # planted-pair checks
 

@@ -17,7 +17,6 @@ from grig.graph import (
     project_onto_groups,
     project_onto_vertices,
     restrict_partition,
-    shared_count_lookup,
 )
 from grig.kernels import BooleanKernel, GaussianKernel, TabulatedKernel, kernel_norm
 
@@ -32,13 +31,25 @@ def _clouds(seed, lam=1.0, mu=1.0, torus=TORUS):
 
 
 def _bi_from_lists(n_groups, lists):
-    memberships = [np.asarray(m, dtype=np.int64) for m in lists]
+    sizes = [len(m) for m in lists]
     return BipartiteGraph(
         vertex_count=len(lists),
         group_count=n_groups,
-        memberships=memberships,
+        indptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        indices=np.asarray([u for m in lists for u in m], dtype=np.int64),
         build_options={"mode": "manual"},
     )
+
+
+def _rows(bi):
+    """Per-vertex group arrays, read through indptr and indices."""
+    return [bi.indices[bi.indptr[v] : bi.indptr[v + 1]] for v in range(bi.vertex_count)]
+
+
+def _shared(graph, a, b):
+    """Shared-membership count of the pair (a, b); 0 if not an edge."""
+    counts = {tuple(e): int(c) for e, c in zip(graph.edges, graph.shared_counts)}
+    return counts.get((min(a, b), max(a, b)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +61,18 @@ def test_boolean_memberships_respect_radius():
     spec = BooleanKernel(r=1.0, d=2)
     for mode in ("exact", "truncated"):
         bi = build_bipartite(V, U, spec, np.random.default_rng(5), BuildOptions(mode=mode))
-        for v, members in enumerate(bi.memberships):
+        for v, members in enumerate(_rows(bi)):
             for u in members:
                 assert torus_distance(TORUS, V.positions[v], U.positions[u]) <= 1.0
         # and nothing on the far side of the torus sneaks in
-        assert all(np.all(np.diff(m) > 0) for m in bi.memberships)
+        assert all(np.all(np.diff(m) > 0) for m in _rows(bi))
 
 
 def test_zero_kernel_gives_empty_memberships():
     V, U = _clouds(2)
     spec = TabulatedKernel(radii=np.array([1.0, 2.0]), values=np.array([0.0, 0.0]), d=2)
     bi = build_bipartite(V, U, spec, np.random.default_rng(0), BuildOptions(mode="exact"))
-    assert all(m.size == 0 for m in bi.memberships)
+    assert all(m.size == 0 for m in _rows(bi))
 
 
 def test_origin_membership_count_poisson():
@@ -75,7 +86,7 @@ def test_origin_membership_count_poisson():
     for k in range(counts.size):
         U = sample_poisson(torus, mu, rng, role=GROUP)
         bi = build_bipartite(planted, U, spec, rng, BuildOptions(mode="exact"))
-        counts[k] = bi.memberships[0].size
+        counts[k] = _rows(bi)[0].size
     expected = mu * kernel_norm(spec)
     z = (counts.mean() - expected) / math.sqrt(expected / counts.size)
     assert abs(z) < 3.0
@@ -96,7 +107,7 @@ def test_build_modes_agree_for_bounded_kernel():
             bi = build_bipartite(
                 V, U, spec, np.random.default_rng(1000 + k), BuildOptions(mode=mode)
             )
-            edge_counts[mode].append(sum(m.size for m in bi.memberships))
+            edge_counts[mode].append(sum(m.size for m in _rows(bi)))
     a = np.array(edge_counts["exact"], dtype=float)
     b = np.array(edge_counts["truncated"], dtype=float)
     se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
@@ -108,7 +119,7 @@ def test_truncated_same_seed_reproducible():
     spec = GaussianKernel.with_norm(1.0, 1.0, 2)
     bi1 = build_bipartite(V, U, spec, np.random.default_rng(42), BuildOptions(mode="truncated"))
     bi2 = build_bipartite(V, U, spec, np.random.default_rng(42), BuildOptions(mode="truncated"))
-    assert all(np.array_equal(m1, m2) for m1, m2 in zip(bi1.memberships, bi2.memberships))
+    assert all(np.array_equal(m1, m2) for m1, m2 in zip(_rows(bi1), _rows(bi2)))
 
 
 def test_truncated_unbounded_kernel_zero_eps_rejected():
@@ -149,7 +160,7 @@ def test_projection_shared_group_definitional():
     bi = _bi_from_lists(1, [[0], [0]])
     gv = project_onto_vertices(bi)
     assert gv.edge_count == 1
-    assert shared_count_lookup(gv, 0, 1) == 1
+    assert _shared(gv, 0, 1) == 1
 
     bi = _bi_from_lists(2, [[0], [1]])
     assert project_onto_vertices(bi).edge_count == 0
@@ -157,7 +168,7 @@ def test_projection_shared_group_definitional():
     bi = _bi_from_lists(3, [[0, 1, 2], [0, 1, 2]])
     gv = project_onto_vertices(bi)
     assert gv.edge_count == 1
-    assert shared_count_lookup(gv, 0, 1) == 3
+    assert _shared(gv, 0, 1) == 3
 
 
 def test_projection_onto_groups():
@@ -176,10 +187,11 @@ def test_projection_matches_brute_force():
     gv = project_onto_vertices(bi)
     # brute force pair scan over membership lists
     n = bi.vertex_count
+    rows = _rows(bi)
     expected = {}
     for i in range(n):
         for j in range(i + 1, n):
-            c = np.intersect1d(bi.memberships[i], bi.memberships[j]).size
+            c = np.intersect1d(rows[i], rows[j]).size
             if c:
                 expected[(i, j)] = c
     got = {tuple(e): int(c) for e, c in zip(gv.edges, gv.shared_counts)}

@@ -61,6 +61,13 @@ def default_sweep_values(n: int = 16, upper: float = 4.0) -> tuple:
     return tuple(step * (k + 1) for k in range(n))
 
 
+def _int_at_least(value, what: str, low: int) -> int:
+    """A JSON integer >= low; floats and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def resolve_torus(payload) -> Torus:
     if not isinstance(payload, dict):
         raise ConfigError(f"torus must be an object, got {type(payload).__name__}")
@@ -68,12 +75,12 @@ def resolve_torus(payload) -> Torus:
     if extra:
         raise ConfigError(f"unknown torus keys: {sorted(extra)}")
     try:
-        d = int(payload["d"])
+        d = _int_at_least(payload["d"], "torus d", 1)
         measure = payload.get("measure", "area")
         value = float(payload["value"])
     except KeyError as exc:
         raise ConfigError(f"torus is missing required key {exc}") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"torus d and value must be numbers, got {payload!r}") from None
     if measure == "side":
         side = value
@@ -94,7 +101,7 @@ def _float_or_none(payload, key):
         return None
     try:
         value = float(payload[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {payload[key]!r}") from None
     if value < 0:
         raise ConfigError(f"{key} must be >= 0, got {value}")
@@ -104,7 +111,7 @@ def _float_or_none(payload, key):
 def _unit_interval(payload, key, default):
     try:
         value = float(payload.get(key, default))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {payload[key]!r}") from None
     if not 0 < value < 1:
         raise ConfigError(f"{key} must lie in (0, 1), got {value}")
@@ -120,9 +127,7 @@ def _profile_options(payload) -> dict:
     if bad:
         raise ConfigError(f"unknown profile keys: {sorted(bad)}")
     for key, low in _PROFILE_INTS.items():
-        value = options.get(key, low)
-        if not isinstance(value, int) or value < low:
-            raise ConfigError(f"profile {key} must be an integer >= {low}, got {value!r}")
+        _int_at_least(options.get(key, low), f"profile {key}", low)
     if options.get("t_max") is not None and not _float_or_none(options, "t_max") > 0:
         raise ConfigError(f"profile t_max must be null or a number > 0, got {options['t_max']!r}")
     if "tol" in options and not (_float_or_none(options, "tol") or 0.0) > 0:
@@ -140,7 +145,7 @@ def _float_tuple(payload, key):
         raise ConfigError(f"{key} must be an array of numbers")
     try:
         values = tuple(float(v) for v in raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be an array of numbers") from None
     if any(v < 0 for v in values):
         raise ConfigError(f"{key} entries must be >= 0")
@@ -174,25 +179,19 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
             f"kernel dimension {kernel.d} does not match torus dimension {torus.d}"
         )
 
-    replicates = payload.get("replicates", 10)
-    if not isinstance(replicates, int) or replicates < 1:
-        raise ConfigError(f"replicates must be a positive integer, got {replicates!r}")
-    seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    replicates = _int_at_least(payload.get("replicates", 10), "replicates", 1)
+    seed = _int_at_least(payload.get("seed", 0), "seed", 0)
     mode = payload.get("mode", "auto")
     if mode not in ("auto", "exact", "truncated"):
         raise ConfigError(f'mode must be "auto", "exact" or "truncated", got {mode!r}')
     eps_tail = payload.get("eps_tail", 1e-3)
     try:
         eps_tail = float(eps_tail)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"eps_tail must be a number, got {eps_tail!r}") from None
     if eps_tail < 0:
         raise ConfigError(f"eps_tail must be >= 0, got {eps_tail}")
-    threads = payload.get("threads", os.cpu_count() or 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    threads = _int_at_least(payload.get("threads", os.cpu_count() or 1), "threads", 1)
     confidence = _unit_interval(payload, "confidence", 0.99)
     dispersion_alpha = _unit_interval(payload, "dispersion_alpha", 0.01)
 

@@ -316,12 +316,17 @@ def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:
             failures.append({"cell": [int(i), int(j)], "replicate": int(k), "error": err})
 
     def reduce(arr):
-        mean = np.nanmean(arr, axis=2)
-        with np.errstate(invalid="ignore"):
-            std = np.nanstd(arr, axis=2, ddof=1)
-        counts = np.sum(~np.isnan(arr), axis=2)
-        stderr = np.where(counts > 1, std / np.sqrt(np.maximum(counts, 1)), np.nan)
-        return mean, stderr
+        # nanmean and nanstd's arithmetic, with NaN left where a cell has
+        # too few finished replicates instead of a RuntimeWarning
+        ok = ~np.isnan(arr)
+        counts = ok.sum(axis=2)
+        dev = np.where(ok, arr, 0.0)
+        mean = np.divide(dev.sum(axis=2), counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+        dev = np.where(ok, dev - mean[..., None], 0.0)
+        var = np.divide(
+            (dev * dev).sum(axis=2), counts - 1, out=np.full(counts.shape, np.nan), where=counts > 1
+        )
+        return mean, np.sqrt(var) / np.sqrt(np.maximum(counts, 1))
 
     mean_v, stderr_v = reduce(frac_v)
     mean_u, stderr_u = reduce(frac_u)

@@ -57,30 +57,28 @@ class Torus:
         return np.mod(points, self.side)
 
 
-def torus_distance(torus: Torus, a, b) -> float:
-    """Euclidean distance on the torus (minimum over periodic images).
+def min_image_distance(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
+    """Torus distances between broadcast point arrays (coordinates last).
 
     Per coordinate the shorter of |delta| and side - |delta| is taken, so
-    the result is at most side * sqrt(d) / 2.
+    each distance is at most side * sqrt(d) / 2.
     """
+    delta = np.abs(a - b)
+    delta = np.minimum(delta, side - delta)
+    # np.add.reduce is np.sum without its Python-level dispatch, which
+    # shows in the per-call cost of tiny builds
+    return np.sqrt(np.add.reduce(delta**2, axis=-1))
+
+
+def torus_distance(torus: Torus, a, b) -> float:
+    """Euclidean distance on the torus (minimum over periodic images)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (torus.d,) or b.shape != (torus.d,):
         raise ValueError(
             f"points must have shape ({torus.d},), got {a.shape} and {b.shape}"
         )
-    delta = np.abs(a - b)
-    delta = np.minimum(delta, torus.side - delta)
-    return float(np.sqrt(np.sum(delta * delta)))
-
-
-def distances_to_point(torus: Torus, points: np.ndarray, p) -> np.ndarray:
-    """Torus distances from each row of `points` to the single point `p`."""
-    points = np.asarray(points, dtype=float)
-    p = np.asarray(p, dtype=float)
-    delta = np.abs(points - p[None, :])
-    delta = np.minimum(delta, torus.side - delta)
-    return np.sqrt(np.sum(delta * delta, axis=1))
+    return float(min_image_distance(a, b, torus.side))
 
 
 def min_image_displacement(torus: Torus, a, b) -> np.ndarray:

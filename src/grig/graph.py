@@ -6,23 +6,22 @@ the incidence matrix B (vertices x groups) in CSR layout, kept as two
 plain arrays: ``indptr`` and ``indices``, vertex-major with groups
 ascending within each vertex.  Projecting onto V links two vertices iff
 they share a group: the off-diagonal entries of B Bᵀ count the shared
-groups.  Projecting onto U uses Bᵀ B.  Components of the projections
-match the respective restrictions of the bipartite components exactly,
-which the test suite checks sample by sample.
+groups, and that symmetric matrix is all a projection stores.  Projecting
+onto U uses Bᵀ B.  Components of the projections match the respective
+restrictions of the bipartite components exactly, which the test suite
+checks sample by sample.
 
-Both build modes draw one uniform per considered pair, vertex-major with
-groups ascending within a vertex, so drawing block by block leaves the
-stream unchanged:
+The two build modes differ only in the radius R within which pairs are
+considered; one loop draws one uniform per considered pair, vertex-major
+with groups ascending within a vertex, block by block of vertices:
 
-* exact: every (vertex, group) pair is considered; the default when the
-  pair count is small enough.
-* truncated: only pairs within the truncation radius
-  support_radius(spec, eps_tail) are considered, skipping at most an
-  eps_tail fraction of membership mass.  For bounded-support kernels the
-  radius is the exact support, so no mass is lost.  Candidates come from
-  a periodic KD-tree (scipy's cKDTree with boxsize = side, which gives
-  the torus metric), queried per block of vertices so that memory stays
-  bounded.
+* exact: R is infinite and every (vertex, group) pair is considered, in
+  dense blocks; the default when the pair count is small enough.
+* truncated: R = support_radius(spec, eps_tail), skipping at most an
+  eps_tail fraction of membership mass.  For bounded-support kernels R
+  is the exact support, so no mass is lost.  Candidates come from a
+  periodic KD-tree (scipy's cKDTree with boxsize = side, which gives the
+  torus metric).
 """
 
 from __future__ import annotations
@@ -37,22 +36,21 @@ from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError
-from .geometry import GROUP, VERTEX, PointCloud, ball_volume
+from .geometry import GROUP, VERTEX, PointCloud, ball_volume, min_image_distance
 from .kernels import KernelSpec, _eval_kernel_array, support_radius
 
-# pairs per vertex block: dense distances in exact builds, expected
-# candidates in truncated builds; bounds the memory of one block
-_EXACT_BLOCK_PAIRS = 4_000_000
-_TRUNCATED_BLOCK_PAIRS = 1 << 16
+# auto mode builds exactly up to this many (vertex, group) pairs
+_EXACT_PAIR_LIMIT = 10_000_000
+# expected candidate pairs per vertex block; bounds the memory of one block
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
 class BuildOptions:
-    """Build-mode selection: auto picks exact below the pair limit."""
+    """Build-mode selection: auto picks exact up to _EXACT_PAIR_LIMIT pairs."""
 
     mode: str = "auto"  # auto | exact | truncated
     eps_tail: float = 1e-3
-    exact_pair_limit: int = 10_000_000
 
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "truncated"):
@@ -83,20 +81,6 @@ class BipartiteGraph:
         )
 
 
-def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row offsets for sorted row indices over n rows."""
-    return np.searchsorted(rows, np.arange(n + 1))
-
-
-def _min_image_distance(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
-    """Torus distances between broadcast point arrays (coordinates last)."""
-    delta = np.abs(a - b)
-    delta = np.minimum(delta, side - delta)
-    # np.add.reduce is np.sum without its Python-level dispatch, which
-    # shows in the per-call cost of tiny builds
-    return np.sqrt(np.add.reduce(delta**2, axis=-1))
-
-
 def build_bipartite(
     V: PointCloud,
     U: PointCloud,
@@ -112,86 +96,69 @@ def build_bipartite(
     if spec.d != V.torus.d:
         raise ValueError(f"kernel dimension {spec.d} != torus dimension {V.torus.d}")
     opts = options or BuildOptions()
+    n_v, n_u = V.positions.shape[0], U.positions.shape[0]
 
     mode = opts.mode
     if mode == "auto":
-        n_pairs = V.positions.shape[0] * U.positions.shape[0]
-        mode = "exact" if n_pairs <= opts.exact_pair_limit else "truncated"
-
+        mode = "exact" if n_v * n_u <= _EXACT_PAIR_LIMIT else "truncated"
     if mode == "exact":
-        rows, cols = _build_exact(V, U, spec, rng)
+        radius = math.inf
         record = {"mode": "exact"}
     else:
-        rows, cols, radius = _build_truncated(V, U, spec, rng, opts.eps_tail)
+        radius = support_radius(spec, 0.0)
+        if not math.isfinite(radius):
+            if opts.eps_tail == 0.0:
+                raise ConfigError(
+                    "truncated build needs eps_tail > 0 for a kernel with unbounded support"
+                )
+            radius = support_radius(spec, opts.eps_tail)
         record = {"mode": "truncated", "eps_tail": opts.eps_tail, "truncation_radius": radius}
-    n_v = V.positions.shape[0]
+
+    keys = _draw_memberships(V, U, spec, rng, radius)
     return BipartiteGraph(
         vertex_count=n_v,
-        group_count=U.positions.shape[0],
-        indptr=_indptr(rows, n_v),
-        indices=cols,
+        group_count=n_u,
+        indptr=np.searchsorted(keys, np.arange(n_v + 1) * n_u),
+        indices=keys % n_u,
         build_options=record,
     )
 
 
-def _build_exact(V, U, spec, rng):
-    """Row and group index of every membership, one uniform per pair."""
-    side = V.torus.side
+def _draw_memberships(V, U, spec, rng, radius):
+    """Sorted flat keys v * n_u + u of the memberships among the pairs
+    within `radius` (every pair when it is infinite), drawing one uniform
+    per candidate pair, vertex-major with groups ascending."""
+    torus, side = V.torus, V.torus.side
     n_v, n_u = V.positions.shape[0], U.positions.shape[0]
-    block = max(1, _EXACT_BLOCK_PAIRS // max(n_u, 1))
-    rows, cols = [], []
-    for start in range(0, max(n_v, 1), block):  # one empty block when n_v = 0
-        vp = V.positions[start : start + block]
-        dist = _min_image_distance(vp[:, None, :], U.positions[None, :, :], side)
-        hits = rng.random((vp.shape[0], n_u)) < _eval_kernel_array(spec, dist)
-        r, c = np.nonzero(hits)
-        rows.append(r + start)
-        cols.append(c)
-    if len(rows) == 1:  # the common case: skip the copies
-        return rows[0], cols[0]
-    return np.concatenate(rows), np.concatenate(cols)
-
-
-def _build_truncated(V, U, spec, rng, eps_tail):
-    """Like _build_exact, but only pairs within the truncation radius
-    are considered; also returns the radius."""
-    torus = V.torus
-    radius = support_radius(spec, 0.0)
-    if not math.isfinite(radius):
-        if eps_tail == 0.0:
-            raise ConfigError(
-                "truncated build needs eps_tail > 0 for a kernel with unbounded support"
-            )
-        radius = support_radius(spec, eps_tail)
-    n_v, n_u = V.positions.shape[0], U.positions.shape[0]
-    empty = np.empty(0, dtype=np.intp)
     if radius <= 0.0 or n_v == 0 or n_u == 0:
         # zero-support kernel or an empty cloud: nothing can ever connect
-        return empty, empty, radius
-
-    side = torus.side
-    # the tree may round distances differently: query a little wider,
-    # then keep exactly the pairs the min-image formula puts within radius
-    query = radius * (1.0 + 1e-9)
-    groups = cKDTree(U.positions, boxsize=side)
+        return np.empty(0, dtype=np.intp)
     per_vertex = n_u * min(1.0, ball_volume(torus.d, radius) / torus.volume)
-    block = max(1, int(_TRUNCATED_BLOCK_PAIRS / max(per_vertex, 1.0)))
-    rows, cols = [], []
+    block = max(1, int(_BLOCK_PAIRS / max(per_vertex, 1.0)))
+    dense = not math.isfinite(radius)
+    if not dense:
+        # the tree may round distances differently: query a little wider,
+        # then keep exactly the pairs the min-image formula puts within radius
+        query = radius * (1.0 + 1e-9)
+        groups = cKDTree(U.positions, boxsize=side)
+    keys = []
     for start in range(0, n_v, block):
         vp = V.positions[start : start + block]
-        pairs = cKDTree(vp, boxsize=side).sparse_distance_matrix(
-            groups, query, output_type="ndarray"
-        )
-        # vertex-major, groups ascending: the order the uniforms are drawn in
-        keys = np.sort(pairs["i"] * n_u + pairs["j"])
-        r, c = np.divmod(keys, n_u)
-        dist = _min_image_distance(vp[r], U.positions[c], side)
-        within = dist <= radius
-        r, c = r[within], c[within]
-        hits = rng.random(r.size) < _eval_kernel_array(spec, dist[within])
-        rows.append(r[hits] + start)
-        cols.append(c[hits])
-    return np.concatenate(rows), np.concatenate(cols), radius
+        if dense:
+            dist = min_image_distance(vp[:, None, :], U.positions[None, :, :], side).ravel()
+        else:
+            pairs = cKDTree(vp, boxsize=side).sparse_distance_matrix(
+                groups, query, output_type="ndarray"
+            )
+            # vertex-major, groups ascending: the order the uniforms are drawn in
+            cand = np.sort(pairs["i"] * n_u + pairs["j"])
+            r, c = np.divmod(cand, n_u)
+            dist = min_image_distance(vp[r], U.positions[c], side)
+            within = dist <= radius
+            cand, dist = cand[within], dist[within]
+        hits = rng.random(dist.size) < _eval_kernel_array(spec, dist)
+        keys.append((np.flatnonzero(hits) if dense else cand[hits]) + start * n_u)
+    return keys[0] if len(keys) == 1 else np.concatenate(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -200,55 +167,49 @@ def _build_truncated(V, U, spec, rng, eps_tail):
 
 @dataclass
 class IntersectionGraph:
-    """One-mode projection: nodes on one side, edges from shared memberships."""
+    """One-mode projection: nodes on one side, edges from shared memberships.
+
+    ``shared`` is the symmetric CSR matrix of shared-membership counts off
+    the diagonal, neighbors sorted; the edge list is its upper triangle.
+    """
 
     side: str  # "V" or "U"
-    node_count: int
-    edges: np.ndarray  # (m, 2) with edges[:, 0] < edges[:, 1], lexicographically sorted
-    shared_counts: np.ndarray  # (m,) common-membership multiplicity, >= 1
-    indptr: np.ndarray = None  # symmetric adjacency in CSR layout, neighbors sorted
-    indices: np.ndarray = None
+    shared: sparse.csr_matrix
 
-    def __post_init__(self):
-        if self.indptr is None:
-            a, b = self.edges[:, 0], self.edges[:, 1]
-            src, dst = np.concatenate([a, b]), np.concatenate([b, a])
-            adjacency = sparse.csr_matrix(
-                (np.ones(src.size, dtype=np.int8), (src, dst)),
-                shape=(self.node_count, self.node_count),
-            )
-            adjacency.sort_indices()
-            self.indptr, self.indices = adjacency.indptr, adjacency.indices
+    @property
+    def node_count(self) -> int:
+        return self.shared.shape[0]
 
     @property
     def edge_count(self) -> int:
-        return int(self.edges.shape[0])
+        return self.shared.nnz // 2
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(m, 2) with edges[:, 0] < edges[:, 1], lexicographically sorted."""
+        upper = sparse.triu(self.shared, k=1, format="coo")
+        return np.stack([upper.row, upper.col], axis=1)
+
+    @property
+    def shared_counts(self) -> np.ndarray:
+        """(m,) common-membership multiplicity of each edge, >= 1."""
+        return sparse.triu(self.shared, k=1, format="coo").data
 
     def neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node] : self.indptr[node + 1]]
+        return self.shared.indices[self.shared.indptr[node] : self.shared.indptr[node + 1]]
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return np.diff(self.shared.indptr)
 
 
 def _project(incidence: sparse.spmatrix, side: str) -> IntersectionGraph:
     """Projection onto the rows of an incidence matrix: its Gram matrix
-    off the diagonal, upper triangle as the edge list."""
+    off the diagonal."""
     shared = (incidence @ incidence.T).tocsr()
+    shared.setdiag(0)
+    shared.eliminate_zeros()
     shared.sort_indices()
-    n = shared.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(shared.indptr))
-    off = rows != shared.indices
-    rows, cols, counts = rows[off], shared.indices[off].astype(np.int64), shared.data[off]
-    upper = rows < cols
-    return IntersectionGraph(
-        side=side,
-        node_count=n,
-        edges=np.stack([rows[upper], cols[upper]], axis=1),
-        shared_counts=counts[upper],
-        indptr=_indptr(rows, n),
-        indices=cols,
-    )
+    return IntersectionGraph(side=side, shared=shared)
 
 
 def project_onto_vertices(bi: BipartiteGraph) -> IntersectionGraph:
@@ -295,17 +256,7 @@ def _canonical_partition(labels: np.ndarray) -> ComponentPartition:
 
 def components(graph: IntersectionGraph) -> ComponentPartition:
     """Connected components with ids ordered by smallest contained node."""
-    n = graph.node_count
-    if n == 0:
-        return ComponentPartition(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if graph.edge_count == 0:
-        ids = np.arange(n, dtype=np.int64)
-        return ComponentPartition(n, ids, np.ones(n, dtype=np.int64))
-    mat = sparse.csr_matrix(
-        (np.ones(graph.indices.size, dtype=np.int8), graph.indices, graph.indptr),
-        shape=(n, n),
-    )
-    _, labels = csgraph.connected_components(mat, directed=False)
+    _, labels = csgraph.connected_components(graph.shared, directed=False)
     return _canonical_partition(labels.astype(np.int64))
 
 
@@ -359,7 +310,7 @@ class DegreeHistogram:
 def degree_histogram(graph: IntersectionGraph) -> DegreeHistogram:
     """Exact degree counts; mean equals 2 * edges / nodes."""
     degrees = graph.degrees()
-    counts = np.bincount(degrees, minlength=1) if graph.node_count else np.zeros(1, np.int64)
+    counts = np.bincount(degrees, minlength=1)
     mean = 2.0 * graph.edge_count / graph.node_count if graph.node_count else 0.0
     return DegreeHistogram(counts=counts.astype(np.int64), mean=mean, node_count=graph.node_count)
 

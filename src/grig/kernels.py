@@ -135,7 +135,7 @@ KernelSpec = Union[BooleanKernel, GaussianKernel, PowerLawKernel, TabulatedKerne
 
 
 def _check_dim(d):
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
 
 
@@ -659,7 +659,7 @@ def kernel_from_json(obj: dict) -> KernelSpec:
             params = dict(obj["params"])
         else:
             params = {k: v for k, v in obj.items() if k not in ("family", "d")}
-        d = int(obj["d"])
+        d = obj["d"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed kernel spec: {exc}") from exc
     try:
@@ -681,7 +681,7 @@ def kernel_from_json(obj: dict) -> KernelSpec:
                 values=np.asarray(params["values"], dtype=float),
                 d=d,
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid kernel parameters for family {family!r}: {exc}") from exc
     raise ConfigError(f"unknown kernel family {family!r}")
 

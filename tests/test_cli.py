@@ -3,10 +3,12 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grig import __version__, analytics
 from grig.cli import main
-from grig.config import config_from_dict, default_sweep_values, load_config, resolve_torus
+from grig.config import KINDS, config_from_dict, default_sweep_values, load_config, resolve_torus
 from grig.errors import ConfigError
 from grig.experiments import build_profile
 
@@ -75,6 +77,70 @@ def test_config_dimension_mismatch():
         )
 
 
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+VALID_CONFIGS = [
+    {"kind": "degrees", "kernel": GAUSS, "lambda": 1.0, "mu": 1.0, "replicates": 2, "seed": 3},
+    {
+        "kind": "phase",
+        "kernel": {"family": "powerlaw", "alpha": 4.5, "norm": 1.0, "d": 2},
+        "torus": {"d": 2, "measure": "side", "value": 12.0},
+        "lambda_values": [0.5, 1.0],
+        "mode": "truncated",
+        "eps_tail": 1e-3,
+        "threads": 1,
+    },
+    {
+        "kind": "analytics",
+        "kernel": {"family": "tabulated", "radii": [0.5, 1.0], "values": [0.9, 0.1], "d": 2},
+        "probe_distances": [0.0, 1.0],
+        "confidence": 0.99,
+        "dispersion_alpha": 0.01,
+        "profile": {"n_radii": 64, "base_nodes": 8, "max_refinements": 2, "t_max": 4.0, "tol": 1e-6},
+    },
+    {"kind": "connection", "kernel": BOOL, "mu": 1.5, "profile": {"method": "tabulated"}},
+]
+# fractional, out-of-range, huge and beyond-float-range values
+EDGE_VALUES = st.sampled_from([True, 2.7, -1, 0, 400, 10**6, 10**400, math.inf, math.nan])
+# key paths whose values the fuzz replaces
+CONFIG_PATHS = (
+    [(key,) for key in sorted(set().union(*VALID_CONFIGS)) + ["torus", "mu_values"]]
+    + [
+        ("kernel", key)
+        for key in ("family", "d", "r", "sigma", "alpha", "norm", "amplitude", "radii", "values", "params")
+    ]
+    + [("torus", key) for key in ("d", "measure", "value")]
+    + [("profile", key) for key in ("n_radii", "base_nodes", "max_refinements", "t_max", "tol", "method")]
+)
+
+
+@st.composite
+def edited_configs(draw):
+    """A valid config with a few key paths set to arbitrary JSON values."""
+    payload = json.loads(json.dumps(draw(st.sampled_from(VALID_CONFIGS))))
+    edits = draw(st.dictionaries(st.sampled_from(CONFIG_PATHS), EDGE_VALUES | JSON, max_size=3))
+    for path, value in edits.items():
+        target = payload
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        if isinstance(target, dict):
+            target[path[-1]] = value
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_configs() | JSON)
+def test_config_from_dict_returns_or_raises_config_error(payload):
+    try:
+        config = config_from_dict(payload)
+    except ConfigError:
+        return
+    assert config.kind in KINDS
+
+
 def test_config_torus_side_measure():
     torus = resolve_torus({"d": 3, "measure": "side", "value": 4.0})
     assert torus.side == 4.0
@@ -113,6 +179,14 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
         {"kind": "degrees", "kernel": dict(BOOL, r=None), "torus": torus},
         {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value="abc")},
         {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"n_radii": "x"}},
+        {"kind": "degrees", "kernel": dict(GAUSS, d=2.7), "torus": torus},
+        {"kind": "degrees", "kernel": dict(GAUSS, d=True), "torus": dict(torus, d=True)},
+        {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, d=2.9)},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "replicates": True},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "seed": False},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "threads": True},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"base_nodes": True}},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"max_refinements": False}},
     ]
     for k, payload in enumerate(bad_configs):
         bad = _write(tmp_path, f"bad{k}.json", dict(payload, **{"lambda": 1.0, "mu": 1.0}))

@@ -212,6 +212,7 @@ def _failing_build(exc):
     return build
 
 
+@pytest.mark.filterwarnings("error")
 def test_phase_sweep_records_package_errors(monkeypatch):
     monkeypatch.setattr(
         "grig.experiments.build_bipartite", _failing_build(ConfigError("bad cell"))
@@ -220,6 +221,7 @@ def test_phase_sweep_records_package_errors(monkeypatch):
     grid = run_phase_sweep(cfg)
     assert [f["error"] for f in grid.failures] == ["ConfigError: bad cell"] * 2
     assert np.isnan(grid.mean_v).all() and np.isnan(grid.mean_u).all()
+    assert np.isnan(grid.stderr_v).all() and np.isnan(grid.stderr_u).all()
 
 
 def test_phase_sweep_raises_programming_errors(monkeypatch):

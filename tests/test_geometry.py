@@ -13,8 +13,8 @@ from grig.geometry import (
     cloud_from_json,
     cloud_to_csv,
     cloud_to_json,
-    distances_to_point,
     min_image_displacement,
+    min_image_distance,
     palm_insert,
     sample_poisson,
     sphere_surface,
@@ -62,10 +62,9 @@ def test_min_image_displacement_matches_distance():
         assert np.all(np.abs(delta) <= 3.0 + 1e-12)
 
 
-def test_distances_to_point_vectorized():
-    torus = Torus(2, 10.0)
+def test_min_image_distance_vectorized():
     pts = np.array([[9.5, 0.0], [1.0, 1.0], [5.0, 5.0]])
-    d = distances_to_point(torus, pts, (0.0, 0.0))
+    d = min_image_distance(pts, np.zeros(2), 10.0)
     assert d == pytest.approx([0.5, math.sqrt(2.0), math.sqrt(50.0)])
 
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from grig import graph as graph_module
 from grig.errors import ConfigError
 from grig.geometry import GROUP, VERTEX, PointCloud, Torus, sample_poisson, torus_distance
 from grig.graph import (
     BipartiteGraph,
     BuildOptions,
-    IntersectionGraph,
     bipartite_components,
     build_bipartite,
     components,
@@ -142,13 +142,13 @@ def test_build_role_validation():
         build_bipartite(V2, U, spec, np.random.default_rng(0), BuildOptions())
 
 
-def test_auto_mode_switches_on_pair_count():
+def test_auto_mode_switches_on_pair_count(monkeypatch):
     V, U = _clouds(8, lam=1.0, mu=1.0)
     spec = BooleanKernel(r=1.0, d=2)
     small = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode="auto"))
     assert small.build_options["mode"] == "exact"
-    tiny_limit = BuildOptions(mode="auto", exact_pair_limit=10)
-    big = build_bipartite(V, U, spec, np.random.default_rng(1), tiny_limit)
+    monkeypatch.setattr(graph_module, "_EXACT_PAIR_LIMIT", 10)
+    big = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode="auto"))
     assert big.build_options["mode"] == "truncated"
 
 
@@ -217,13 +217,9 @@ def test_adjacency_symmetric_no_self_loops():
 
 
 def _graph_from_edges(n, edges):
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return IntersectionGraph(
-        side="V",
-        node_count=n,
-        edges=edges,
-        shared_counts=np.ones(len(edges), dtype=np.int64),
-    )
+    """Vertex projection of an edge incidence: one group per edge."""
+    lists = [[e for e, pair in enumerate(edges) if v in pair] for v in range(n)]
+    return project_onto_vertices(_bi_from_lists(len(edges), lists))
 
 
 def test_components_empty_graph():

@@ -3,11 +3,13 @@ small clouds: d in {1, 2, 3}, boolean, gaussian and tabulated kernels,
 empty clouds, and tori smaller than twice the truncation radius."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grig import graph as graph_module
 from grig.experiments import (
     KIND_PHASE,
     STREAM_GROUPS,
@@ -84,14 +86,16 @@ def test_rows_strictly_ascending(scene, mode):
 
 
 @SETTINGS
-@given(scenes())
-def test_truncated_build_matches_brute_force(scene):
-    # reference: dense distances, candidates with dist <= R, and one
-    # uniform per candidate, vertex-major, groups ascending
+@given(scenes(), st.sampled_from(["exact", "truncated"]), st.sampled_from([1, 40, 1 << 16]))
+def test_truncated_build_matches_brute_force(scene, mode, block_pairs):
+    # reference: dense distances, candidates with dist <= R (every pair
+    # in exact mode, R = inf), and one uniform per candidate, vertex-major,
+    # groups ascending, whatever the vertex blocks
     V, U = _sample(scene)
     spec = scene[1]
-    bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode="truncated"))
-    radius = bi.build_options["truncation_radius"]
+    with mock.patch.object(graph_module, "_BLOCK_PAIRS", block_pairs):
+        bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode=mode))
+    radius = bi.build_options.get("truncation_radius", math.inf)
     dist = _dense_distances(V, U)
     rng = np.random.default_rng(7)
     for v, row in enumerate(_rows(bi)):

@@ -20,6 +20,7 @@ are rejected so typos fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from .errors import ConfigError
@@ -68,6 +69,17 @@ def _int_at_least(value, what: str, low: int) -> int:
     return value
 
 
+def _finite(value, what: str) -> float:
+    """A finite number; NaN, the infinities and non-numbers are refused."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def resolve_torus(payload) -> Torus:
     if not isinstance(payload, dict):
         raise ConfigError(f"torus must be an object, got {type(payload).__name__}")
@@ -76,12 +88,10 @@ def resolve_torus(payload) -> Torus:
         raise ConfigError(f"unknown torus keys: {sorted(extra)}")
     try:
         d = _int_at_least(payload["d"], "torus d", 1)
-        measure = payload.get("measure", "area")
-        value = float(payload["value"])
+        value = _finite(payload["value"], "torus value")
     except KeyError as exc:
         raise ConfigError(f"torus is missing required key {exc}") from None
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"torus d and value must be numbers, got {payload!r}") from None
+    measure = payload.get("measure", "area")
     if measure == "side":
         side = value
     elif measure == "area":
@@ -99,20 +109,14 @@ def resolve_torus(payload) -> Torus:
 def _float_or_none(payload, key):
     if key not in payload or payload[key] is None:
         return None
-    try:
-        value = float(payload[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {payload[key]!r}") from None
+    value = _finite(payload[key], key)
     if value < 0:
         raise ConfigError(f"{key} must be >= 0, got {value}")
     return value
 
 
 def _unit_interval(payload, key, default):
-    try:
-        value = float(payload.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {payload[key]!r}") from None
+    value = _finite(payload.get(key, default), key)
     if not 0 < value < 1:
         raise ConfigError(f"{key} must lie in (0, 1), got {value}")
     return value
@@ -143,10 +147,7 @@ def _float_tuple(payload, key):
         return ()
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(f"{key} must be an array of numbers")
-    try:
-        values = tuple(float(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be an array of numbers") from None
+    values = tuple(_finite(v, f"{key} entry") for v in raw)
     if any(v < 0 for v in values):
         raise ConfigError(f"{key} entries must be >= 0")
     return values
@@ -184,11 +185,7 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
     mode = payload.get("mode", "auto")
     if mode not in ("auto", "exact", "truncated"):
         raise ConfigError(f'mode must be "auto", "exact" or "truncated", got {mode!r}')
-    eps_tail = payload.get("eps_tail", 1e-3)
-    try:
-        eps_tail = float(eps_tail)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"eps_tail must be a number, got {eps_tail!r}") from None
+    eps_tail = _finite(payload.get("eps_tail", 1e-3), "eps_tail")
     if eps_tail < 0:
         raise ConfigError(f"eps_tail must be >= 0, got {eps_tail}")
     threads = _int_at_least(payload.get("threads", os.cpu_count() or 1), "threads", 1)

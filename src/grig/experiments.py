@@ -11,6 +11,13 @@ cloud (1), membership draws (2), and any auxiliary draws (3).  Streams
 depend only on these keys, never on scheduling, so results are identical
 for any worker count and replayable from the config alone.
 
+Phase sweeps key their streams by replicate alone, ``(KIND_PHASE, k,
+stream)``: replicate k samples one master build at the largest
+intensities of the grid, and its stream 3 draws the thinning marks, one
+per vertex and then one per group.  Every cell of the grid is thinned
+from the same master build, so cells are correlated across the grid;
+replicates stay independent.
+
 Artifacts are written with ``repr`` floats and sorted JSON keys and carry
 no timestamps; reruns with the same config and seed are byte-identical.
 """
@@ -39,6 +46,7 @@ from .geometry import (
     sample_poisson,
 )
 from .graph import (
+    BipartiteGraph,
     BuildOptions,
     bipartite_labels,
     build_bipartite,
@@ -259,6 +267,11 @@ class PhaseGrid:
     stderr_u: np.ndarray
     replicates: int
     failures: list = field(default_factory=list)
+    builds: list = field(default_factory=list)  # master build record per replicate, None if it failed
+    mean_kept: dict = field(default_factory=dict)  # vertices/groups/memberships -> (n_lambda, n_mu)
+
+
+KEPT_COUNTS = ("vertices", "groups", "memberships")
 
 
 def _largest_share(labels: np.ndarray) -> float:
@@ -266,30 +279,74 @@ def _largest_share(labels: np.ndarray) -> float:
     return float(np.bincount(labels).max() / labels.size) if labels.size else math.nan
 
 
-def _phase_cell_replicate(args):
-    (seed, kernel, torus, lam, mu, i, j, k, mode, eps_tail) = args
+def _phase_replicate(args):
+    """Replicate k of the coupled sweep: every cell thinned from one build.
+
+    The master build samples V at max(lams) and U at max(mus).  Every
+    point gets a uniform mark scaled to its master intensity; cell (i, j)
+    keeps the vertices marked below lams[i], the groups marked below
+    mus[j] and the memberships between kept ends.  An independent thinning
+    of a Poisson process is Poisson, and memberships are drawn per pair
+    whatever the intensities, so each cell is the model at (lams[i], mus[j]).
+
+    Returns (fractions, kept, record, error): fractions (2, n_lambda, n_mu)
+    for the vertex and the group side, kept (3, n_lambda, n_mu) counts in
+    KEPT_COUNTS order, both NaN when the master build failed.
+    """
+    seed, kernel, torus, lams, mus, k, mode, eps_tail = args
+    fractions = np.full((2, lams.size, mus.size), math.nan)
+    kept = np.full((len(KEPT_COUNTS), lams.size, mus.size), math.nan)
+    lam_max, mu_max = float(lams.max()), float(mus.max())
     try:
-        rng_v = rng_for(seed, KIND_PHASE, i, j, k, STREAM_VERTICES)
-        rng_u = rng_for(seed, KIND_PHASE, i, j, k, STREAM_GROUPS)
-        rng_m = rng_for(seed, KIND_PHASE, i, j, k, STREAM_MEMBERSHIPS)
-        V = sample_poisson(torus, lam, rng_v, role=VERTEX)
-        U = sample_poisson(torus, mu, rng_u, role=GROUP)
+        V = sample_poisson(torus, lam_max, rng_for(seed, KIND_PHASE, k, STREAM_VERTICES), role=VERTEX)
+        U = sample_poisson(torus, mu_max, rng_for(seed, KIND_PHASE, k, STREAM_GROUPS), role=GROUP)
+        rng_m = rng_for(seed, KIND_PHASE, k, STREAM_MEMBERSHIPS)
         bi = build_bipartite(V, U, kernel, rng_m, BuildOptions(mode=mode, eps_tail=eps_tail))
-        # each projection's components are the bipartite components
-        # restricted to its side, so one component search serves both
-        labels = bipartite_labels(bi)
-        frac_v = _largest_share(labels[: bi.vertex_count])
-        frac_u = _largest_share(labels[bi.vertex_count :])
-        return (i, j, k, frac_v, frac_u, None)
-    except GrigError as exc:  # per-cell failures recorded, sweep continues
-        return (i, j, k, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
+    except GrigError as exc:  # the replicate's cells are recorded as failed, the sweep goes on
+        return fractions, kept, None, f"{type(exc).__name__}: {exc}"
+    rng_aux = rng_for(seed, KIND_PHASE, k, STREAM_AUX)
+    mark_v = rng_aux.random(bi.vertex_count) * lam_max
+    mark_u = rng_aux.random(bi.group_count) * mu_max
+    rows = np.repeat(np.arange(bi.vertex_count), bi.membership_counts())
+    for i, lam in enumerate(lams):
+        keep_v = mark_v < lam
+        row_kept = keep_v[rows]
+        for j, mu in enumerate(mus):
+            keep_u = mark_u < mu
+            keep = row_kept & keep_u[bi.indices]
+            offsets = np.concatenate(([0], np.cumsum(keep)))
+            cell = BipartiteGraph(bi.vertex_count, bi.group_count, offsets[bi.indptr], bi.indices[keep])
+            # dropped nodes are isolated, so the kept nodes' components are
+            # those of the cell; one search on the bipartite graph serves both sides
+            labels = bipartite_labels(cell)
+            fractions[0, i, j] = _largest_share(labels[: bi.vertex_count][keep_v])
+            fractions[1, i, j] = _largest_share(labels[bi.vertex_count :][keep_u])
+            kept[:, i, j] = keep_v.sum(), keep_u.sum(), offsets[-1]
+    return fractions, kept, bi.build_options, None
+
+
+def _replicate_stats(arr):
+    """Mean and stderr over the last axis, ignoring NaN: nanmean and nanstd's
+    arithmetic, with NaN left where too few replicates finished instead of
+    a RuntimeWarning."""
+    ok = ~np.isnan(arr)
+    counts = ok.sum(axis=-1)
+    dev = np.where(ok, arr, 0.0)
+    mean = np.divide(dev.sum(axis=-1), counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+    dev = np.where(ok, dev - mean[..., None], 0.0)
+    var = np.divide(
+        (dev * dev).sum(axis=-1), counts - 1, out=np.full(counts.shape, np.nan), where=counts > 1
+    )
+    return mean, np.sqrt(var) / np.sqrt(np.maximum(counts, 1))
 
 
 def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:
     """Largest-component fraction over a (lambda, mu) grid.
 
-    Each cell runs `replicates` independent builds; both projections of
-    every build are measured, so the vertex-side grid at (a, b) can be
+    Each replicate makes one master build at the largest intensities and
+    thins it to every cell (see _phase_replicate), so cells are correlated
+    across the grid while replicates stay independent.  Both projections
+    of every cell are measured, so the vertex-side grid at (a, b) can be
     compared against the group-side grid at (b, a), which has the same
     distribution by the role-swap symmetry of the construction.
     """
@@ -298,38 +355,24 @@ def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:
     if lams.size == 0 or mus.size == 0:
         raise ConfigError("phase sweep needs lambda_values and mu_values")
     tasks = [
-        (config.seed, config.kernel, config.torus, float(lams[i]), float(mus[j]), i, j, k,
-         config.mode, config.eps_tail)
-        for i in range(lams.size)
-        for j in range(mus.size)
+        (config.seed, config.kernel, config.torus, lams, mus, k, config.mode, config.eps_tail)
         for k in range(config.replicates)
     ]
-    results = _map_tasks(_phase_cell_replicate, tasks, config.threads)
+    results = _map_tasks(_phase_replicate, tasks, config.threads)
+    fractions = np.stack([r[0] for r in results], axis=-1)
+    kept = np.stack([r[1] for r in results], axis=-1)
+    builds = [r[2] for r in results]
+    errors = [r[3] for r in results]
+    failures = [
+        {"cell": [i, j], "replicate": k, "error": err}
+        for i in range(lams.size)
+        for j in range(mus.size)
+        for k, err in enumerate(errors)
+        if err is not None
+    ]
 
-    frac_v = np.full((lams.size, mus.size, config.replicates), math.nan)
-    frac_u = np.full_like(frac_v, math.nan)
-    failures = []
-    for i, j, k, fv, fu, err in results:
-        frac_v[i, j, k] = fv
-        frac_u[i, j, k] = fu
-        if err is not None:
-            failures.append({"cell": [int(i), int(j)], "replicate": int(k), "error": err})
-
-    def reduce(arr):
-        # nanmean and nanstd's arithmetic, with NaN left where a cell has
-        # too few finished replicates instead of a RuntimeWarning
-        ok = ~np.isnan(arr)
-        counts = ok.sum(axis=2)
-        dev = np.where(ok, arr, 0.0)
-        mean = np.divide(dev.sum(axis=2), counts, out=np.full(counts.shape, np.nan), where=counts > 0)
-        dev = np.where(ok, dev - mean[..., None], 0.0)
-        var = np.divide(
-            (dev * dev).sum(axis=2), counts - 1, out=np.full(counts.shape, np.nan), where=counts > 1
-        )
-        return mean, np.sqrt(var) / np.sqrt(np.maximum(counts, 1))
-
-    mean_v, stderr_v = reduce(frac_v)
-    mean_u, stderr_u = reduce(frac_u)
+    mean_v, stderr_v = _replicate_stats(fractions[0])
+    mean_u, stderr_u = _replicate_stats(fractions[1])
     grid = PhaseGrid(
         lambda_values=lams,
         mu_values=mus,
@@ -339,6 +382,8 @@ def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:
         stderr_u=stderr_u,
         replicates=config.replicates,
         failures=failures,
+        builds=builds,
+        mean_kept=dict(zip(KEPT_COUNTS, _replicate_stats(kept)[0])),
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -353,6 +398,9 @@ def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:
                 "replicates": config.replicates,
                 "seed": config.seed,
                 "failures": failures,
+                "master": {"lambda": float(lams.max()), "mu": float(mus.max())},
+                "builds": builds,
+                "mean_kept": grid.mean_kept,
             },
         )
     return grid

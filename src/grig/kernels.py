@@ -647,6 +647,14 @@ def kernel_to_json(spec: KernelSpec) -> dict:
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
+def _finite(value) -> float:
+    """float(value), refusing NaN and the infinities with a ValueError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"parameters must be finite, got {value!r}")
+    return number
+
+
 def kernel_from_json(obj: dict) -> KernelSpec:
     """Parse a kernel spec; gaussian/powerlaw accept "norm" instead of "amplitude".
 
@@ -664,23 +672,22 @@ def kernel_from_json(obj: dict) -> KernelSpec:
         raise ConfigError(f"malformed kernel spec: {exc}") from exc
     try:
         if family == "boolean":
-            return BooleanKernel(r=float(params["r"]), d=d)
+            return BooleanKernel(r=_finite(params["r"]), d=d)
         if family == "gaussian":
-            sigma = float(params["sigma"])
+            sigma = _finite(params["sigma"])
             if "norm" in params:
-                return GaussianKernel.with_norm(sigma, float(params["norm"]), d)
-            return GaussianKernel(sigma=sigma, amplitude=float(params.get("amplitude", 1.0)), d=d)
+                return GaussianKernel.with_norm(sigma, _finite(params["norm"]), d)
+            return GaussianKernel(sigma=sigma, amplitude=_finite(params.get("amplitude", 1.0)), d=d)
         if family == "powerlaw":
-            alpha = float(params["alpha"])
+            alpha = _finite(params["alpha"])
             if "norm" in params:
-                return PowerLawKernel.with_norm(alpha, float(params["norm"]), d)
-            return PowerLawKernel(alpha=alpha, amplitude=float(params.get("amplitude", 1.0)), d=d)
+                return PowerLawKernel.with_norm(alpha, _finite(params["norm"]), d)
+            return PowerLawKernel(alpha=alpha, amplitude=_finite(params.get("amplitude", 1.0)), d=d)
         if family == "tabulated":
-            return TabulatedKernel(
-                radii=np.asarray(params["radii"], dtype=float),
-                values=np.asarray(params["values"], dtype=float),
-                d=d,
-            )
+            radii, values = (np.asarray(params[key], dtype=float) for key in ("radii", "values"))
+            if not (np.isfinite(radii).all() and np.isfinite(values).all()):
+                raise ValueError("radii and values must be finite")
+            return TabulatedKernel(radii=radii, values=values, d=d)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid kernel parameters for family {family!r}: {exc}") from exc
     raise ConfigError(f"unknown kernel family {family!r}")

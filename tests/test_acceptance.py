@@ -344,7 +344,7 @@ def test_criterion_6_phase_diagram(capsys):
                     f"gaussian lambda={lam} column never exceeds 0.5 "
                     f"(mu=16 probe: {g_probe.mean_v[i, 0]:.3f})"
                 )
-    _finish(capsys, 6, "phase diagram sweeps", failures, t0, 1800.0)
+    _finish(capsys, 6, "phase diagram sweeps", failures, t0, 120.0)
 
 
 def test_criterion_7_convolution_correctness(capsys):

@@ -139,6 +139,16 @@ def test_config_from_dict_returns_or_raises_config_error(payload):
     except ConfigError:
         return
     assert config.kind in KINDS
+    # every number a returned config holds is finite (integers always are)
+    pending = [config.describe()]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            pending.extend(item)
+        elif isinstance(item, float):
+            assert math.isfinite(item), config.describe()
 
 
 def test_config_torus_side_measure():
@@ -187,9 +197,35 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
         {"kind": "degrees", "kernel": GAUSS, "torus": torus, "threads": True},
         {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"base_nodes": True}},
         {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"max_refinements": False}},
+        # non-finite numbers (Python's json reads NaN and Infinity)
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "lambda": math.nan},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "mu": -math.inf},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "lambda_values": [math.nan, 1.0]},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "mu_values": [math.inf]},
+        {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value=math.inf)},
+        {"kind": "degrees", "kernel": GAUSS, "torus": {"d": 2, "measure": "area", "value": math.inf}},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "eps_tail": math.nan},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "probe_distances": [math.inf]},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "confidence": math.nan},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"t_max": math.inf}},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"tol": math.nan}},
+        {"kind": "degrees", "kernel": dict(BOOL, r=math.inf), "torus": torus},
+        {"kind": "degrees", "kernel": dict(GAUSS, sigma=math.nan), "torus": torus},
+        {"kind": "degrees", "kernel": dict(GAUSS, norm=math.inf), "torus": torus},
+        {"kind": "degrees", "kernel": {"family": "powerlaw", "alpha": math.inf, "d": 2}, "torus": torus},
+        {
+            "kind": "degrees",
+            "kernel": {"family": "tabulated", "radii": [0.5, math.inf], "values": [0.9, 0.1], "d": 2},
+            "torus": torus,
+        },
+        {
+            "kind": "degrees",
+            "kernel": {"family": "tabulated", "radii": [0.5, 1.0], "values": [math.nan, 0.1], "d": 2},
+            "torus": torus,
+        },
     ]
     for k, payload in enumerate(bad_configs):
-        bad = _write(tmp_path, f"bad{k}.json", dict(payload, **{"lambda": 1.0, "mu": 1.0}))
+        bad = _write(tmp_path, f"bad{k}.json", dict({"lambda": 1.0, "mu": 1.0}, **payload))
         out = tmp_path / f"out{k}"
         assert main(["degrees", "--config", bad, "--out", str(out)]) == 2, payload
         captured = capsys.readouterr()

@@ -144,6 +144,61 @@ def test_phase_sweep_shape_and_range(tmp_path):
     assert lines[0].startswith("lambda\\mu,")
     meta = json.loads((tmp_path / "phase_meta.json").read_text())
     assert meta["replicates"] == 3
+    # one master build per replicate at the largest intensities, its
+    # resolved record, and the mean kept counts per cell
+    assert meta["master"] == {"lambda": 2.0, "mu": 2.0}
+    assert [b["mode"] for b in meta["builds"]] == ["exact"] * 3
+    for name in ("vertices", "groups", "memberships"):
+        np.testing.assert_array_equal(meta["mean_kept"][name], grid.mean_kept[name])
+        assert np.array(meta["mean_kept"][name]).shape == (2, 3)
+    # a larger lambda keeps more of the master's vertices
+    assert meta["mean_kept"]["vertices"][1][2] > meta["mean_kept"]["vertices"][0][2]
+
+
+def test_phase_sweep_auto_mode_resolves_on_master_build(monkeypatch):
+    # the master build at (2, 2) on area 100 has about 4e4 pairs: over a
+    # limit of 1e4 every cell is thinned from one truncated build
+    monkeypatch.setattr("grig.graph._EXACT_PAIR_LIMIT", 10_000)
+    cfg = _cfg(
+        kind="phase",
+        kernel=BOOL_R1,
+        torus=Torus(2, 10.0),
+        lambda_values=(0.25, 2.0),
+        mu_values=(0.25, 2.0),
+        replicates=2,
+        mode="auto",
+    )
+    grid = run_phase_sweep(cfg)
+    assert grid.builds == [{"mode": "truncated", "eps_tail": 1e-3, "truncation_radius": 1.0}] * 2
+
+
+def test_phase_cells_follow_the_model_law():
+    # thinned cells are the model at their own intensities: kept vertices
+    # ~ Poisson(lambda |T|), kept groups ~ Poisson(mu |T|), and kept
+    # memberships have mean lambda mu |T| ||g|| and variance
+    # mean * (1 + lambda ||g|| + mu ||g||) for a 0/1 kernel; the mean over
+    # R replicates must lie within 5 sigma / sqrt(R) of these
+    area, norm, reps = 100.0, math.pi, 20
+    cfg = _cfg(
+        kind="phase",
+        kernel=BOOL_R1,
+        torus=Torus(2, math.sqrt(area)),
+        lambda_values=(0.5, 1.0, 2.0),
+        mu_values=(0.25, 1.5, 3.0),
+        replicates=reps,
+        seed=41,
+    )
+    grid = run_phase_sweep(cfg)
+    for i, lam in enumerate(cfg.lambda_values):
+        for j, mu in enumerate(cfg.mu_values):
+            memberships = lam * mu * area * norm
+            for name, mean, var in (
+                ("vertices", lam * area, lam * area),
+                ("groups", mu * area, mu * area),
+                ("memberships", memberships, memberships * (1 + lam * norm + mu * norm)),
+            ):
+                got = grid.mean_kept[name][i, j]
+                assert abs(got - mean) <= 5 * math.sqrt(var / reps), (name, lam, mu, got, mean)
 
 
 def test_phase_sweep_subcritical_cells_small():

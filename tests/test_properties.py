@@ -1,6 +1,6 @@
-"""Property tests for builds, projections and the phase cell on random
-small clouds: d in {1, 2, 3}, boolean, gaussian and tabulated kernels,
-empty clouds, and tori smaller than twice the truncation radius."""
+"""Property tests for builds, projections and the phase replicate on
+random small clouds: d in {1, 2, 3}, boolean, gaussian and tabulated
+kernels, empty clouds, and tori smaller than twice the truncation radius."""
 
 import math
 from unittest import mock
@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 from grig import graph as graph_module
 from grig.experiments import (
     KIND_PHASE,
+    STREAM_AUX,
     STREAM_GROUPS,
     STREAM_MEMBERSHIPS,
     STREAM_VERTICES,
-    _phase_cell_replicate,
+    _phase_replicate,
     rng_for,
 )
 from grig.geometry import GROUP, VERTEX, Torus, sample_poisson
 from grig.graph import (
+    BipartiteGraph,
     BuildOptions,
     build_bipartite,
     largest_component_fraction,
@@ -123,23 +125,66 @@ def test_projections_equal_dense_gram_matrix(scene, mode):
             assert np.array_equal(graph.neighbors(node), np.nonzero(off[node])[0])
 
 
+def _master(scene, lams, mus, k, mode):
+    """The master build of phase replicate k and its marks, from its streams."""
+    torus, spec, _, _, seed = scene
+    V = sample_poisson(torus, lams.max(), rng_for(seed, KIND_PHASE, k, STREAM_VERTICES), role=VERTEX)
+    U = sample_poisson(torus, mus.max(), rng_for(seed, KIND_PHASE, k, STREAM_GROUPS), role=GROUP)
+    rng_m = rng_for(seed, KIND_PHASE, k, STREAM_MEMBERSHIPS)
+    bi = build_bipartite(V, U, spec, rng_m, BuildOptions(mode=mode))
+    rng_aux = rng_for(seed, KIND_PHASE, k, STREAM_AUX)
+    mark_v = rng_aux.random(bi.vertex_count) * lams.max()
+    return bi, mark_v, rng_aux.random(bi.group_count) * mus.max()
+
+
+def _fraction(bi, project):
+    graph = project(bi)
+    return largest_component_fraction(graph) if graph.node_count else math.nan
+
+
+def _phase_args(scene, lams, mus, k, mode):
+    torus, spec, _, _, seed = scene
+    return (seed, spec, torus, np.asarray(lams), np.asarray(mus), k, mode, 1e-3)
+
+
+@SETTINGS
+@given(
+    scenes(),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    st.sampled_from(["exact", "truncated"]),
+)
+def test_phase_cell_fractions_equal_projection_components(scene, lam_scale, mu_scale, mode):
+    # every cell against the projections of the master build restricted,
+    # and reindexed, to the vertices and groups whose marks the cell keeps
+    lams, mus = scene[2] * np.array(lam_scale), scene[3] * np.array(mu_scale)
+    fractions, kept, record, err = _phase_replicate(_phase_args(scene, lams, mus, 2, mode))
+    assert err is None
+    bi, mark_v, mark_u = _master(scene, lams, mus, 2, mode)
+    assert record == bi.build_options
+    B = _dense_incidence(bi)
+    for i, lam in enumerate(lams):
+        for j, mu in enumerate(mus):
+            sub = B[np.ix_(mark_v < lam, mark_u < mu)]
+            cell = BipartiteGraph(
+                sub.shape[0],
+                sub.shape[1],
+                np.concatenate(([0], np.cumsum(sub.sum(axis=1)))),
+                np.nonzero(sub)[1],
+            )
+            expected = [_fraction(cell, project_onto_vertices), _fraction(cell, project_onto_groups)]
+            np.testing.assert_array_equal(fractions[:, i, j], expected)
+            assert list(kept[:, i, j]) == [sub.shape[0], sub.shape[1], sub.sum()]
+
+
 @SETTINGS
 @given(scenes(), st.sampled_from(["exact", "truncated"]))
-def test_phase_cell_fractions_equal_projection_components(scene, mode):
+def test_one_cell_sweep_equals_single_build(scene, mode):
+    # a 1 x 1 grid keeps every mark: its cell is the master build itself
     torus, spec, lam, mu, seed = scene
-    _, _, _, frac_v, frac_u, err = _phase_cell_replicate(
-        (seed, spec, torus, lam, mu, 0, 1, 2, mode, 1e-3)
-    )
+    fractions, kept, _, err = _phase_replicate(_phase_args(scene, [lam], [mu], 5, mode))
     assert err is None
-    V = sample_poisson(torus, lam, rng_for(seed, KIND_PHASE, 0, 1, 2, STREAM_VERTICES), role=VERTEX)
-    U = sample_poisson(torus, mu, rng_for(seed, KIND_PHASE, 0, 1, 2, STREAM_GROUPS), role=GROUP)
-    rng_m = rng_for(seed, KIND_PHASE, 0, 1, 2, STREAM_MEMBERSHIPS)
-    bi = build_bipartite(V, U, spec, rng_m, BuildOptions(mode=mode))
-    for frac, n, project in (
-        (frac_v, bi.vertex_count, project_onto_vertices),
-        (frac_u, bi.group_count, project_onto_groups),
-    ):
-        if n == 0:
-            assert math.isnan(frac)
-        else:
-            assert frac == largest_component_fraction(project(bi))
+    bi, _, _ = _master(scene, np.array([lam]), np.array([mu]), 5, mode)
+    expected = [_fraction(bi, project_onto_vertices), _fraction(bi, project_onto_groups)]
+    np.testing.assert_array_equal(fractions[:, 0, 0], expected)
+    assert list(kept[:, 0, 0]) == [bi.vertex_count, bi.group_count, bi.indices.size]

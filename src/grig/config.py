@@ -97,13 +97,23 @@ def resolve_torus(payload) -> Torus:
     elif measure == "area":
         if value <= 0:
             raise ConfigError(f"torus area must be > 0, got {value}")
-        side = value ** (1.0 / d)
+        try:
+            side = value ** (1.0 / d)
+        except OverflowError:
+            raise ConfigError(f"torus d is too large for a float exponent, got {d}") from None
     else:
         raise ConfigError(f'torus measure must be "area" or "side", got {measure!r}')
     try:
-        return Torus(d, side)
+        torus = Torus(d, side)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    try:
+        volume = torus.volume
+    except OverflowError:
+        volume = math.inf
+    if not math.isfinite(volume):
+        raise ConfigError(f"torus volume side**d must be finite, got side {side} and d {d}")
+    return torus
 
 
 def _float_or_none(payload, key):

@@ -223,6 +223,9 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
             "kernel": {"family": "tabulated", "radii": [0.5, 1.0], "values": [math.nan, 0.1], "d": 2},
             "torus": torus,
         },
+        # finite inputs whose torus side or volume leaves the float range
+        {"kind": "degrees", "kernel": GAUSS, "torus": {"d": 10**400, "measure": "area", "value": 2.0}},
+        {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value=1e200)},
     ]
     for k, payload in enumerate(bad_configs):
         bad = _write(tmp_path, f"bad{k}.json", dict({"lambda": 1.0, "mu": 1.0}, **payload))

@@ -94,6 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
+    t = getattr(args, "t", None)
+    if t is not None and not 0.0 <= t < float("inf"):  # also refuses NaN
+        raise ConfigError(f"--t must be a finite distance >= 0, got {t}")
     updates = {}
     if args.seed is not None:
         if args.seed < 0:
@@ -160,6 +163,7 @@ def _run_analytics(config, quantity, t, out_dir) -> dict:
                 kind=profile.kind,
                 support=profile.support,
                 max_abs_error=profile.max_abs_error,
+                refinement_level=profile.refinement_level,
             )
         elif quantity == "expected-degree":
             _need(config, "lambda", "mu")

@@ -36,6 +36,10 @@ from .errors import ConfigError, ConvergenceError
 from .geometry import ball_volume, sphere_surface
 
 _TAIL_SCALE = math.exp(-2.0)  # tail fraction defining the kernel's length scale
+# (s, theta) nodes per quadrature tile; bounds the memory of one trapezoid pass
+_TILE_NODES = 1 << 15
+# relative slack on the support radius when skipping nodes the kernel cannot reach
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -327,7 +331,8 @@ class ConvolutionProfile:
     """The radial self-convolution f = g * g of a kernel.
 
     Either closed form ("gaussian" for any d, "boolean_lens" for d = 2) or
-    tabulated on an equispaced radius grid with a recorded error bound.
+    tabulated on an equispaced radius grid with a recorded error bound and
+    the refinement level of the quadrature pass it came from.
     Values are non-increasing in t and bounded by ||g||; for a kernel with
     bounded support s_max, f vanishes beyond 2 * s_max.
     """
@@ -342,6 +347,7 @@ class ConvolutionProfile:
     radii: np.ndarray | None = None
     values: np.ndarray | None = None
     max_abs_error: float | None = None
+    refinement_level: int | None = None  # quadrature level returned; None if none ran
 
     @property
     def f0(self) -> float:
@@ -425,7 +431,7 @@ def self_convolve(
             # that radius explodes and would starve the grid near zero
             t_max = min(2.0 * support_radius(spec, 1e-4), 16.0 * length_scale(spec))
     radii = np.linspace(0.0, t_max, grid.n_radii)
-    values, err = _tabulate_convolution(spec, radii, tol, base_nodes, max_refinements)
+    values, err, level = _tabulate_convolution(spec, radii, tol, base_nodes, max_refinements)
 
     # enforce profile invariants: range, monotonicity, exact support cutoff
     values = np.clip(values, 0.0, norm)
@@ -441,11 +447,12 @@ def self_convolve(
         radii=radii,
         values=values,
         max_abs_error=err,
+        refinement_level=level,
     )
     if err > tol:
         raise ConvergenceError(
             f"self-convolution did not reach tol={tol:g} within the refinement "
-            f"budget (achieved {err:.3g})",
+            f"budget (achieved {err:.3g} at refinement level {level})",
             estimate=profile,
             error_bound=err,
         )
@@ -497,6 +504,9 @@ def _trapezoid_convolution(spec, radii, level, base_nodes, r_int):
     with C_d the surface area of the unit (d-2)-sphere (C_2 = 2).  In
     d = 1 it is a plain line integral.  Kernel kink radii are grid
     breakpoints so refinement only has to resolve the t-dependent kinks.
+    For d >= 2 each radius is summed over tiles of s-rows, _TILE_NODES
+    nodes each, in one reused buffer, so memory does not grow with the
+    level or the number of radii.
     """
     d = spec.d
     scale = base_nodes * 2**level
@@ -521,21 +531,42 @@ def _trapezoid_convolution(spec, radii, level, base_nodes, r_int):
     a_s = w_s * _eval_kernel_array(spec, s) * s ** (d - 1)
     a_t = w_t * np.sin(theta) ** (d - 2)
     cos_t = np.cos(theta)
+    neg_cos = -cos_t  # ascending, for searchsorted
+    s_sq = s**2
 
+    # D <= s_max needs 2 t s cos(theta) >= t^2 + s^2 - s_max^2, and cos falls
+    # with theta, so the nodes where a bounded g can be nonzero form a prefix
+    # of each s-row (empty when |t - s| > s_max); the margin on s_max keeps
+    # rounding in D from cutting off a nonzero node
+    reach_sq = (support_radius(spec, 0.0) * (1.0 + _PRUNE_MARGIN)) ** 2
+    rows = max(1, _TILE_NODES // theta.size)
+    starts = np.arange(0, s.size, rows)
+    tile = np.empty(rows * theta.size)
+    per_s = np.empty(s.size)
     out = np.empty(radii.size)
-    block = max(1, int(8e6 // (s.size * theta.size)))
-    s_sq = s[:, None] ** 2
-    s_cos = s[:, None] * cos_t[None, :]
-    for start in range(0, radii.size, block):
-        t_blk = radii[start : start + block]
-        d_sq = t_blk[:, None, None] ** 2 + s_sq[None, :, :] - 2.0 * t_blk[:, None, None] * s_cos[None, :, :]
-        dist = np.sqrt(np.maximum(d_sq, 0.0))
-        gvals = _eval_kernel_array(spec, dist)
-        out[start : start + block] = c_d * np.einsum("bst,s,t->b", gvals, a_s, a_t)
+    for i, t in enumerate(radii):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut = (t**2 + s_sq - reach_sq) / (2.0 * t * s)
+        # t s = 0 gives -inf or +inf, a row all live or all dead since then
+        # D = |t - s|; 0/0 gives NaN, which sorts last: all live
+        live = np.searchsorted(neg_cos, -cut, side="right")
+        for start, cols in zip(starts.tolist(), np.maximum.reduceat(live, starts).tolist()):
+            stop = min(start + rows, s.size)
+            buf = tile[: (stop - start) * cols].reshape(stop - start, cols)
+            # D^2 = t^2 + s^2 - 2 t s cos(theta), clamped at 0 before the root
+            np.multiply(s[start:stop, None], cos_t[:cols], out=buf)
+            buf *= 2.0 * t
+            np.subtract((t**2 + s_sq[start:stop])[:, None], buf, out=buf)
+            np.maximum(buf, 0.0, out=buf)
+            np.sqrt(buf, out=buf)
+            per_s[start:stop] = _eval_kernel_array(spec, buf) @ a_t[:cols]
+        out[i] = c_d * (per_s @ a_s)
     return out
 
 
 def _tabulate_convolution(spec, radii, tol, base_nodes, max_refinements):
+    """(values, error bound, level): the Richardson estimate at the first level
+    whose successive estimates agree within tol, else the finest one tried."""
     r_int, trunc_err = _truncation_radius(spec, float(radii[-1]), tol)
     trap_prev = None
     rich_prev = None
@@ -546,13 +577,13 @@ def _tabulate_convolution(spec, radii, tol, base_nodes, max_refinements):
             rich = trap + (trap - trap_prev) / 3.0
             if rich_prev is not None:
                 diff = float(np.max(np.abs(rich - rich_prev)))
-                best = (rich, diff + trunc_err)
+                best = (rich, diff + trunc_err, level)
                 if diff + trunc_err <= tol:
                     return best
             rich_prev = rich
         trap_prev = trap
     if best is None:
-        best = (trap_prev, math.inf)
+        best = (trap_prev, math.inf, max_refinements)
     return best
 
 

@@ -235,6 +235,16 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
         assert "config error" in captured.err
         assert captured.out == ""
         assert not out.exists()
+    # a pair distance that is not finite or is negative is refused up front
+    cfg = _degrees_cfg(tmp_path, kind="analytics")
+    for k, t in enumerate(("nan", "-1", "inf")):
+        out = tmp_path / f"out-t{k}"
+        argv = ["analytics", "--config", cfg, "--out", str(out)]
+        assert main(argv + ["--quantity", "connection-probability", "--t", t]) == 2, t
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_cli_missing_config_file(tmp_path):
@@ -405,6 +415,15 @@ def test_cli_analytics_kernel_norm_and_profile(tmp_path, capsys):
     out2 = tmp_path / "p"
     assert main(["analytics", "--config", cfg, "--out", str(out2), "--quantity", "profile"]) == 0
     assert (out2 / "profile.csv").read_text().startswith("radius,f")
+    record = json.loads((out2 / "analytics.json").read_text())
+    assert record["max_abs_error"] is None and record["refinement_level"] is None  # closed form
+    tab = {"family": "tabulated", "radii": [0.5, 1.0], "values": [0.8, 0.2], "d": 2}
+    cfg = _degrees_cfg(tmp_path, kind="analytics", kernel=tab, profile={"n_radii": 33, "tol": 1e-3})
+    out3 = tmp_path / "q"
+    assert main(["analytics", "--config", cfg, "--out", str(out3), "--quantity", "profile"]) == 0
+    record = json.loads((out3 / "analytics.json").read_text())
+    assert record["max_abs_error"] <= 1e-3
+    assert record["refinement_level"] in range(2, 7)
     capsys.readouterr()
 
 

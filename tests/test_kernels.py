@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from grig import kernels
 from grig.errors import ConfigError, ConvergenceError
 from grig.kernels import (
     BooleanKernel,
@@ -260,7 +262,7 @@ def test_profile_monotone_and_bounded_by_norm():
 
 
 def test_convergence_error_carries_estimate():
-    with pytest.raises(ConvergenceError) as exc_info:
+    with pytest.raises(ConvergenceError, match="at refinement level 2") as exc_info:
         self_convolve(
             BooleanKernel(r=1.0, d=3),
             grid=ConvolutionGrid(n_radii=129),
@@ -270,8 +272,107 @@ def test_convergence_error_carries_estimate():
     err = exc_info.value
     assert err.estimate is not None
     assert err.error_bound > 1e-9
+    assert err.estimate.refinement_level == 2
     # the carried estimate is still a usable profile
     assert eval_profile(err.estimate, 0.0) > 0
+
+
+# the tabulated kernel of the benchmark: its last value is above 0, so g is
+# nonzero on the edge of the support, where the quadrature prunes nodes
+BENCH_TABULATED = TabulatedKernel(
+    radii=np.array([0.5, 1.0, 1.5, 2.0]), values=np.array([0.9, 0.6, 0.3, 0.1]), d=2
+)
+
+
+def test_refinement_level_on_benchmark_profiles():
+    tab = self_convolve(
+        BENCH_TABULATED, grid=ConvolutionGrid(n_radii=64), tol=1e-4, max_refinements=4
+    )
+    assert tab.refinement_level == 4
+    plaw = self_convolve(
+        PowerLawKernel.with_norm(2.0, 1.0, 2),
+        grid=ConvolutionGrid(n_radii=128),
+        tol=1e-4,
+        max_refinements=4,
+    )
+    assert plaw.refinement_level == 3
+    assert self_convolve(GaussianKernel.with_norm(1.0, 1.0, 2)).refinement_level is None
+    assert self_convolve(BooleanKernel(r=1.0, d=2)).refinement_level is None
+
+
+def _dense_trapezoid(spec, radii, level, base_nodes, r_int):
+    """The (t, s, theta) tensor-grid trapezoid sum, one dense plane per radius."""
+    d = spec.d
+    scale = base_nodes * 2**level
+    kinks = [k for k in kernels.kernel_kinks(spec) if 0.0 < k < r_int]
+    s, w_s = kernels._segment_nodes(np.array(sorted({0.0, *kinks, r_int})), scale / r_int)
+    theta = np.linspace(0.0, math.pi, scale + 1)
+    w_t = np.full(theta.size, math.pi / scale)
+    w_t[0] = w_t[-1] = 0.5 * math.pi / scale
+    c_d = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
+    a_s = w_s * eval_kernel(spec, s) * s ** (d - 1)
+    a_t = w_t * np.sin(theta) ** (d - 2)
+    out = []
+    for t in radii:
+        d_sq = t**2 + s[:, None] ** 2 - 2.0 * t * s[:, None] * np.cos(theta)[None, :]
+        gvals = eval_kernel(spec, np.sqrt(np.maximum(d_sq, 0.0)))
+        out.append(c_d * np.einsum("st,s,t->", gvals, a_s, a_t))
+    return np.array(out), s
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BooleanKernel(r=1.3, d=2),
+        BooleanKernel(r=0.7, d=3),
+        BENCH_TABULATED,
+        TabulatedKernel(radii=np.array([0.4, 0.9, 1.3]), values=np.array([0.8, 0.5, 0.2]), d=2),
+        PowerLawKernel.with_norm(2.0, 1.0, 2),
+        GaussianKernel.with_norm(1.0, 1.0, 2),
+        GaussianKernel(sigma=0.7, amplitude=0.5, d=3),
+    ],
+    ids=[
+        "boolean-d2",
+        "boolean-d3",
+        "tabulated",
+        "tabulated-1.3",
+        "powerlaw",
+        "gaussian-d2",
+        "gaussian-d3",
+    ],
+)
+def test_tiled_convolution_matches_dense_reference(spec, monkeypatch):
+    s_max = support_radius(spec, 0.0)
+    t_top = 2.0 * s_max if math.isfinite(s_max) else 3.0 * length_scale(spec)
+    r_int, _ = kernels._truncation_radius(spec, t_top, 1e-4)
+    default_tile = kernels._TILE_NODES
+    for level in range(3):
+        radii = np.linspace(0.0, t_top, 9)
+        _, s = _dense_trapezoid(spec, radii[:1], level, 16, r_int)
+        if math.isfinite(s_max):
+            # radii one support away from the s-nodes sit on the pruning edge,
+            # where rounding decides whether a row holds a nonzero node
+            radii = np.concatenate([radii, s + s_max])
+        ref, _ = _dense_trapezoid(spec, radii, level, 16, r_int)
+        bound = 1e-12 * max(1.0, float(np.abs(ref).max()))
+        # one row per tile, 37 rows at level 2 with a short last tile, and the default
+        for tile in (1, 37, 37 * (16 * 4 + 1), default_tile):
+            monkeypatch.setattr(kernels, "_TILE_NODES", tile)
+            got = kernels._trapezoid_convolution(spec, radii, level, 16, r_int)
+            assert np.abs(got - ref).max() <= bound, (level, tile)
+
+
+def test_self_convolve_memory_does_not_grow_with_the_grid():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            self_convolve(
+                BENCH_TABULATED, grid=ConvolutionGrid(n_radii=64), tol=1e-4, max_refinements=3
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,16 @@ _QUANTITIES = (
     "isolated-bound",
 )
 
+# config values each analytics quantity needs; connection-probability
+# also needs --t
+_QUANTITY_NEEDS = {
+    "expected-degree": ("lambda", "mu"),
+    "connection-probability": ("mu",),
+    "degree-bounds": ("lambda", "mu"),
+    "offspring-mean": ("lambda", "mu"),
+    "isolated-bound": ("mu",),
+}
+
 _SUBCOMMAND_KIND = {
     "sample": "sample",
     "degrees": "degrees",
@@ -97,6 +107,13 @@ def _apply_overrides(config, args):
     t = getattr(args, "t", None)
     if t is not None and not 0.0 <= t < float("inf"):  # also refuses NaN
         raise ConfigError(f"--t must be a finite distance >= 0, got {t}")
+    quantity = getattr(args, "quantity", None)
+    if t is None and quantity == "connection-probability":
+        raise ConfigError("connection-probability needs --t")
+    needs = _QUANTITY_NEEDS.get(quantity, ())
+    missing = [f for f in needs if getattr(config, "lam" if f == "lambda" else f) is None]
+    if missing:
+        raise ConfigError(f"{quantity} needs config value(s): {missing}")
     updates = {}
     if args.seed is not None:
         if args.seed < 0:
@@ -139,12 +156,6 @@ def _params(config, **extra) -> dict:
     return params
 
 
-def _need(config, *fields):
-    missing = [f for f in fields if getattr(config, "lam" if f == "lambda" else f) is None]
-    if missing:
-        raise ConfigError(f"this quantity needs config value(s): {missing}")
-
-
 def _run_analytics(config, quantity, t, out_dir) -> dict:
     spec = config.kernel
     if quantity == "kernel-norm":
@@ -166,23 +177,18 @@ def _run_analytics(config, quantity, t, out_dir) -> dict:
                 refinement_level=profile.refinement_level,
             )
         elif quantity == "expected-degree":
-            _need(config, "lambda", "mu")
             record = analytics.analytics_record(
                 "expected_degree",
                 _params(config),
                 analytics.expected_degree(profile, config.lam, config.mu),
             )
         elif quantity == "connection-probability":
-            _need(config, "mu")
-            if t is None:
-                raise ConfigError("connection-probability needs --t")
             record = analytics.analytics_record(
                 "connection_probability",
                 _params(config, t=t),
                 analytics.connection_probability(profile, config.mu, t),
             )
         elif quantity == "degree-bounds":
-            _need(config, "lambda", "mu")
             bounds = analytics.degree_bounds(profile, config.lam, config.mu)
             record = analytics.analytics_record(
                 "degree_bounds",
@@ -192,7 +198,6 @@ def _run_analytics(config, quantity, t, out_dir) -> dict:
                 bracket_high=bounds.bracket_high,
             )
         elif quantity == "offspring-mean":
-            _need(config, "lambda", "mu")
             mean = analytics.offspring_mean(config.lam, config.mu, kernels.kernel_norm(spec))
             record = analytics.analytics_record(
                 "offspring_mean",
@@ -201,7 +206,6 @@ def _run_analytics(config, quantity, t, out_dir) -> dict:
                 subcritical=mean.subcritical,
             )
         elif quantity == "isolated-bound":
-            _need(config, "mu")
             record = analytics.analytics_record(
                 "isolated_bound",
                 _params(config),

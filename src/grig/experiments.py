@@ -166,6 +166,7 @@ class DegreeResult:
     replicates: int
     node_total: int
     warnings: list = field(default_factory=list)
+    build: dict = field(default_factory=dict)  # see _build_totals
 
     def report(self) -> dict:
         return {
@@ -177,7 +178,24 @@ class DegreeResult:
             "replicates": self.replicates,
             "node_total": self.node_total,
             "warnings": self.warnings,
+            "build": self.build,
         }
+
+
+BUILD_TOTALS = ("vertices", "groups", "candidate_pairs", "memberships")
+
+
+def _build_totals(records) -> dict:
+    """Mode and truncation radius of the replicates' builds (mode "mixed"
+    when auto resolved differently across them), and the BUILD_TOTALS
+    summed over replicates: candidate pairs are the uniforms drawn."""
+    modes = {r["mode"] for r in records}
+    block = {"mode": modes.pop() if len(modes) == 1 else "mixed"}
+    radii = [r["truncation_radius"] for r in records if r["mode"] == "truncated"]
+    if radii:
+        block["truncation_radius"] = radii[0]
+    block.update((key, sum(r[key] for r in records)) for key in BUILD_TOTALS)
+    return block
 
 
 def _degree_replicate(args):
@@ -189,7 +207,13 @@ def _degree_replicate(args):
     U = sample_poisson(config.torus, config.mu, rng_u, role=GROUP)
     bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options())
     hist = degree_histogram(project_onto_vertices(bi))
-    return hist.counts, hist.mean, hist.node_count
+    record = dict(
+        bi.build_options,
+        vertices=bi.vertex_count,
+        groups=bi.group_count,
+        memberships=int(bi.indices.size),
+    )
+    return hist.counts, hist.mean, record
 
 
 def run_degree_experiment(config: ExperimentConfig, out_dir=None) -> DegreeResult:
@@ -234,6 +258,7 @@ def run_degree_experiment(config: ExperimentConfig, out_dir=None) -> DegreeResul
         replicates=config.replicates,
         node_total=total,
         warnings=warnings,
+        build=_build_totals([r for _, _, r in results]),
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -16,7 +16,9 @@ considered; one loop draws one uniform per considered pair, vertex-major
 with groups ascending within a vertex, block by block of vertices:
 
 * exact: R is infinite and every (vertex, group) pair is considered, in
-  dense blocks; the default when the pair count is small enough.
+  dense blocks; the default when the pair count is small enough.  A
+  block's distances are computed per coordinate, in place, in one work
+  array allocated per build and reused by every block.
 * truncated: R = support_radius(spec, eps_tail), skipping at most an
   eps_tail fraction of membership mass.  For bounded-support kernels R
   is the exact support, so no mass is lost.  Candidates come from a
@@ -88,7 +90,12 @@ def build_bipartite(
     rng: np.random.Generator,
     options: BuildOptions | None = None,
 ) -> BipartiteGraph:
-    """Sample the membership graph between a vertex and a group cloud."""
+    """Sample the membership graph between a vertex and a group cloud.
+
+    Its ``build_options`` record the resolved mode (with eps_tail and the
+    truncation radius when truncated) and ``candidate_pairs``, the number
+    of uniforms drawn.
+    """
     if V.role != VERTEX or U.role != GROUP:
         raise ValueError("build_bipartite needs a vertex cloud and a group cloud")
     if V.torus != U.torus:
@@ -114,7 +121,7 @@ def build_bipartite(
             radius = support_radius(spec, opts.eps_tail)
         record = {"mode": "truncated", "eps_tail": opts.eps_tail, "truncation_radius": radius}
 
-    keys = _draw_memberships(V, U, spec, rng, radius)
+    keys, record["candidate_pairs"] = _draw_memberships(V, U, spec, rng, radius)
     return BipartiteGraph(
         vertex_count=n_v,
         group_count=n_u,
@@ -127,25 +134,33 @@ def build_bipartite(
 def _draw_memberships(V, U, spec, rng, radius):
     """Sorted flat keys v * n_u + u of the memberships among the pairs
     within `radius` (every pair when it is infinite), drawing one uniform
-    per candidate pair, vertex-major with groups ascending."""
+    per candidate pair, vertex-major with groups ascending; returned with
+    the number of candidate pairs."""
     torus, side = V.torus, V.torus.side
     n_v, n_u = V.positions.shape[0], U.positions.shape[0]
     if radius <= 0.0 or n_v == 0 or n_u == 0:
         # zero-support kernel or an empty cloud: nothing can ever connect
-        return np.empty(0, dtype=np.intp)
+        return np.empty(0, dtype=np.intp), 0
     per_vertex = n_u * min(1.0, ball_volume(torus.d, radius) / torus.volume)
     block = max(1, int(_BLOCK_PAIRS / max(per_vertex, 1.0)))
     dense = not math.isfinite(radius)
-    if not dense:
+    if dense:
+        # one work array for every block, and U coordinate-major, so each
+        # coordinate of a block is worked on contiguous rows in place
+        columns = np.asfortranarray(U.positions)[None]
+        work = np.empty((3, min(block, n_v), n_u))
+    else:
         # the tree may round distances differently: query a little wider,
         # then keep exactly the pairs the min-image formula puts within radius
         query = radius * (1.0 + 1e-9)
         groups = cKDTree(U.positions, boxsize=side)
-    keys = []
+    keys, drawn = [], 0
     for start in range(0, n_v, block):
         vp = V.positions[start : start + block]
         if dense:
-            dist = min_image_distance(vp[:, None, :], U.positions[None, :, :], side).ravel()
+            # a short last block uses the leading rows of the work array
+            rows = work[:, : vp.shape[0]]
+            dist = min_image_distance(vp[:, None, :], columns, side, rows).ravel()
         else:
             pairs = cKDTree(vp, boxsize=side).sparse_distance_matrix(
                 groups, query, output_type="ndarray"
@@ -158,7 +173,8 @@ def _draw_memberships(V, U, spec, rng, radius):
             cand, dist = cand[within], dist[within]
         hits = rng.random(dist.size) < _eval_kernel_array(spec, dist)
         keys.append((np.flatnonzero(hits) if dense else cand[hits]) + start * n_u)
-    return keys[0] if len(keys) == 1 else np.concatenate(keys)
+        drawn += dist.size
+    return (keys[0] if len(keys) == 1 else np.concatenate(keys)), drawn
 
 
 # ---------------------------------------------------------------------------

@@ -433,9 +433,9 @@ def test_cli_analytics_connection_probability_needs_t(tmp_path, capsys):
     code = main(
         ["analytics", "--config", cfg, "--out", str(out), "--quantity", "connection-probability"]
     )
-    assert code == 1  # runtime config problem: manifest records failure
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "partial"
+    assert code == 2  # config error: refused before anything is written
+    assert not out.exists() or not any(out.iterdir())
+    assert "needs --t" in capsys.readouterr().err
     code = main(
         [
             "analytics",
@@ -451,6 +451,20 @@ def test_cli_analytics_connection_probability_needs_t(tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "quantity, dropped",
+    [("expected-degree", "lambda"), ("degree-bounds", "mu"), ("isolated-bound", "mu")],
+)
+def test_cli_analytics_missing_intensity_writes_nothing(tmp_path, capsys, quantity, dropped):
+    payload = json.loads(open(_degrees_cfg(tmp_path, kind="analytics")).read())
+    del payload[dropped]
+    cfg = _write(tmp_path, "partial.json", payload)
+    out = tmp_path / "out"
+    assert main(["analytics", "--config", cfg, "--out", str(out), "--quantity", quantity]) == 2
+    assert not out.exists()
+    assert f"needs config value(s): ['{dropped}']" in capsys.readouterr().err
 
 
 def test_cli_analytics_offspring_and_bounds(tmp_path, capsys):

@@ -8,7 +8,13 @@ import pytest
 from grig.analytics import sample_dominating_degree
 from grig.errors import ConfigError, ConvergenceError
 from grig.experiments import (
+    KIND_DEGREE,
+    KIND_PHASE,
+    STREAM_GROUPS,
+    STREAM_MEMBERSHIPS,
+    STREAM_VERTICES,
     ExperimentConfig,
+    _build_totals,
     export_visualization,
     rng_for,
     run_connection_check,
@@ -18,7 +24,8 @@ from grig.experiments import (
     run_sample,
     sample_origin_degrees,
 )
-from grig.geometry import Torus
+from grig.geometry import GROUP, VERTEX, Torus, sample_poisson
+from grig.graph import build_bipartite
 from grig.kernels import BooleanKernel, GaussianKernel, kernel_norm
 
 GAUSS_N1 = GaussianKernel.with_norm(1.0, 1.0, 2)
@@ -95,6 +102,58 @@ def test_degree_experiment_artifacts(tmp_path):
     assert report["warnings"] == []
 
 
+def _pair_distances(V, U):
+    """Min-image distances of every (vertex, group) pair, by the reference formula."""
+    delta = np.abs(V.positions[:, None, :] - U.positions[None, :, :])
+    return np.sqrt(np.sum(np.minimum(delta, V.torus.side - delta) ** 2, axis=-1))
+
+
+def _replayed_build(cfg, kind, k, lam, mu):
+    """Replicate k's clouds and build, from its streams."""
+    V = sample_poisson(cfg.torus, lam, rng_for(cfg.seed, kind, k, STREAM_VERTICES), role=VERTEX)
+    U = sample_poisson(cfg.torus, mu, rng_for(cfg.seed, kind, k, STREAM_GROUPS), role=GROUP)
+    rng_m = rng_for(cfg.seed, kind, k, STREAM_MEMBERSHIPS)
+    return V, U, build_bipartite(V, U, cfg.kernel, rng_m, cfg.build_options())
+
+
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_degree_report_build_totals(tmp_path, mode):
+    # the build block sums the replicates' builds, replayed from their
+    # streams; a candidate pair is one within the truncation radius R by
+    # the min-image formula (every pair in exact mode)
+    cfg = _cfg(replicates=3, seed=4, mode=mode)
+    res = run_degree_experiment(cfg, out_dir=tmp_path)
+    expected = {"mode": mode, "vertices": 0, "groups": 0, "candidate_pairs": 0, "memberships": 0}
+    for k in range(cfg.replicates):
+        V, U, bi = _replayed_build(cfg, KIND_DEGREE, k, cfg.lam, cfg.mu)
+        radius = bi.build_options.get("truncation_radius", math.inf)
+        if mode == "truncated":
+            expected["truncation_radius"] = radius
+        expected["vertices"] += V.count
+        expected["groups"] += U.count
+        expected["candidate_pairs"] += int(np.count_nonzero(_pair_distances(V, U) <= radius))
+        expected["memberships"] += int(bi.membership_counts().sum())
+    assert 0 < expected["candidate_pairs"] <= expected["vertices"] * expected["groups"]
+    assert res.build == expected
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["build"] == expected
+    assert report["node_total"] == expected["vertices"]
+
+
+def test_build_totals_mixed_modes():
+    # auto may resolve differently across replicates near the pair limit
+    exact = {"mode": "exact", "vertices": 2, "groups": 3, "candidate_pairs": 6, "memberships": 1}
+    truncated = dict(exact, mode="truncated", eps_tail=1e-3, truncation_radius=2.5, candidate_pairs=4)
+    assert _build_totals([exact, truncated]) == {
+        "mode": "mixed",
+        "truncation_radius": 2.5,
+        "vertices": 4,
+        "groups": 6,
+        "candidate_pairs": 10,
+        "memberships": 2,
+    }
+
+
 def test_degree_experiment_convergence_failure_flagged(tmp_path):
     from grig.kernels import PowerLawKernel
 
@@ -169,7 +228,13 @@ def test_phase_sweep_auto_mode_resolves_on_master_build(monkeypatch):
         mode="auto",
     )
     grid = run_phase_sweep(cfg)
-    assert grid.builds == [{"mode": "truncated", "eps_tail": 1e-3, "truncation_radius": 1.0}] * 2
+    record = {"mode": "truncated", "eps_tail": 1e-3, "truncation_radius": 1.0}
+    # candidate pairs: the master build's pairs within R = 1
+    candidates = [
+        int(np.count_nonzero(_pair_distances(V, U) <= 1.0))
+        for V, U, _ in (_replayed_build(cfg, KIND_PHASE, k, 2.0, 2.0) for k in range(2))
+    ]
+    assert grid.builds == [dict(record, candidate_pairs=c) for c in candidates]
 
 
 def test_phase_cells_follow_the_model_law():

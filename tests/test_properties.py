@@ -1,6 +1,7 @@
-"""Property tests for builds, projections and the phase replicate on
-random small clouds: d in {1, 2, 3}, boolean, gaussian and tabulated
-kernels, empty clouds, and tori smaller than twice the truncation radius."""
+"""Property tests for torus distances (d up to 10), and for builds,
+projections and the phase replicate on random small clouds: d in
+{1, 2, 3}, boolean, gaussian and tabulated kernels, empty clouds, and
+tori smaller than twice the truncation radius."""
 
 import math
 from unittest import mock
@@ -19,7 +20,7 @@ from grig.experiments import (
     _phase_replicate,
     rng_for,
 )
-from grig.geometry import GROUP, VERTEX, Torus, sample_poisson
+from grig.geometry import GROUP, VERTEX, PointCloud, Torus, min_image_distance, sample_poisson
 from grig.graph import (
     BipartiteGraph,
     BuildOptions,
@@ -63,10 +64,63 @@ def _rows(bi):
     return [bi.indices[bi.indptr[v] : bi.indptr[v + 1]] for v in range(bi.vertex_count)]
 
 
+def _reference_distance(a, b, side):
+    """The min-image formula as one broadcast expression, summed by np.sum."""
+    delta = np.abs(a - b)
+    return np.sqrt(np.sum(np.minimum(delta, side - delta) ** 2, axis=-1))
+
+
 def _dense_distances(V, U):
-    delta = np.abs(V.positions[:, None, :] - U.positions[None, :, :])
-    delta = np.minimum(delta, V.torus.side - delta)
-    return np.sqrt(np.sum(delta**2, axis=-1))
+    return _reference_distance(V.positions[:, None, :], U.positions[None, :, :], V.torus.side)
+
+
+@st.composite
+def point_pairs(draw):
+    """(a, b, side, spare): broadcast point arrays in [0, side) in one of the
+    layouts the library passes, and the rows a caller's work array has
+    beyond the result (a dense build's short last block)."""
+    d = draw(st.integers(1, 10))
+    side = draw(st.floats(0.5, 100.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+
+    def points(*shape):
+        return rng.uniform(0.0, side, size=shape + (d,))
+
+    layout = draw(st.sampled_from(["block", "block-columns", "rows", "point-array", "point-point"]))
+    if layout == "block":  # vertex block against every group
+        a, b = points(m)[:, None, :], points(n)[None, :, :]
+    elif layout == "block-columns":  # the same with the groups coordinate-major
+        a, b = points(m)[:, None, :], np.asfortranarray(points(n))[None]
+    elif layout == "rows":  # candidate rows of a truncated build
+        a, b = points(n), points(n)
+    elif layout == "point-array":
+        a, b = points(n), points()
+    else:  # torus_distance
+        a, b = points(), points()
+    return a, b, side, draw(st.integers(0, 3)) if a.ndim == 3 else 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_pairs())
+def test_min_image_distance_matches_reference(case):
+    # bit-identical to the reference for d <= 7, where np.sum adds the
+    # coordinates in order; from d = 8 on np.sum adds pairwise
+    a, b, side, spare = case
+    expected = _reference_distance(a, b, side)
+    got = min_image_distance(a, b, side)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    if a.shape[-1] <= 7:
+        assert np.array_equal(got, expected)
+    else:
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+    # a caller's work array is only written: NaN contents and spare rows
+    # (the leading rows serve a short last block) leave the result alone
+    shape = expected.shape
+    work = np.full((3, shape[0] + spare, *shape[1:]) if shape else (3,), np.nan)
+    into = min_image_distance(a, b, side, work[:, : shape[0]] if shape else work)
+    assert np.array_equal(into, got)
+    assert np.shares_memory(into, work)
 
 
 def _dense_incidence(bi):
@@ -105,6 +159,23 @@ def test_truncated_build_matches_brute_force(scene, mode, block_pairs):
         cand = np.nonzero(dist[v] <= radius)[0]
         hits = rng.random(cand.size) < eval_kernel(spec, dist[v, cand])
         assert np.array_equal(row, cand[hits])
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.floats(0.5, 4.0), st.integers(1, 30), st.integers(1, 30), st.data())
+def test_exact_boolean_build_is_the_ball_graph(d, side, n_v, n_u, data):
+    # a boolean kernel makes every draw certain: the exact build links the
+    # pairs closer than r, whatever the vertex blocks; a short last block
+    # that read another block's distances would link other pairs
+    block = data.draw(st.integers(1, n_v))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    torus = Torus(d, side)
+    V = PointCloud(VERTEX, rng.uniform(0.0, side, (n_v, d)), 1.0, torus)
+    U = PointCloud(GROUP, rng.uniform(0.0, side, (n_u, d)), 1.0, torus)
+    spec = BooleanKernel(r=0.25 * side * math.sqrt(d), d=d)
+    with mock.patch.object(graph_module, "_BLOCK_PAIRS", block * n_u):
+        bi = build_bipartite(V, U, spec, np.random.default_rng(0), BuildOptions(mode="exact"))
+    np.testing.assert_array_equal(_dense_incidence(bi), _dense_distances(V, U) < spec.r)
 
 
 @SETTINGS

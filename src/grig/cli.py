@@ -158,9 +158,24 @@ def _params(config, **extra) -> dict:
 
 def _run_analytics(config, quantity, t, out_dir) -> dict:
     spec = config.kernel
+    # the first three quantities read only ||g||: no self-convolution profile
     if quantity == "kernel-norm":
         record = analytics.analytics_record(
             "kernel_norm", _params(config), kernels.kernel_norm(spec)
+        )
+    elif quantity == "offspring-mean":
+        mean = analytics.offspring_mean(config.lam, config.mu, kernels.kernel_norm(spec))
+        record = analytics.analytics_record(
+            "offspring_mean",
+            _params(config),
+            mean.value,
+            subcritical=mean.subcritical,
+        )
+    elif quantity == "isolated-bound":
+        record = analytics.analytics_record(
+            "isolated_bound",
+            _params(config),
+            analytics.isolated_probability_bound(config.mu, kernels.kernel_norm(spec)),
         )
     else:
         profile = build_profile(config)
@@ -196,20 +211,6 @@ def _run_analytics(config, quantity, t, out_dir) -> dict:
                 bounds.upper_simple,
                 bracket_low=bounds.bracket_low,
                 bracket_high=bounds.bracket_high,
-            )
-        elif quantity == "offspring-mean":
-            mean = analytics.offspring_mean(config.lam, config.mu, kernels.kernel_norm(spec))
-            record = analytics.analytics_record(
-                "offspring_mean",
-                _params(config),
-                mean.value,
-                subcritical=mean.subcritical,
-            )
-        elif quantity == "isolated-bound":
-            record = analytics.analytics_record(
-                "isolated_bound",
-                _params(config),
-                analytics.isolated_probability_bound(config.mu, kernels.kernel_norm(spec)),
             )
         else:  # pragma: no cover - argparse restricts the choices
             raise ConfigError(f"unknown quantity {quantity!r}")

@@ -14,6 +14,10 @@ powerlaw    a * min(1, t^(-d*alpha)),  alpha > 1           unbounded
 tabulated   monotone linear interpolation of (radii, v)    bounded
 ==========  =============================================  ==============
 
+Each family's radial mass (the integral of g inside a radius) and its
+inverse have closed forms; the tabulated mass is a polynomial on each
+segment, inverted by Newton's method inside the one segment found.
+
 The self-convolution ``f = g * g`` drives every analytic quantity: the
 number of groups shared by two vertices at distance t is Poisson with
 mean ``mu * f(t)``.  Closed forms exist for the gaussian family (any d)
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import ConfigError, ConvergenceError
 from .geometry import ball_volume, sphere_surface
@@ -183,31 +187,51 @@ def kernel_norm(spec: KernelSpec) -> float:
     if isinstance(spec, PowerLawKernel):
         return spec.amplitude * ball_volume(spec.d, 1.0) * spec.alpha / (spec.alpha - 1.0)
     if isinstance(spec, TabulatedKernel):
-        return float(_tabulated_cumulative_mass(spec)[-1])
+        return float(_tabulated_mass(spec, spec.radii[-1]))
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
-def _gauss_legendre_segment(lo, hi, n=8):
-    nodes, weights = special.roots_legendre(n)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * nodes, half * weights
+def _tabulated_mass(spec: TabulatedKernel, r) -> np.ndarray:
+    """Mass of g inside radius r (scalar or array), in closed form.
+
+    On segment i, g = v_i + b_i h with h = x - lo_i, and the shell mass
+    expands binomially in lo_i and h; unlike r^d - lo^d, that sum does not
+    cancel on a short segment far from the origin."""
+    radii, values, d = spec.radii, spec.values, spec.d
+    r = np.minimum(np.asarray(r, dtype=float), radii[-1])
+    i = np.minimum(np.searchsorted(radii, r, side="right"), radii.size - 1) - 1
+    # every whole segment, then the partial one below each r, in one pass
+    seg = np.append(np.arange(radii.size - 1), i)
+    lo = radii[seg, None]
+    h = np.append(radii[1:], r)[:, None] - lo
+    slope = ((values[1:] - values[:-1]) / (radii[1:] - radii[:-1]))[seg, None]
+    k = np.arange(d)
+    binom = np.array([math.comb(d - 1, j) for j in k], dtype=float)
+    terms = binom * lo ** (d - 1 - k) * h ** (k + 1)
+    terms *= values[seg, None] / (k + 1) + slope * h / (k + 2)
+    shells = sphere_surface(d) * terms.sum(axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(shells[: radii.size - 1])])
+    return (cum[i] + shells[radii.size - 1 :]).reshape(r.shape)
 
 
-def _tabulated_cumulative_mass(spec: TabulatedKernel) -> np.ndarray:
-    """Mass of g inside each node radius; exact per-segment quadrature.
-
-    The integrand (linear g) * t^(d-1) is a polynomial of degree d on each
-    segment, so 8-node Gauss-Legendre integrates it exactly for d <= 15.
-    """
-    surf = sphere_surface(spec.d)
-    masses = [0.0]
-    for lo, hi, vlo, vhi in zip(
-        spec.radii[:-1], spec.radii[1:], spec.values[:-1], spec.values[1:]
-    ):
-        x, w = _gauss_legendre_segment(lo, hi)
-        gvals = vlo + (vhi - vlo) * (x - lo) / (hi - lo)
-        masses.append(surf * float(np.sum(w * gvals * x ** (spec.d - 1))))
-    return np.cumsum(masses)
+def _newton_root(func, rate, lo, hi):
+    """Smallest x in [lo, hi] with func(x) >= 0, for an increasing func with
+    derivative rate: Newton steps from hi, bisecting where a step would leave
+    the bracket."""
+    x = hi
+    for _ in range(100):
+        value = func(x)
+        lo, hi = (x, hi) if value < 0 else (lo, x)
+        slope = rate(x)
+        step = x - value / slope if slope > 0 else math.nan
+        step = step if lo <= step <= hi else 0.5 * (lo + hi)
+        x, moved = step, abs(step - x)
+        if moved <= 1e-15 * x:
+            break
+    # the converged x may sit an ulp or two short of the root
+    while func(x) < 0 and x < hi:
+        x = math.nextafter(x, math.inf)
+    return x
 
 
 def tail_mass(spec: KernelSpec, radius: float) -> float:
@@ -227,18 +251,7 @@ def tail_mass(spec: KernelSpec, radius: float) -> float:
             return norm - a * ball_volume(d, radius)
         return a * ball_volume(d, 1.0) * radius ** (-d * (alpha - 1.0)) / (alpha - 1.0)
     if isinstance(spec, TabulatedKernel):
-        cum = _tabulated_cumulative_mass(spec)
-        if radius >= spec.radii[-1]:
-            return 0.0
-        i = int(np.searchsorted(spec.radii, radius, side="right")) - 1
-        lo, hi = spec.radii[i], spec.radii[i + 1]
-        vlo, vhi = spec.values[i], spec.values[i + 1]
-        x, w = _gauss_legendre_segment(lo, radius)
-        gvals = vlo + (vhi - vlo) * (x - lo) / (hi - lo)
-        inside = cum[i] + sphere_surface(spec.d) * float(
-            np.sum(w * gvals * x ** (spec.d - 1))
-        )
-        return max(0.0, cum[-1] - inside)
+        return max(0.0, norm - float(_tabulated_mass(spec, radius)))
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
@@ -253,8 +266,7 @@ def support_radius(spec: KernelSpec, eps_tail: float = 0.0) -> float:
     if not 0 <= eps_tail < 1:
         raise ValueError(f"eps_tail must lie in [0, 1), got {eps_tail}")
     if eps_tail == 0.0:
-        if isinstance(spec, BooleanKernel):
-            return spec.r
+        # the boolean law below gives r itself at eps_tail = 0
         if isinstance(spec, (GaussianKernel, PowerLawKernel)):
             return math.inf
         if isinstance(spec, TabulatedKernel):
@@ -263,7 +275,6 @@ def support_radius(spec: KernelSpec, eps_tail: float = 0.0) -> float:
                 return 0.0
             j = int(positive[-1])
             return float(spec.radii[min(j + 1, spec.radii.size - 1)])
-        raise TypeError(f"unknown kernel spec {spec!r}")
 
     if isinstance(spec, BooleanKernel):
         return spec.r * (1.0 - eps_tail) ** (1.0 / spec.d)
@@ -278,16 +289,18 @@ def support_radius(spec: KernelSpec, eps_tail: float = 0.0) -> float:
     if isinstance(spec, TabulatedKernel):
         norm = kernel_norm(spec)
         target = eps_tail * norm
-        if tail_mass(spec, 0.0) <= target:
+        if norm <= target:
             return 0.0
-        lo, hi = 0.0, support_radius(spec, 0.0)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if tail_mass(spec, mid) <= target:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        # the first node whose mass reaches norm - target closes the segment
+        # that holds R, so a zero tail, which adds no mass, is never entered
+        cum = _tabulated_mass(spec, spec.radii)
+        i = min(int(np.searchsorted(cum, norm - target)), cum.size - 1) - 1
+        return _newton_root(
+            lambda r: target - (norm - float(_tabulated_mass(spec, r))),
+            lambda r: sphere_surface(spec.d) * r ** (spec.d - 1) * eval_kernel(spec, r),
+            float(spec.radii[i]),
+            float(spec.radii[i + 1]),
+        )
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
@@ -633,8 +646,13 @@ def radius_level(profile: ConvolutionProfile, s: float) -> float:
     if profile.kind == "gaussian":
         return 2.0 * profile.sigma * math.sqrt(math.log(f0 / s))
     if profile.kind == "boolean_lens":
-        return float(
-            optimize.brentq(lambda t: float(eval_profile(profile, t)) - s, 0.0, 2.0 * profile.r)
+        # the lens area A falls from f0 to 0 on [0, 2r], A'(t) = -sqrt(4r^2 - t^2)
+        r = profile.r
+        return _newton_root(
+            lambda t: s - float(_lens_area(t, r)),
+            lambda t: math.sqrt(max(4.0 * r * r - t * t, 0.0)),
+            0.0,
+            2.0 * r,
         )
     values, radii = profile.values, profile.radii
     above = np.nonzero(values > s)[0]

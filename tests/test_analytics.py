@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from grig.analytics import (
     connection_probability,
@@ -11,13 +12,16 @@ from grig.analytics import (
     offspring_mean,
     sample_dominating_degree,
 )
+from grig.geometry import sphere_surface
 from grig.kernels import (
     BooleanKernel,
     ConvolutionGrid,
     GaussianKernel,
     PowerLawKernel,
+    TabulatedKernel,
     eval_profile,
     kernel_norm,
+    radius_level,
     self_convolve,
 )
 
@@ -27,8 +31,6 @@ LENS_R1 = self_convolve(BooleanKernel(r=1.0, d=2))
 
 def test_connection_probability_arithmetic():
     # mu=1, f(t)=ln 2 -> p = 1/2; pick t where the lens hits ln 2
-    from grig.kernels import radius_level
-
     t_half = radius_level(LENS_R1, math.log(2.0))
     assert connection_probability(LENS_R1, 1.0, t_half) == pytest.approx(0.5, rel=1e-10)
 
@@ -131,3 +133,40 @@ def test_expected_degree_powerlaw_d1_reference():
     ed = expected_degree(prof, 1.0, 1.0)
     assert ed == pytest.approx(3.1288262242701697, rel=1e-6)
     assert ed <= 1.0 * 1.0 * kernel_norm(PowerLawKernel(alpha=3.0, amplitude=0.7, d=1)) ** 2
+
+
+def _quad_expected_degree(profile, lam, mu, points=None):
+    """Adaptive-quadrature oracle: the same radial integral up to the same cutoff."""
+    cutoff = radius_level(profile, -math.log1p(-1e-6) / mu)
+    d = profile.d
+    inner, _ = integrate.quad(
+        lambda t: -math.expm1(-mu * eval_profile(profile, t)) * t ** (d - 1),
+        0.0,
+        cutoff,
+        points=points,
+        epsabs=1e-13,
+        epsrel=1e-12,
+        limit=400,
+    )
+    return lam * sphere_surface(d) * inner
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 3.0, 20.0])
+def test_expected_degree_closed_forms_match_adaptive_quadrature(mu):
+    profiles = [self_convolve(GaussianKernel.with_norm(1.0, 1.0, d)) for d in (1, 2, 3)]
+    profiles += [self_convolve(BooleanKernel(r=r, d=2)) for r in (0.5, 1.0, 2.0)]
+    for profile in profiles:
+        oracle = _quad_expected_degree(profile, 1.0, mu)
+        assert expected_degree(profile, 1.0, mu) == pytest.approx(oracle, rel=1e-9)
+
+
+def test_expected_degree_tabulated_integrates_up_to_the_cutoff():
+    # the benchmark's tabulated kernel: the cutoff falls inside the profile's
+    # last segment, whose partial panel the integral must keep
+    spec = TabulatedKernel(
+        radii=np.array([0.5, 1.0, 1.5, 2.0]), values=np.array([0.9, 0.6, 0.3, 0.1]), d=2
+    )
+    profile = self_convolve(spec, grid=ConvolutionGrid(n_radii=64), tol=1e-4, max_refinements=4)
+    assert radius_level(profile, -math.log1p(-1e-6)) < profile.radii[-1]
+    oracle = _quad_expected_degree(profile, 1.0, 1.0, points=profile.radii[1:-1])
+    assert expected_degree(profile, 1.0, 1.0) == pytest.approx(oracle, rel=1e-10)

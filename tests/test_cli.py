@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from grig.config import KINDS, config_from_dict, default_sweep_values, load_conf
 from grig.errors import ConfigError
 from grig.experiments import build_profile
 
+SRC = os.path.dirname(os.path.dirname(analytics.__file__))  # the tree grig is imported from
 GAUSS = {"family": "gaussian", "sigma": 1.0, "norm": 1.0, "d": 2}
 BOOL = {"family": "boolean", "r": 1.0, "d": 2}
 
@@ -483,6 +486,41 @@ def test_cli_analytics_offspring_and_bounds(tmp_path, capsys):
     assert 0.0 < bounds["bracket_low"] <= bounds["bracket_high"] < math.inf
     assert bounds["bracket_high"] == pytest.approx(1.0 * math.pi * 4.0, rel=1e-12)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "quantity, expected",
+    [("offspring-mean", 0.5 * 2.0 * 1.0**2), ("isolated-bound", math.exp(-2.0 * 1.0))],
+)
+def test_cli_analytics_norm_quantities_build_no_profile(
+    tmp_path, monkeypatch, capsys, quantity, expected
+):
+    # both read only ||g||; a powerlaw profile at default settings would take minutes
+    def refuse(config):
+        raise AssertionError("profile built for a quantity that reads only the norm")
+
+    monkeypatch.setattr("grig.cli.build_profile", refuse)
+    plaw = {"family": "powerlaw", "alpha": 2.0, "norm": 1.0, "d": 2}
+    cfg = _degrees_cfg(tmp_path, kind="analytics", kernel=plaw, **{"lambda": 0.5, "mu": 2.0})
+    out = tmp_path / "o"
+    assert main(["analytics", "--config", cfg, "--out", str(out), "--quantity", quantity]) == 0
+    record = json.loads((out / "analytics.json").read_text())
+    assert record["value"] == pytest.approx(expected, rel=1e-12)
+    capsys.readouterr()
+
+
+def test_import_surface_leaves_out_optimize_and_integrate():
+    # each CLI process pays for every scipy module grig imports
+    probe = (
+        "import sys, grig.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, optimize, special
 
 from grig import kernels
 from grig.errors import ConfigError, ConvergenceError
+from grig.geometry import sphere_surface
 from grig.kernels import (
     BooleanKernel,
     ConvolutionGrid,
@@ -22,6 +26,7 @@ from grig.kernels import (
     radius_level,
     self_convolve,
     support_radius,
+    tail_mass,
 )
 
 
@@ -112,6 +117,113 @@ def test_tabulated_norm_against_dense_trapezoid():
         else:
             oracle = 4.0 * math.pi * np.trapezoid(t**2 * g, t)
         assert kernel_norm(spec) == pytest.approx(oracle, rel=1e-8)
+
+
+@st.composite
+def tabulated_kernels(draw):
+    """2-6 nodes, a first radius at 0 or above it, flat stretches and zero
+    tails, d = 1..5.  Nonzero values stay >= 0.01: a support radius moves by
+    about ulp(||g||) / g(R), so tinier values make it ill-conditioned."""
+    n = draw(st.integers(2, 6))
+    gaps = np.array(draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n)))
+    radii = np.cumsum(gaps) - (gaps[0] if draw(st.booleans()) else 0.0)
+    values = draw(st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=n, max_size=n))
+    values = sorted(values, reverse=True)
+    zeros = draw(st.integers(0, n - 1))
+    values[n - zeros :] = [0.0] * zeros
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 2))
+        values[j + 1] = values[j]
+    return TabulatedKernel(radii=radii, values=np.array(values), d=draw(st.integers(1, 5)))
+
+
+def _reference_support_radius(spec, eps_tail):
+    """Smallest R with tail mass <= eps_tail ||g||, by 200 bisection steps on
+    masses from 8-node Gauss-Legendre per segment (exact on each polynomial)."""
+    nodes, weights = special.roots_legendre(8)
+
+    def mass_in_segment(i, top):
+        lo, hi = spec.radii[i], spec.radii[i + 1]
+        x = 0.5 * (top + lo) + 0.5 * (top - lo) * nodes
+        g = spec.values[i] + (spec.values[i + 1] - spec.values[i]) * (x - lo) / (hi - lo)
+        half = 0.5 * (top - lo)
+        return sphere_surface(spec.d) * half * float(np.sum(weights * g * x ** (spec.d - 1)))
+
+    segments = range(spec.radii.size - 1)
+    cum = np.cumsum([0.0] + [mass_in_segment(i, spec.radii[i + 1]) for i in segments])
+
+    def tail(r):
+        if r >= spec.radii[-1]:
+            return 0.0
+        i = int(np.searchsorted(spec.radii, r, side="right")) - 1
+        return max(0.0, cum[-1] - cum[i] - mass_in_segment(i, r))
+
+    target = eps_tail * cum[-1]
+    if tail(0.0) <= target:
+        return 0.0
+    lo, hi = 0.0, support_radius(spec, 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if tail(mid) <= target else (mid, hi)
+    return hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(tabulated_kernels(), st.floats(1e-6, 0.99))
+def test_tabulated_mass_law_and_its_inverse(spec, eps_tail):
+    # norm: per-segment dense trapezoid, with the kinks on segment ends
+    oracle = 0.0
+    for lo, hi in zip(spec.radii[:-1], spec.radii[1:]):
+        t = np.linspace(lo, hi, 100_001)
+        oracle += sphere_surface(spec.d) * np.trapezoid(eval_kernel(spec, t) * t ** (spec.d - 1), t)
+    norm = kernel_norm(spec)
+    assert norm == pytest.approx(oracle, rel=1e-8, abs=1e-300)
+    radius = support_radius(spec, eps_tail)
+    # the tail fits, and the radius stops at the start of any zero tail
+    assert tail_mass(spec, radius) <= eps_tail * norm
+    assert radius <= support_radius(spec, 0.0)
+    assert radius == pytest.approx(_reference_support_radius(spec, eps_tail), rel=1e-12)
+
+
+def _exact_mass(spec, r):
+    """Mass inside r, summed in rational arithmetic (floats are binary fractions)."""
+    d, total = spec.d, Fraction(0)
+    radii, values = list(map(Fraction, spec.radii)), list(map(Fraction, spec.values))
+    for lo, hi, v_lo, v_hi in zip(radii[:-1], radii[1:], values[:-1], values[1:]):
+        top = min(Fraction(r), hi)
+        if top > lo:
+            slope = (v_hi - v_lo) / (hi - lo)
+            a = v_lo - slope * lo
+            total += a * (top**d - lo**d) / d + slope * (top ** (d + 1) - lo ** (d + 1)) / (d + 1)
+    return sphere_surface(d) * float(total)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_tabulated_mass_exact_on_short_distant_segments(d):
+    # r^d - lo^d cancels on these segments, losing about 1e-10; the mass law must not
+    for radii, values in (
+        ([10.0, 10.001], [0.9, 0.0]),
+        ([1.0, 1.000001, 3.0], [1.0, 0.5, 0.25]),
+        ([3.0, 3.0001, 5.0], [0.99, 0.0, 0.0]),
+    ):
+        spec = TabulatedKernel(radii=np.array(radii), values=np.array(values), d=d)
+        norm = _exact_mass(spec, spec.radii[-1])
+        assert kernel_norm(spec) == pytest.approx(norm, rel=1e-14)
+        for r in np.linspace(0.0, spec.radii[-1], 13):
+            exact = norm - _exact_mass(spec, r)
+            assert tail_mass(spec, r) == pytest.approx(exact, rel=1e-12, abs=1e-14 * norm)
+
+
+def test_support_radius_leftmost_across_a_zero_tail():
+    # a tail small enough that the whole norm is the target: the mass reaches
+    # it where g hits 0, and holds it over the flat zero segments after
+    spec = TabulatedKernel(
+        radii=np.array([1.0, 2.0, 3.0, 4.0]), values=np.array([0.9, 0.5, 0.0, 0.0]), d=2
+    )
+    radius = support_radius(spec, 1e-300)
+    assert radius <= 3.0
+    assert tail_mass(spec, radius) == 0.0
+    assert radius == pytest.approx(3.0, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +508,16 @@ def test_radius_level_lens_inverts_eval():
     for t in (0.3, 0.7, 1.2, 1.9):
         s = eval_profile(prof, t)
         assert radius_level(prof, s) == pytest.approx(t, abs=1e-9)
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
+def test_radius_level_lens_matches_brentq(r):
+    prof = self_convolve(BooleanKernel(r=r, d=2))
+    for s in prof.f0 * np.geomspace(1e-10, 0.999, 40):
+        oracle = optimize.brentq(
+            lambda t: eval_profile(prof, t) - s, 0.0, 2.0 * r, xtol=1e-15, rtol=1e-15
+        )
+        assert abs(radius_level(prof, s) - oracle) <= 1e-10 * 2.0 * r
 
 
 def test_radius_level_tabulated_inverts_eval():

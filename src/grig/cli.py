@@ -24,6 +24,7 @@ from .config import load_config
 from .errors import ConfigError, GrigError
 from .experiments import (
     build_profile,
+    check_planted_pairs,
     export_visualization,
     run_connection_check,
     run_degree_experiment,
@@ -127,7 +128,11 @@ def _apply_overrides(config, args):
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
         updates["threads"] = args.threads
-    return dataclasses.replace(config, **updates) if updates else config
+    if not updates:
+        return config
+    config = dataclasses.replace(config, **updates)
+    check_planted_pairs(config)
+    return config
 
 
 def _write_manifest(out_dir, subcommand, config, status, error=None) -> None:

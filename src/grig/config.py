@@ -24,7 +24,7 @@ import math
 import os
 
 from .errors import ConfigError
-from .experiments import ExperimentConfig
+from .experiments import ExperimentConfig, check_planted_pairs
 from .geometry import Torus
 from .kernels import kernel_from_json
 
@@ -210,7 +210,7 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
         if not mu_values:
             mu_values = default_sweep_values()
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         kind=resolved_kind,
         kernel=kernel,
         torus=torus,
@@ -228,6 +228,8 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
         dispersion_alpha=dispersion_alpha,
         profile_options=_profile_options(payload),
     )
+    check_planted_pairs(config)
+    return config
 
 
 def load_config(path, kind=None) -> ExperimentConfig:

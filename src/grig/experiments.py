@@ -18,6 +18,12 @@ per vertex and then one per group.  Every cell of the grid is thinned
 from the same master build, so cells are correlated across the grid;
 replicates stay independent.
 
+Planted-pair checks key their streams by probe p.  ``(kind, p, 1)`` draws
+every trial's group count, then the group positions trial by trial;
+``(kind, p, v, 2)`` draws the memberships of planted vertex v over the
+groups in trial order.  Trials are built in batches, and the results do
+not depend on the batch size.
+
 Artifacts are written with ``repr`` floats and sorted JSON keys and carry
 no timestamps; reruns with the same config and seed are byte-identical.
 """
@@ -444,20 +450,46 @@ def _write_phase_csv(path, grid: PhaseGrid, matrix: np.ndarray) -> None:
 # planted-pair validations
 
 
-def _planted_pair_cloud(torus: Torus, t: float) -> PointCloud:
-    """Two probe vertices at torus distance t: the origin and (t, 0, ...)."""
-    if not 0 <= t <= torus.side / 2:
-        raise ConfigError(
-            f"probe distance {t} must lie in [0, side/2] so the torus metric equals t"
+# expected groups per batch of planted-pair trials: bounds a batch's memory
+_BATCH_GROUPS = 1 << 15
+
+
+def check_planted_pairs(config: ExperimentConfig) -> None:
+    """Refuse probe distances outside [0, side/2], where the torus distance
+    of the planted pair would not be t, and a joint-groups check with
+    fewer replicates than its dispersion test needs."""
+    for t in config.probe_distances:
+        if not 0 <= t <= config.torus.side / 2:
+            raise ConfigError(f"probe distance {t} must lie in [0, side/2], the torus half-side")
+    least = stats.DISPERSION_MIN_SAMPLES
+    if config.kind == "joint_groups" and config.replicates < least:
+        raise ConfigError(f"joint_groups needs replicates >= {least}, got {config.replicates}")
+
+
+def _planted_trials(config: ExperimentConfig, kind: int, p: int, t: float) -> np.ndarray:
+    """Groups shared by two planted vertices at distance t, per trial.
+    Memberships are independent per (vertex, group) pair, so a batch of
+    trials is one group cloud, tagged by trial, built against each planted
+    vertex alone; see the seeding scheme for the streams."""
+    torus, mean = config.torus, config.mu * config.torus.volume
+    planted = [PointCloud(VERTEX, np.eye(1, torus.d) * x, 0.0, torus) for x in (0.0, t)]
+    rng_u = rng_for(config.seed, kind, p, STREAM_GROUPS)
+    rng_m = [rng_for(config.seed, kind, p, v, STREAM_MEMBERSHIPS) for v in (0, 1)]
+    sizes = rng_u.poisson(mean, size=config.replicates)
+    per_batch = max(1, int(_BATCH_GROUPS / max(mean, 1.0)))
+    counts = []
+    for start in range(0, config.replicates, per_batch):
+        batch = sizes[start : start + per_batch]
+        positions = torus.wrap(rng_u.uniform(0.0, torus.side, (batch.sum(), torus.d)))
+        U = PointCloud(GROUP, positions, config.mu, torus)
+        first, second = (
+            build_bipartite(V, U, config.kernel, rng, config.build_options()).indices
+            for V, rng in zip(planted, rng_m)
         )
-    positions = np.zeros((2, torus.d))
-    positions[1, 0] = t
-    return PointCloud(role=VERTEX, positions=positions, intensity=0.0, torus=torus)
-
-
-def _shared_group_count(bi) -> int:
-    first, second = (bi.indices[bi.indptr[v] : bi.indptr[v + 1]] for v in (0, 1))
-    return int(np.intersect1d(first, second, assume_unique=True).size)
+        trial_of_group = np.repeat(np.arange(batch.size), batch)
+        shared = np.intersect1d(first, second, assume_unique=True)
+        counts.append(np.bincount(trial_of_group[shared], minlength=batch.size))
+    return np.concatenate(counts)
 
 
 def run_joint_groups_check(config: ExperimentConfig, out_dir=None) -> dict:
@@ -471,17 +503,11 @@ def run_joint_groups_check(config: ExperimentConfig, out_dir=None) -> dict:
         raise ConfigError("joint-groups check needs mu")
     if not config.probe_distances:
         raise ConfigError("joint-groups check needs probe_distances")
+    check_planted_pairs(config)
     profile = build_profile(config)
     report = {"kind": "joint_groups", "probes": [], "all_passed": True}
     for p, t in enumerate(config.probe_distances):
-        planted = _planted_pair_cloud(config.torus, float(t))
-        counts = np.empty(config.replicates, dtype=np.int64)
-        for k in range(config.replicates):
-            rng_u = rng_for(config.seed, KIND_JOINT_GROUPS, p, k, STREAM_GROUPS)
-            rng_m = rng_for(config.seed, KIND_JOINT_GROUPS, p, k, STREAM_MEMBERSHIPS)
-            U = sample_poisson(config.torus, config.mu, rng_u, role=GROUP)
-            bi = build_bipartite(planted, U, config.kernel, rng_m, config.build_options())
-            counts[k] = _shared_group_count(bi)
+        counts = _planted_trials(config, KIND_JOINT_GROUPS, p, float(t))
         theory = config.mu * float(eval_profile(profile, float(t)))
         n = counts.size
         emp_mean = float(counts.mean())
@@ -531,19 +557,12 @@ def run_connection_check(config: ExperimentConfig, out_dir=None) -> dict:
         raise ConfigError("connection check needs mu")
     if not config.probe_distances:
         raise ConfigError("connection check needs probe_distances")
+    check_planted_pairs(config)
     profile = build_profile(config)
     s_max = support_radius(config.kernel, 0.0)
     report = {"kind": "connection", "probes": [], "all_passed": True}
     for p, t in enumerate(config.probe_distances):
-        planted = _planted_pair_cloud(config.torus, float(t))
-        hits = 0
-        for k in range(config.replicates):
-            rng_u = rng_for(config.seed, KIND_CONNECTION, p, k, STREAM_GROUPS)
-            rng_m = rng_for(config.seed, KIND_CONNECTION, p, k, STREAM_MEMBERSHIPS)
-            U = sample_poisson(config.torus, config.mu, rng_u, role=GROUP)
-            bi = build_bipartite(planted, U, config.kernel, rng_m, config.build_options())
-            if _shared_group_count(bi) > 0:
-                hits += 1
+        hits = int(np.count_nonzero(_planted_trials(config, KIND_CONNECTION, p, float(t))))
         theory = analytics.connection_probability(profile, config.mu, float(t))
         lo, hi = stats.wilson_interval(hits, config.replicates, config.confidence)
         beyond_support = math.isfinite(s_max) and float(t) > 2.0 * s_max

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+# the chi-square approximation of the dispersion statistic needs this many samples
+DISPERSION_MIN_SAMPLES = 30
+
 
 @dataclass(frozen=True)
 class TestVerdict:
@@ -104,8 +107,8 @@ def poisson_dispersion_test(samples, alpha: float = 0.01, name: str = "poisson-d
     A zero sample mean leaves the statistic undefined: passed=None.
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.size < 30:
-        raise ValueError(f"need >= 30 samples, got {arr.size}")
+    if arr.size < DISPERSION_MIN_SAMPLES:
+        raise ValueError(f"need >= {DISPERSION_MIN_SAMPLES} samples, got {arr.size}")
     if np.any(arr < 0) or np.any(arr != np.round(arr)):
         raise ValueError("samples must be nonnegative integers")
     if not 0 < alpha < 1:

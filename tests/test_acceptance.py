@@ -83,7 +83,7 @@ def test_criterion_1_shared_group_law(capsys):
         for verdict in probe["verdicts"]:
             if verdict["passed"] is False:
                 failures.append(f"{verdict['name']} statistic={verdict['statistic']:.4g}")
-    _finish(capsys, 1, "planted-pair shared groups Poisson", failures, t0, 120.0)
+    _finish(capsys, 1, "planted-pair shared groups Poisson", failures, t0, 30.0)
 
 
 def test_criterion_2_connection_probability(capsys):
@@ -122,7 +122,7 @@ def test_criterion_2_connection_probability(capsys):
         failures.append(f"{zero_probe['successes']} edges observed beyond support")
     if n_probes != 8:
         failures.append(f"expected 8 probes, ran {n_probes}")
-    _finish(capsys, 2, "edge probability 1-exp(-mu f)", failures, t0, 120.0)
+    _finish(capsys, 2, "edge probability 1-exp(-mu f)", failures, t0, 30.0)
 
 
 def _mc_expected_degree(profile, lam, mu, rng, strata=4096, per=8):

@@ -229,11 +229,22 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
         # finite inputs whose torus side or volume leaves the float range
         {"kind": "degrees", "kernel": GAUSS, "torus": {"d": 10**400, "measure": "area", "value": 2.0}},
         {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value=1e200)},
+        # planted-pair checks: the default 10 replicates are too few for the
+        # dispersion test, and a probe beyond side/2 is refused before any runs
+        {"kind": "joint_groups", "kernel": GAUSS, "torus": torus, "probe_distances": [0.5]},
+        {
+            "kind": "joint_groups",
+            "kernel": GAUSS,
+            "torus": dict(torus, value=8.0),
+            "replicates": 100,
+            "probe_distances": [0.5, 9.0],
+        },
     ]
     for k, payload in enumerate(bad_configs):
         bad = _write(tmp_path, f"bad{k}.json", dict({"lambda": 1.0, "mu": 1.0}, **payload))
         out = tmp_path / f"out{k}"
-        assert main(["degrees", "--config", bad, "--out", str(out)]) == 2, payload
+        subcommand = "validate" if payload["kind"] == "joint_groups" else "degrees"
+        assert main([subcommand, "--config", bad, "--out", str(out)]) == 2, payload
         captured = capsys.readouterr()
         assert "config error" in captured.err
         assert captured.out == ""
@@ -248,6 +259,12 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
         assert "config error" in captured.err
         assert captured.out == ""
         assert not out.exists()
+    # so is a replicate override below the joint-groups minimum
+    cfg = _write(tmp_path, "jg.json", dict(bad_configs[-1], mu=1.0, probe_distances=[0.5]))
+    out = tmp_path / "out-replicates"
+    assert main(["validate", "--config", cfg, "--out", str(out), "--replicates", "29"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_config_file(tmp_path):

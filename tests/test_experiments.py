@@ -4,17 +4,21 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
+from grig import experiments
 from grig.analytics import sample_dominating_degree
 from grig.errors import ConfigError, ConvergenceError
 from grig.experiments import (
     KIND_DEGREE,
+    KIND_JOINT_GROUPS,
     KIND_PHASE,
     STREAM_GROUPS,
     STREAM_MEMBERSHIPS,
     STREAM_VERTICES,
     ExperimentConfig,
     _build_totals,
+    _planted_trials,
     export_visualization,
     rng_for,
     run_connection_check,
@@ -399,6 +403,81 @@ def test_connection_check_beyond_support_zero():
     assert probe["beyond_support"] is True
     assert probe["successes"] == 0
     assert probe["passed"] is True
+
+
+def _planted_configs(**kw):
+    """A joint-groups and a truncated connection check: 128 expected groups
+    per trial on the side-8 torus."""
+    base = dict(torus=Torus(2, 8.0), mu=2.0, replicates=300, seed=5, probe_distances=(0.0, 1.0, 2.5))
+    base.update(kw)
+    return (
+        _cfg(kind="joint_groups", **base),
+        _cfg(kind="connection", kernel=BOOL_R1, mode="truncated", **base),
+    )
+
+
+def _run_planted(configs):
+    return run_joint_groups_check(configs[0]), run_connection_check(configs[1])
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls the runners make to the named experiments functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(experiments, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+def test_planted_trials_do_not_depend_on_batch_size(monkeypatch):
+    configs = _planted_configs()
+    default = _run_planted(configs)
+    # 2000 expected groups per batch: 15 trials, so 20 batches per probe
+    monkeypatch.setattr(experiments, "_BATCH_GROUPS", 2000)
+    calls = _count_calls(monkeypatch, "build_bipartite")
+    assert _run_planted(configs) == default
+    assert calls["build_bipartite"] == 2 * 2 * 3 * 20
+
+
+def test_planted_trials_cost_does_not_grow_with_replicates(monkeypatch):
+    # 16 expected groups per trial on the side-4 torus, so a probe of 2000
+    # trials still fits one batch: three generators and two builds per probe
+    calls = _count_calls(monkeypatch, "rng_for", "build_bipartite")
+    for replicates in (100, 2000):
+        small = _planted_configs(
+            torus=Torus(2, 4.0), mu=1.0, replicates=replicates, probe_distances=(0.0, 1.0, 2.0)
+        )
+        for config, run in zip(small, (run_joint_groups_check, run_connection_check)):
+            calls.update(rng_for=0, build_bipartite=0)
+            run(config)
+            assert calls == {"rng_for": 3 * 3, "build_bipartite": 2 * 3}, (config.kind, replicates)
+
+
+def test_planted_shared_counts_follow_poisson_law():
+    # pooled over 10^5 independent trials per probe, the shared-group
+    # histogram matches Poisson(mu f(t)); for the sigma = 1 gaussian in d = 2,
+    # f(t) = |g|^2 exp(-t^2 / 4) / (4 pi)
+    cfg = _cfg(
+        kind="joint_groups", kernel=GAUSS_N4, torus=Torus(2, 8.0), replicates=100_000,
+        probe_distances=(0.0, 1.0),
+    )
+    for p, t in enumerate(cfg.probe_distances):
+        mean = cfg.mu * 16.0 * math.exp(-t * t / 4.0) / (4.0 * math.pi)
+        observed = np.bincount(_planted_trials(cfg, KIND_JOINT_GROUPS, p, t)).astype(float)
+        expected = cfg.replicates * sps.poisson.pmf(np.arange(observed.size), mean)
+        expected[-1] += cfg.replicates * sps.poisson.sf(observed.size - 1, mean)
+        # merge the top bins until each bin expects at least 5 trials
+        while expected[-1] < 5.0:
+            observed[-2] += observed[-1]
+            expected[-2] += expected[-1]
+            observed, expected = observed[:-1], expected[:-1]
+        statistic = float(np.sum((observed - expected) ** 2 / expected))
+        assert sps.chi2.sf(statistic, expected.size - 1) > 1e-3, (t, observed, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .experiments import (
     run_phase_sweep,
     sample_origin_degrees,
 )
-from .geometry import GROUP, VERTEX, PointCloud, Torus, palm_insert, sample_poisson, torus_distance
+from .geometry import GROUP, VERTEX, PointCloud, Torus, sample_poisson, torus_distance
 from .graph import (
     BipartiteGraph,
     BuildOptions,
@@ -103,7 +103,6 @@ __all__ = [
     "length_scale",
     "load_config",
     "offspring_mean",
-    "palm_insert",
     "poisson_dispersion_test",
     "project_onto_groups",
     "project_onto_vertices",

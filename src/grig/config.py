@@ -26,6 +26,7 @@ import os
 from .errors import ConfigError
 from .experiments import ExperimentConfig, check_planted_pairs
 from .geometry import Torus
+from .graph import BuildOptions
 from .kernels import kernel_from_json
 
 KINDS = ("sample", "degrees", "phase", "joint_groups", "connection", "visualize", "analytics")
@@ -192,12 +193,10 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
 
     replicates = _int_at_least(payload.get("replicates", 10), "replicates", 1)
     seed = _int_at_least(payload.get("seed", 0), "seed", 0)
-    mode = payload.get("mode", "auto")
-    if mode not in ("auto", "exact", "truncated"):
-        raise ConfigError(f'mode must be "auto", "exact" or "truncated", got {mode!r}')
     eps_tail = _finite(payload.get("eps_tail", 1e-3), "eps_tail")
-    if eps_tail < 0:
-        raise ConfigError(f"eps_tail must be >= 0, got {eps_tail}")
+    build = BuildOptions(payload.get("mode", "auto"), eps_tail)
+    if build.mode == "truncated":
+        build.truncation_radius(kernel)  # refuses eps_tail 0 for unbounded support
     threads = _int_at_least(payload.get("threads", os.cpu_count() or 1), "threads", 1)
     confidence = _unit_interval(payload, "confidence", 0.99)
     dispersion_alpha = _unit_interval(payload, "dispersion_alpha", 0.01)
@@ -220,8 +219,8 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
         mu_values=mu_values,
         replicates=replicates,
         seed=seed,
-        mode=mode,
-        eps_tail=eps_tail,
+        mode=build.mode,
+        eps_tail=build.eps_tail,
         threads=threads,
         probe_distances=_float_tuple(payload, "probe_distances"),
         confidence=confidence,

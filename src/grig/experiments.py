@@ -47,7 +47,6 @@ from .geometry import (
     VERTEX,
     PointCloud,
     Torus,
-    ball_volume,
     min_image_displacement,
     sample_poisson,
 )
@@ -63,7 +62,7 @@ from .graph import (
 from .kernels import (
     ConvolutionGrid,
     KernelSpec,
-    eval_kernel,
+    _eval_kernel_array,
     eval_profile,
     kernel_norm,
     kernel_to_json,
@@ -77,7 +76,6 @@ KIND_JOINT_GROUPS = 3
 KIND_CONNECTION = 4
 KIND_VISUALIZE = 5
 KIND_SAMPLE = 6
-KIND_DOMINATION = 7
 
 STREAM_VERTICES = 0
 STREAM_GROUPS = 1
@@ -593,6 +591,18 @@ def run_connection_check(config: ExperimentConfig, out_dir=None) -> dict:
 # typical-vertex degree sampling (plane, no torus wrap)
 
 
+# expected groups, proposals and pairs per batch of origin-degree samples
+_BATCH_PAIRS = 1 << 17
+
+
+def _offsets_from(centers: np.ndarray, spec: KernelSpec, rng: np.random.Generator) -> np.ndarray:
+    """Each center, a column of the (d, n) array, moved by a draw from the
+    density g / ||g||: a uniform direction and a radius of the tail law."""
+    direction = rng.standard_normal(centers.shape)
+    direction /= np.sqrt(np.square(direction).sum(axis=0))
+    return centers + direction * support_radius(spec, rng.random(centers.shape[1]))
+
+
 def sample_origin_degrees(
     spec: KernelSpec,
     lam: float,
@@ -603,41 +613,43 @@ def sample_origin_degrees(
 ) -> np.ndarray:
     """Sample the degree of a vertex planted at the origin of the plane.
 
-    Exact two-stage thinning up to a tail cutoff: groups are sampled on
-    the ball where g retains all but eps_tail of its mass and joined with
-    probability g(|u|); given the joined groups, the neighbor count is the
-    thinned vertex process with hit probability 1 - prod(1 - g(|v - u|)),
-    sampled on the bounding box of the groups padded by the same cutoff.
+    Exact two-stage thinning, with nothing cut off.  The origin joins
+    Poisson(mu ||g||) groups u_k of density g / ||g||.  Its neighbours then
+    form a Poisson process of intensity lam (1 - prod_k (1 - g(x - u_k))),
+    at most lam sum_k g(x - u_k): each joined group proposes Poisson(lam
+    ||g||) points of density g(. - u_k) / ||g||, and each proposal is kept
+    with probability (1 - prod_k (1 - g_k)) / sum_k g_k over the groups of
+    its own sample.  Samples run in batches of about _BATCH_PAIRS expected
+    groups, proposals and (proposal, group) pairs.  eps_tail must be > 0
+    and has no effect on the output.
     """
     if lam < 0 or mu < 0:
         raise ValueError("intensities must be >= 0")
     if eps_tail <= 0:
-        raise ValueError("eps_tail must be > 0 to bound the sampling region")
-    d = spec.d
-    radius = support_radius(spec, eps_tail)
-    ball = ball_volume(d, radius)
-    group_counts = rng.poisson(mu * ball, size=n_samples)
+        raise ValueError("eps_tail must be > 0")
+    norm = kernel_norm(spec)
+    joined = rng.poisson(mu * norm, size=n_samples)
+    # per sample: E[M] groups, lam ||g|| E[M] proposals and lam ||g|| E[M^2] pairs
+    per_sample = mu * norm * (1.0 + lam * norm * (2.0 + mu * norm))
+    per_batch = max(1, int(_BATCH_PAIRS / max(per_sample, 1.0)))
     degrees = np.zeros(n_samples, dtype=np.int64)
-    for s in range(n_samples):
-        m = int(group_counts[s])
-        if m == 0:
-            continue
-        direction = rng.standard_normal((m, d))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        pos = direction * (radius * rng.random(m) ** (1.0 / d))[:, None]
-        joined = pos[rng.random(m) < eval_kernel(spec, np.linalg.norm(pos, axis=1))]
-        if joined.shape[0] == 0:
-            continue
-        lo = joined.min(axis=0) - radius
-        hi = joined.max(axis=0) + radius
-        volume = float(np.prod(hi - lo))
-        n_v = rng.poisson(lam * volume)
-        if n_v == 0:
-            continue
-        verts = lo + rng.random((n_v, d)) * (hi - lo)
-        dists = np.linalg.norm(verts[:, None, :] - joined[None, :, :], axis=2)
-        miss = np.prod(1.0 - eval_kernel(spec, dists), axis=1)
-        degrees[s] = int(np.sum(rng.random(n_v) < 1.0 - miss))
+    for start in range(0, n_samples, per_batch):
+        m = joined[start : start + per_batch]
+        sample = np.repeat(np.arange(m.size), m)  # the sample of each group
+        # positions are coordinate-major, (d, n), so each coordinate is contiguous
+        u = _offsets_from(np.zeros((spec.d, sample.size)), spec, rng)
+        proposer = np.repeat(np.arange(sample.size), rng.poisson(lam * norm, size=sample.size))
+        x = _offsets_from(np.take(u, proposer, axis=1), spec, rng)
+        # pair each proposal with every group of its sample, proposal-major
+        width = m[sample[proposer]]
+        first = np.cumsum(width) - width
+        row = np.repeat(np.arange(proposer.size), width)
+        col = np.arange(row.size) + np.repeat((np.cumsum(m) - m)[sample[proposer]] - first, width)
+        delta = np.take(x, row, axis=1) - np.take(u, col, axis=1)
+        g = _eval_kernel_array(spec, np.sqrt(np.square(delta).sum(axis=0)))
+        hit = 1.0 - np.multiply.reduceat(1.0 - g, first)
+        keep = rng.random(proposer.size) * np.add.reduceat(g, first) < hit
+        degrees[start : start + m.size] = np.bincount(sample[proposer[keep]], minlength=m.size)
     return degrees
 
 

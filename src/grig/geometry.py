@@ -54,7 +54,12 @@ class Torus:
         return self.side**self.d
 
     def wrap(self, points: np.ndarray) -> np.ndarray:
-        return np.mod(points, self.side)
+        """np.mod(points, side) as floats; only the coordinates not strictly
+        inside (0, side) go through the mod, which leaves the others as they are."""
+        out = np.array(points, dtype=float)
+        edge = ~((out > 0) & (out < self.side))
+        out[edge] = np.mod(out[edge], self.side)
+        return out
 
 
 def min_image_distance(
@@ -163,20 +168,6 @@ def sample_poisson(
     # uniform() can in principle return side itself on float rounding; wrap.
     positions = torus.wrap(positions)
     return PointCloud(role, positions, intensity, torus, seed_record)
-
-
-def palm_insert(cloud: PointCloud) -> PointCloud:
-    """Insert a distinguished vertex at the origin (index 0).
-
-    For a Poisson process the conditioned-to-contain-the-origin version is
-    the original process plus one added point, so prepending the origin
-    yields a sample whose index-0 point is a typical vertex.
-    """
-    if cloud.role != VERTEX:
-        raise ValueError("origin insertion is defined for vertex clouds only")
-    origin = np.zeros((1, cloud.torus.d))
-    positions = np.vstack([origin, cloud.positions])
-    return PointCloud(cloud.role, positions, cloud.intensity, cloud.torus, cloud.seed_record)
 
 
 def cloud_to_csv(cloud: PointCloud, path) -> None:

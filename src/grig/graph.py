@@ -56,9 +56,19 @@ class BuildOptions:
 
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "truncated"):
-            raise ConfigError(f"unknown build mode {self.mode!r}")
+            raise ConfigError(f'mode must be "auto", "exact" or "truncated", got {self.mode!r}')
         if not 0 <= self.eps_tail < 1:
             raise ConfigError(f"eps_tail must lie in [0, 1), got {self.eps_tail}")
+
+    def truncation_radius(self, spec: KernelSpec) -> float:
+        """Radius a truncated build considers pairs within: the support of a
+        bounded kernel, else the eps_tail radius, which needs eps_tail > 0."""
+        radius = support_radius(spec, 0.0)
+        if math.isfinite(radius):
+            return radius
+        if self.eps_tail == 0.0:
+            raise ConfigError("truncated build needs eps_tail > 0 for a kernel with unbounded support")
+        return support_radius(spec, self.eps_tail)
 
 
 @dataclass
@@ -112,13 +122,7 @@ def build_bipartite(
         radius = math.inf
         record = {"mode": "exact"}
     else:
-        radius = support_radius(spec, 0.0)
-        if not math.isfinite(radius):
-            if opts.eps_tail == 0.0:
-                raise ConfigError(
-                    "truncated build needs eps_tail > 0 for a kernel with unbounded support"
-                )
-            radius = support_radius(spec, opts.eps_tail)
+        radius = opts.truncation_radius(spec)
         record = {"mode": "truncated", "eps_tail": opts.eps_tail, "truncation_radius": radius}
 
     keys, record["candidate_pairs"] = _draw_memberships(V, U, spec, rng, radius)
@@ -318,9 +322,6 @@ class DegreeHistogram:
     counts: np.ndarray  # index = degree
     mean: float
     node_count: int
-
-    def to_rows(self):
-        return [(int(d), int(c)) for d, c in enumerate(self.counts)]
 
 
 def degree_histogram(graph: IntersectionGraph) -> DegreeHistogram:

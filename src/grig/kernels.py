@@ -194,44 +194,67 @@ def kernel_norm(spec: KernelSpec) -> float:
 def _tabulated_mass(spec: TabulatedKernel, r) -> np.ndarray:
     """Mass of g inside radius r (scalar or array), in closed form.
 
-    On segment i, g = v_i + b_i h with h = x - lo_i, and the shell mass
-    expands binomially in lo_i and h; unlike r^d - lo^d, that sum does not
-    cancel on a short segment far from the origin."""
+    On segment i, g = v_i + b_i h with h = x - lo_i, and the shell mass is a
+    polynomial in h whose coefficients expand (lo_i + h)^(d-1) binomially;
+    unlike r^d - lo^d, it does not cancel on a short segment far from the
+    origin.  Each r sums its own segment's polynomial by Horner's rule."""
     radii, values, d = spec.radii, spec.values, spec.d
+    k = np.arange(d)
+    # the integrand (lo_i + h)^(d-1) (v_i + b_i h) in powers h^0 .. h^d,
+    # integrated: coef[i, q] multiplies h^(q+1)
+    expansion = np.array([math.comb(d - 1, j) for j in k]) * radii[:-1, None] ** (d - 1 - k)
+    coef = np.zeros((radii.size - 1, d + 1))
+    coef[:, :d] += expansion * values[:-1, None]
+    coef[:, 1:] += expansion * (np.diff(values) / np.diff(radii))[:, None]
+    coef *= sphere_surface(d) / np.arange(1, d + 2)
+
+    def shells(i, h):
+        acc = coef[i, d]
+        for q in range(d - 1, -1, -1):
+            acc = acc * h + coef[i, q]
+        return acc * h
+
+    cum = np.concatenate([[0.0], np.cumsum(shells(np.arange(radii.size - 1), np.diff(radii)))])
     r = np.minimum(np.asarray(r, dtype=float), radii[-1])
     i = np.minimum(np.searchsorted(radii, r, side="right"), radii.size - 1) - 1
-    # every whole segment, then the partial one below each r, in one pass
-    seg = np.append(np.arange(radii.size - 1), i)
-    lo = radii[seg, None]
-    h = np.append(radii[1:], r)[:, None] - lo
-    slope = ((values[1:] - values[:-1]) / (radii[1:] - radii[:-1]))[seg, None]
-    k = np.arange(d)
-    binom = np.array([math.comb(d - 1, j) for j in k], dtype=float)
-    terms = binom * lo ** (d - 1 - k) * h ** (k + 1)
-    terms *= values[seg, None] / (k + 1) + slope * h / (k + 2)
-    shells = sphere_surface(d) * terms.sum(axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(shells[: radii.size - 1])])
-    return (cum[i] + shells[radii.size - 1 :]).reshape(r.shape)
+    return cum[i] + shells(i, r - radii[i])
 
 
 def _newton_root(func, rate, lo, hi):
-    """Smallest x in [lo, hi] with func(x) >= 0, for an increasing func with
-    derivative rate: Newton steps from hi, bisecting where a step would leave
-    the bracket."""
-    x = hi
+    """Roots of an increasing func, one in each bracket [lo, hi] (1-d arrays).
+
+    func(x, k) answers for the elements k (func < 0 at lo, >= 0 at hi), and
+    rate(x) is its derivative.  Newton steps begin at hi; a step that leaves
+    the open bracket, or is over half the step before last, bisects, so a
+    plateau of rounded values cannot stall it.  Below the root a step under
+    two ulps becomes a probe up, doubling while it stays below; above it,
+    such a step stops the element, as does a bracket two ulps wide.  Returns
+    each bracket's top, where func >= 0.
+    """
+    x, out = hi, hi.copy()
+    k = np.arange(hi.size)  # the elements still moving
+    last = before = hi - lo  # each one's last step, and the step before it
+    reach = np.zeros(hi.size)  # after a probe, the next probe's length
     for _ in range(100):
-        value = func(x)
-        lo, hi = (x, hi) if value < 0 else (lo, x)
-        slope = rate(x)
-        step = x - value / slope if slope > 0 else math.nan
-        step = step if lo <= step <= hi else 0.5 * (lo + hi)
-        x, moved = step, abs(step - x)
-        if moved <= 1e-15 * x:
+        if k.size == 0:
             break
-    # the converged x may sit an ulp or two short of the root
-    while func(x) < 0 and x < hi:
-        x = math.nextafter(x, math.inf)
-    return x
+        value = func(x, k)
+        below = value < 0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        few = 2.0 * np.spacing(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = value / rate(x)  # NaN or infinite without slope: bisects
+        short = np.abs(step) <= few
+        step = np.where(short, -np.maximum(few, reach), step)
+        nxt = x - step
+        newton = (lo < nxt) & (nxt < hi) & (short | (np.abs(step) <= 0.5 * before))
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        reach = np.where(short & newton, -2.0 * step, 0.0)
+        before, last = last, np.abs(nxt - x)
+        out[k] = hi
+        going = (hi - lo > few) & (below | ~short)
+        k, x, lo, hi, last, before, reach = (a[going] for a in (k, nxt, lo, hi, last, before, reach))
+    return out
 
 
 def tail_mass(spec: KernelSpec, radius: float) -> float:
@@ -255,53 +278,61 @@ def tail_mass(spec: KernelSpec, radius: float) -> float:
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
-def support_radius(spec: KernelSpec, eps_tail: float = 0.0) -> float:
-    """Support radius of g, or the eps_tail truncation radius.
+def support_radius(spec: KernelSpec, eps_tail=0.0):
+    """Support radius of g, or the eps_tail truncation radius, element-wise.
 
     With eps_tail = 0 this is the exact supremum of the support (infinite
     for gaussian and powerlaw kernels).  With eps_tail > 0 it is the
     smallest R whose exterior carries at most eps_tail * ||g|| of mass,
     which is the truncation radius used by grid-indexed graph builds.
+    eps_tail may be an array; a scalar gives a float.  At uniform eps_tail
+    the radii follow the radial law of the density g / ||g||:
+    P(R > r) = tail_mass(r) / ||g||.
     """
-    if not 0 <= eps_tail < 1:
+    # [()] keeps a scalar a numpy scalar, whose ** is Python's pow; a 0-d
+    # array's ** may differ from it in the last bit
+    eps = np.asarray(eps_tail, dtype=float)[()]
+    if not np.all((0 <= eps) & (eps < 1)):
         raise ValueError(f"eps_tail must lie in [0, 1), got {eps_tail}")
-    if eps_tail == 0.0:
-        # the boolean law below gives r itself at eps_tail = 0
-        if isinstance(spec, (GaussianKernel, PowerLawKernel)):
-            return math.inf
-        if isinstance(spec, TabulatedKernel):
-            positive = np.nonzero(spec.values > 0)[0]
-            if positive.size == 0:
-                return 0.0
-            j = int(positive[-1])
-            return float(spec.radii[min(j + 1, spec.radii.size - 1)])
-
     if isinstance(spec, BooleanKernel):
-        return spec.r * (1.0 - eps_tail) ** (1.0 / spec.d)
-    if isinstance(spec, GaussianKernel):
-        return spec.sigma * math.sqrt(2.0 * float(special.gammainccinv(spec.d / 2.0, eps_tail)))
-    if isinstance(spec, PowerLawKernel):
+        radius = spec.r * (1.0 - eps) ** (1.0 / spec.d)
+    elif isinstance(spec, GaussianKernel):
+        radius = spec.sigma * np.sqrt(2.0 * special.gammainccinv(spec.d / 2.0, eps))
+    elif isinstance(spec, PowerLawKernel):
         d, alpha = spec.d, spec.alpha
-        if eps_tail >= 1.0 / alpha:
-            # the truncation radius falls inside the flat core
-            return ((1.0 - eps_tail) * alpha / (alpha - 1.0)) ** (1.0 / d)
-        return (alpha * eps_tail) ** (-1.0 / (d * (alpha - 1.0)))
-    if isinstance(spec, TabulatedKernel):
-        norm = kernel_norm(spec)
-        target = eps_tail * norm
-        if norm <= target:
-            return 0.0
-        # the first node whose mass reaches norm - target closes the segment
-        # that holds R, so a zero tail, which adds no mass, is never entered
-        cum = _tabulated_mass(spec, spec.radii)
-        i = min(int(np.searchsorted(cum, norm - target)), cum.size - 1) - 1
-        return _newton_root(
-            lambda r: target - (norm - float(_tabulated_mass(spec, r))),
-            lambda r: sphere_surface(spec.d) * r ** (spec.d - 1) * eval_kernel(spec, r),
-            float(spec.radii[i]),
-            float(spec.radii[i + 1]),
-        )
-    raise TypeError(f"unknown kernel spec {spec!r}")
+        # inf at eps_tail = 0 and past the float range; from eps_tail =
+        # 1 / alpha on, the radius falls inside the flat core
+        with np.errstate(divide="ignore", over="ignore"):
+            tail = (alpha * eps) ** (-1.0 / (d * (alpha - 1.0)))
+        core = ((1.0 - eps) * alpha / (alpha - 1.0)) ** (1.0 / d)
+        radius = np.where(eps >= 1.0 / alpha, core, tail)
+    elif isinstance(spec, TabulatedKernel):
+        radius = _tabulated_radius(spec, eps)
+    else:
+        raise TypeError(f"unknown kernel spec {spec!r}")
+    return float(radius) if np.ndim(radius) == 0 else radius
+
+
+def _tabulated_radius(spec: TabulatedKernel, eps):
+    """support_radius of a table: the node that closes the last positive
+    value at eps = 0, else a Newton solve of the mass law in one segment."""
+    positive = np.flatnonzero(spec.values > 0)
+    s_max = spec.radii[min(positive[-1] + 1, spec.radii.size - 1)] if positive.size else 0.0
+    if s_max == 0.0 or not np.any(eps):  # an all-zero table, or eps_tail = 0 throughout
+        return np.full(np.shape(eps), s_max)
+    norm, d = kernel_norm(spec), spec.d
+    target = np.ravel(eps * norm)
+    # the first node whose mass reaches norm - target closes the segment
+    # that holds R, so a zero tail, which adds no mass, is never entered
+    cum = _tabulated_mass(spec, spec.radii)
+    i = np.minimum(np.searchsorted(cum, norm - target), cum.size - 1) - 1
+    radius = _newton_root(
+        lambda r, k: target[k] - (norm - _tabulated_mass(spec, r)),
+        lambda r: sphere_surface(d) * r ** (d - 1) * _eval_kernel_array(spec, r),
+        spec.radii[i],
+        spec.radii[i + 1],
+    )
+    return np.where(eps > 0, radius.reshape(np.shape(eps)), s_max)
 
 
 def length_scale(spec: KernelSpec) -> float:
@@ -648,12 +679,13 @@ def radius_level(profile: ConvolutionProfile, s: float) -> float:
     if profile.kind == "boolean_lens":
         # the lens area A falls from f0 to 0 on [0, 2r], A'(t) = -sqrt(4r^2 - t^2)
         r = profile.r
-        return _newton_root(
-            lambda t: s - float(_lens_area(t, r)),
-            lambda t: math.sqrt(max(4.0 * r * r - t * t, 0.0)),
-            0.0,
-            2.0 * r,
+        (t,) = _newton_root(
+            lambda t, _: s - _lens_area(t, r),
+            lambda t: np.sqrt(np.maximum(4.0 * r * r - t * t, 0.0)),
+            np.zeros(1),
+            np.full(1, 2.0 * r),
         )
+        return float(t)
     values, radii = profile.values, profile.radii
     above = np.nonzero(values > s)[0]
     i = int(above[-1])

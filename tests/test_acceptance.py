@@ -229,7 +229,7 @@ def test_criterion_4_stochastic_domination(capsys):
             failures.append(f"ECDF ordering broken at k={k}: {p_true:.5f} < {p_dom:.5f}")
     if np.mean(true_deg) > np.mean(dom) + 3.0 * (np.std(dom) / math.sqrt(n)):
         failures.append("mean of true degrees exceeds dominating mean")
-    _finish(capsys, 4, "compound-Poisson domination", failures, t0, 180.0)
+    _finish(capsys, 4, "compound-Poisson domination", failures, t0, 30.0)
 
 
 def _random_kernel(rng):

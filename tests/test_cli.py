@@ -265,6 +265,27 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
     assert main(["validate", "--config", cfg, "--out", str(out), "--replicates", "29"]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+    # build options are refused up front for every build runner: an eps_tail
+    # outside [0, 1), and an explicit truncated build whose radius is infinite
+    powerlaw = {"family": "powerlaw", "alpha": 2.0, "norm": 1.0, "d": 2}
+    bad_builds = [
+        {"kernel": GAUSS, "eps_tail": 1.5},
+        {"kernel": GAUSS, "mode": "truncated", "eps_tail": 0},
+        {"kernel": powerlaw, "mode": "truncated", "eps_tail": 0.0},
+    ]
+    base = {"torus": torus, "lambda": 1.0, "mu": 1.0, "replicates": 2}
+    for k, payload in enumerate(bad_builds):
+        bad = _write(tmp_path, f"bad-build{k}.json", dict(base, **payload))
+        for subcommand in ("degrees", "phase"):
+            out = tmp_path / f"out-build{k}-{subcommand}"
+            assert main([subcommand, "--config", bad, "--out", str(out)]) == 2, (subcommand, payload)
+            captured = capsys.readouterr()
+            assert "config error" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+    # a bounded kernel has a finite truncated radius at eps_tail 0
+    config = config_from_dict(dict(base, kernel=BOOL, mode="truncated", eps_tail=0), kind="phase")
+    assert (config.mode, config.eps_tail) == ("truncated", 0.0)
 
 
 def test_cli_missing_config_file(tmp_path):

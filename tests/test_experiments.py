@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy import stats as sps
 
 from grig import experiments
-from grig.analytics import sample_dominating_degree
+from grig.analytics import expected_degree, sample_dominating_degree
 from grig.errors import ConfigError, ConvergenceError
 from grig.experiments import (
     KIND_DEGREE,
@@ -30,7 +31,15 @@ from grig.experiments import (
 )
 from grig.geometry import GROUP, VERTEX, Torus, sample_poisson
 from grig.graph import build_bipartite
-from grig.kernels import BooleanKernel, GaussianKernel, kernel_norm
+from grig.kernels import (
+    BooleanKernel,
+    ConvolutionGrid,
+    GaussianKernel,
+    PowerLawKernel,
+    TabulatedKernel,
+    kernel_norm,
+    self_convolve,
+)
 
 GAUSS_N1 = GaussianKernel.with_norm(1.0, 1.0, 2)
 GAUSS_N4 = GaussianKernel.with_norm(1.0, 4.0, 2)
@@ -499,6 +508,100 @@ def test_origin_degrees_dominated_by_compound_poisson():
 def test_origin_degrees_validation():
     with pytest.raises(ValueError):
         sample_origin_degrees(GAUSS_N1, 1.0, 1.0, 10, rng_for(0, 0), eps_tail=0.0)
+
+
+def test_origin_degrees_ignore_eps_tail():
+    a = sample_origin_degrees(GAUSS_N1, 1.0, 1.0, 5000, rng_for(4, 1), eps_tail=1e-6)
+    b = sample_origin_degrees(GAUSS_N1, 1.0, 1.0, 5000, rng_for(4, 1), eps_tail=0.5)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_origin_degrees_zero_cases():
+    zero = TabulatedKernel(radii=np.array([0.5, 1.0]), values=np.zeros(2), d=2)
+    for spec, lam, mu in ((GAUSS_N1, 0.0, 1.0), (GAUSS_N1, 1.0, 0.0), (zero, 1.0, 1.0)):
+        degrees = sample_origin_degrees(spec, lam, mu, 1000, rng_for(0, 1))
+        assert degrees.shape == (1000,) and degrees.dtype == np.int64
+        assert not degrees.any()
+    assert sample_origin_degrees(GAUSS_N1, 1.0, 1.0, 0, rng_for(0, 1)).shape == (0,)
+
+
+BENCH_TABLE = TabulatedKernel(
+    radii=np.array([0.5, 1.0, 1.5, 2.0]), values=np.array([0.9, 0.6, 0.3, 0.1]), d=2
+)
+# profile settings under which these tabulated self-convolutions converge
+COARSE = {"grid": ConvolutionGrid(n_radii=128), "tol": 1e-4, "max_refinements": 4}
+
+
+def _assert_mean_near_expected(degrees, spec, profile_options):
+    expected = expected_degree(self_convolve(spec, **profile_options), 1.0, 1.0)
+    stderr = degrees.std() / math.sqrt(degrees.size)
+    assert abs(degrees.mean() - expected) <= 5.0 * stderr, (degrees.mean(), expected, stderr)
+
+
+@pytest.mark.parametrize(
+    "spec, profile_options",
+    [
+        (BooleanKernel(r=1.0, d=1), {"grid": ConvolutionGrid(n_radii=129), "tol": 1e-3}),
+        (BooleanKernel(r=1.0, d=2), {}),
+        (GaussianKernel.with_norm(1.0, 1.0, 2), {}),
+        (GaussianKernel.with_norm(1.0, 1.0, 3), {}),
+        (PowerLawKernel.with_norm(2.0, 1.0, 2), COARSE),
+    ],
+    ids=["boolean-1d", "boolean-2d", "gaussian-2d", "gaussian-3d", "powerlaw-2d"],
+)
+def test_origin_degree_mean_matches_expected_degree(spec, profile_options):
+    degrees = sample_origin_degrees(spec, 1.0, 1.0, 100_000, rng_for(12, 1))
+    _assert_mean_near_expected(degrees, spec, profile_options)
+
+
+def test_origin_degrees_tabulated_mean_and_memory():
+    # the bench's tabulated kernel: about 5 joined groups and 26 proposals
+    # per sample, drawn in batches whose memory does not grow with n
+    tracemalloc.start()
+    try:
+        degrees = sample_origin_degrees(BENCH_TABLE, 1.0, 1.0, 100_000, rng_for(12, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    _assert_mean_near_expected(degrees, BENCH_TABLE, dict(COARSE, grid=ConvolutionGrid(n_radii=64)))
+
+
+def test_origin_degrees_heavy_tail_runs():
+    # a 1-d tail so heavy that its 1e-6 tail radius is 4.4e11: no region is
+    # cut off, so nothing scales with it; still under the compound Poisson
+    spec = PowerLawKernel.with_norm(1.5, 1.0, 1)
+    n = 100_000
+    degrees = sample_origin_degrees(spec, 1.0, 1.0, n, rng_for(12, 3), eps_tail=1e-6)
+    dom = sample_dominating_degree(1.0, 1.0, kernel_norm(spec), rng_for(12, 4), size=n)
+    for k in range(int(np.quantile(dom, 0.999)) + 1):
+        p_true, p_dom = np.mean(degrees <= k), np.mean(dom <= k)
+        se = math.sqrt(p_true * (1 - p_true) / n + p_dom * (1 - p_dom) / n)
+        assert p_true >= p_dom - 3.0 * se
+
+
+def test_origin_degree_law_matches_torus_builds():
+    # the plane law of the exact sampler against exact torus builds, bin by
+    # bin up to the 99.9th percentile.  The vertices of one build are
+    # dependent, so each bin's error is the between-replicate stderr of the
+    # per-build fractions (Student t, Bonferroni over bins), not a pooled
+    # chi-square; the torus (side 31.6, sigma 1) is wide enough that its
+    # wrap moves no bin measurably
+    replicates, n, alpha = 20, 10**6, 0.01
+    cfg = _cfg(torus=Torus(2, math.sqrt(1000.0)), replicates=replicates, seed=0, mode="exact")
+    hists = [experiments._degree_replicate((cfg, k))[0] for k in range(replicates)]
+    plane = np.bincount(sample_origin_degrees(GAUSS_N1, 1.0, 1.0, n, rng_for(0, 99))) / n
+    top = int(np.searchsorted(np.cumsum(plane), 0.999))
+    frac = np.zeros((replicates, top + 1))
+    for r, counts in enumerate(hists):
+        frac[r, : min(counts.size, top + 1)] = counts[: top + 1] / counts.sum()
+    se = np.sqrt(
+        frac.var(axis=0, ddof=1) / replicates + plane[: top + 1] * (1 - plane[: top + 1]) / n
+    )
+    t = (frac.mean(axis=0) - plane[: top + 1]) / se
+    crit = sps.t.ppf(1 - alpha / (2 * (top + 1)), replicates - 1)
+    assert top >= 5
+    assert np.all(np.abs(t) <= crit), (np.round(t, 2), crit)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from grig.geometry import (
-    GROUP,
     VERTEX,
     PointCloud,
     Torus,
@@ -15,7 +14,6 @@ from grig.geometry import (
     cloud_to_json,
     min_image_displacement,
     min_image_distance,
-    palm_insert,
     sample_poisson,
     sphere_surface,
     torus_distance,
@@ -91,22 +89,26 @@ def test_sample_poisson_count_distribution():
     assert cloud.positions.max() < 4.0
 
 
-def test_palm_insert_prepends_origin():
-    torus = Torus(2, 5.0)
-    cloud = sample_poisson(torus, 1.0, np.random.default_rng(2))
-    palm = palm_insert(cloud)
-    assert palm.count == cloud.count + 1
-    assert np.all(palm.positions[0] == 0.0)
-    np.testing.assert_array_equal(palm.positions[1:], cloud.positions)
-    empty = PointCloud(VERTEX, np.zeros((0, 2)), 0.0, torus)
-    assert palm_insert(empty).count == 1
-
-
-def test_palm_insert_requires_vertex_role():
-    torus = Torus(2, 5.0)
-    groups = sample_poisson(torus, 1.0, np.random.default_rng(5), role=GROUP)
-    with pytest.raises(ValueError):
-        palm_insert(groups)
+def test_wrap_matches_np_mod_bit_for_bit():
+    # fresh clouds, the side itself, negatives, zeros of both signs and
+    # far-off values: every coordinate as np.mod gives it
+    rng = np.random.default_rng(8)
+    for side in (1.0, 8.0, 31.622776601683793, 1e-3):
+        torus = Torus(2, side)
+        points = np.concatenate(
+            [
+                rng.uniform(0.0, side, (500, 2)),
+                rng.uniform(-3.0 * side, 4.0 * side, (500, 2)),
+                rng.normal(0.0, 1e6 * side, (100, 2)),
+                np.array([[side, -side], [0.0, -0.0], [np.nextafter(side, 0.0), -1e-300]]),
+                np.array([[np.inf, np.nan], [-np.inf, 2.0 * side]]),
+            ]
+        )
+        with np.errstate(invalid="ignore"):  # np.mod of an infinity is NaN
+            expected = np.mod(points, side)
+            wrapped = torus.wrap(points)
+        assert wrapped.tobytes() == expected.tobytes()
+        assert wrapped is not points and not np.shares_memory(wrapped, points)
 
 
 def test_point_cloud_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize, special, stats
 
 from grig import kernels
 from grig.errors import ConfigError, ConvergenceError
@@ -258,6 +258,160 @@ def test_support_radius_monotone_in_eps():
             lambda t: 2.0 * math.pi * t * eval_kernel(spec, t), R, np.inf
         )
         assert tail == pytest.approx(e * kernel_norm(spec), rel=1e-6)
+
+
+BENCH_TABLE = ([0.5, 1.0, 1.5, 2.0], [0.9, 0.6, 0.3, 0.1])
+ZERO_TAIL_TABLE = ([1.0, 2.0, 3.0, 4.0], [0.9, 0.5, 0.0, 0.0])
+
+
+def _one_of_each_family(d):
+    return (
+        BooleanKernel(r=1.3, d=d),
+        GaussianKernel.with_norm(0.8, 1.0, d),
+        PowerLawKernel.with_norm(1.5, 1.0, d),
+        PowerLawKernel(alpha=3.5, amplitude=0.7, d=d),
+        TabulatedKernel(radii=np.array(BENCH_TABLE[0]), values=np.array(BENCH_TABLE[1]), d=d),
+        TabulatedKernel(radii=np.array(ZERO_TAIL_TABLE[0]), values=np.array(ZERO_TAIL_TABLE[1]), d=d),
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_support_radius_array_matches_scalar_calls(d):
+    rng = np.random.default_rng(3)
+    eps = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6], rng.random(300), 1e-4 * rng.random(50)])
+    eps = eps.reshape(2, -1)  # any shape, kept
+    for spec in _one_of_each_family(d):
+        radii = support_radius(spec, eps)
+        assert radii.shape == eps.shape
+        scalar = np.array([support_radius(spec, float(e)) for e in eps.ravel()]).reshape(eps.shape)
+        assert all(isinstance(support_radius(spec, e), float) for e in (0.0, 0.5, np.float64(0.5)))
+        if isinstance(spec, (GaussianKernel, TabulatedKernel)):
+            np.testing.assert_array_equal(radii, scalar)
+        else:
+            # numpy's array ** and Python's pow differ in the last bit at times
+            assert np.array_equal(np.isinf(radii), np.isinf(scalar))
+            finite = np.isfinite(scalar)
+            np.testing.assert_array_max_ulp(radii[finite], scalar[finite], maxulp=2)
+    assert support_radius(_one_of_each_family(d)[0], np.empty(0)).shape == (0,)
+    with pytest.raises(ValueError):
+        support_radius(_one_of_each_family(d)[1], np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_support_radius_scalar_closed_forms_unchanged(d):
+    # the closed forms as plain Python float arithmetic, bit for bit
+    for eps in (1e-12, 1e-6, 1e-3, math.exp(-2.0), 0.1, 0.4, 0.5, 0.9, 0.999):
+        r, sigma = 1.3, 0.8
+        boolean = BooleanKernel(r=r, d=d)
+        assert support_radius(boolean, eps) == r * (1.0 - eps) ** (1.0 / d)
+        gauss = GaussianKernel.with_norm(sigma, 1.0, d)
+        expected = sigma * math.sqrt(2.0 * float(special.gammainccinv(d / 2.0, eps)))
+        assert support_radius(gauss, eps) == expected
+        for alpha in (1.5, 2.0, 3.5):
+            power = PowerLawKernel.with_norm(alpha, 1.0, d)
+            if eps >= 1.0 / alpha:
+                expected = ((1.0 - eps) * alpha / (alpha - 1.0)) ** (1.0 / d)
+            else:
+                expected = (alpha * eps) ** (-1.0 / (d * (alpha - 1.0)))
+            assert support_radius(power, eps) == expected
+    assert support_radius(BooleanKernel(r=1.3, d=d), 0.0) == 1.3
+    assert math.isinf(support_radius(PowerLawKernel.with_norm(1.5, 1.0, d), 0.0))
+
+
+# support_radius of the two tables at TABLE_EPS, from the scalar bisect-and-Newton
+# solve that stopped on a relative step of 1e-15
+TABLE_EPS = (1e-6, 1e-3, math.exp(-2.0), 0.1, 0.25, 0.5, 0.75, 0.9)
+TABLE_RADII = {
+    ("bench", 1): [1.9999885002644895, 1.9887529904477381, 1.3401121920555874, 1.4522774424948337,
+                   1.0645856533065146, 0.6459935992273399, 0.3194444444444444, 0.12777777777777782],
+    ("bench", 2): [1.9999958333637156, 1.995863233602199, 1.6359097226970967, 1.7123041041602403,
+                   1.4206429177101163, 1.0486494918800358, 0.6916127344517111, 0.4303314829119354],
+    ("bench", 3): [1.9999977968822806, 1.9978040947696656, 1.7677947626928467, 1.8208850640626,
+                   1.6093994361036852, 1.2906470535577466, 0.9546718574543275, 0.6732584099980008],
+    ("zero_tail", 1): [2.997279705898265, 2.9139767473295737, 1.9992596712591912, 2.1397674732957377,
+                       1.6298148253980351, 1.0279513956711028, 0.5138888888888888, 0.2055555555555556],
+    ("zero_tail", 2): [2.998346416587732, 2.947410511517356, 2.341745597043829, 2.4413634965997524,
+                       2.072199241828736, 1.5751816309004216, 1.0681994478625587, 0.6749485577105527],
+    ("zero_tail", 3): [2.9988055615612597, 2.9619164358122454, 2.5071423346173396, 2.584212387130891,
+                       2.2932231871026314, 1.8837875124262546, 1.420843477484254, 1.022745357717236],
+}
+
+
+@pytest.mark.parametrize("name, d", sorted(TABLE_RADII))
+def test_support_radius_tabulated_within_ulps_of_the_scalar_solve(name, d):
+    radii, values = BENCH_TABLE if name == "bench" else ZERO_TAIL_TABLE
+    spec = TabulatedKernel(radii=np.array(radii), values=np.array(values), d=d)
+    norm = kernel_norm(spec)
+    for eps, before in zip(TABLE_EPS, TABLE_RADII[(name, d)]):
+        radius = support_radius(spec, eps)
+        assert tail_mass(spec, radius) <= eps * norm
+        # 2 ulps of R, widened where 4 ulps of mass move R by more: the mass
+        # law is rounded to ulps of ||g||, which fixes R no closer than that
+        rate = sphere_surface(d) * before ** (d - 1) * eval_kernel(spec, before)
+        assert abs(radius - before) <= 2 * np.spacing(before) + 4 * np.spacing(norm) / rate
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_support_radius_tabulated_array_keeps_the_tail_bound(d):
+    rng = np.random.default_rng(5)
+    eps = np.concatenate([rng.random(5000), 10.0 ** rng.uniform(-12, -1, 1000)])
+    for table in (BENCH_TABLE, ZERO_TAIL_TABLE):
+        spec = TabulatedKernel(radii=np.array(table[0]), values=np.array(table[1]), d=d)
+        norm = kernel_norm(spec)
+        radii = support_radius(spec, eps)
+        assert np.all(radii <= support_radius(spec, 0.0))
+        # tail_mass's own arithmetic, for every radius at once
+        assert np.all(np.maximum(0.0, norm - kernels._tabulated_mass(spec, radii)) <= eps * norm)
+        assert all(tail_mass(spec, r) <= e * norm for r, e in zip(radii[::10], eps[::10]))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "table",
+    [BENCH_TABLE, ZERO_TAIL_TABLE, ([0.0, 1.0], [1.0, 0.0])],
+    ids=["bench", "zero-tail", "linear-to-zero"],
+)
+def test_support_radius_tabulated_newton_stops_before_the_cap(monkeypatch, d, table):
+    # besides ||g|| and the node masses, each Newton step evaluates the mass
+    # law once for the elements still moving, so one element at the 100-step
+    # cap would make 100 calls alone.  Where g falls to 0 the mass is flat
+    # and rounds in plateaus, which the bisection and the doubling probe cross
+    spec = TabulatedKernel(radii=np.array(table[0]), values=np.array(table[1]), d=d)
+    calls = []
+    mass = kernels._tabulated_mass
+
+    def counted(spec, r):
+        calls.append(np.size(r))
+        return mass(spec, r)
+
+    monkeypatch.setattr(kernels, "_tabulated_mass", counted)
+    rng = np.random.default_rng(6)
+    support_radius(spec, np.concatenate([rng.random(100_000), 10.0 ** rng.uniform(-12, -1, 1000)]))
+    assert len(calls) - 2 < 100
+
+
+def _tail_fraction(spec):
+    """r -> tail(r) / ||g||: the closed-form tails, and for a table a dense
+    trapezoid of g, so the mass law that support_radius inverts is not used."""
+    if not isinstance(spec, TabulatedKernel):
+        norm = kernel_norm(spec)
+        return lambda r: np.array([tail_mass(spec, x) / norm for x in np.atleast_1d(r)])
+    t = np.linspace(0.0, spec.radii[-1], 400_001)
+    mass = integrate.cumulative_trapezoid(
+        sphere_surface(spec.d) * t ** (spec.d - 1) * eval_kernel(spec, t), t, initial=0.0
+    )
+    return lambda r: 1.0 - np.interp(r, t, mass) / mass[-1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_support_radius_at_uniform_eps_follows_the_radial_law(d):
+    # P(R > r) = tail(r) / ||g||: a KS test on 20000 radii per kernel
+    rng = np.random.default_rng(40 + d)
+    for spec in _one_of_each_family(d):
+        radii = support_radius(spec, rng.random(20_000))
+        tail = _tail_fraction(spec)
+        result = stats.kstest(radii, lambda r: 1.0 - tail(r))
+        assert result.pvalue > 1e-3, (spec, result)
 
 
 def test_length_scale_positive_and_finite():

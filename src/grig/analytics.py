@@ -132,9 +132,3 @@ def isolated_probability_bound(mu: float, norm_g: float) -> float:
         raise ValueError("arguments must be >= 0")
     return math.exp(-mu * norm_g)
 
-
-def analytics_record(quantity: str, params: dict, value, **extra) -> dict:
-    """Uniform JSON shape for analytic outputs."""
-    rec = {"quantity": quantity, "params": params, "value": value}
-    rec.update(extra)
-    return rec

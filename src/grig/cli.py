@@ -14,7 +14,6 @@ nothing written).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -23,8 +22,10 @@ from . import __version__, analytics, kernels
 from .config import load_config
 from .errors import ConfigError, GrigError
 from .experiments import (
+    RUN_NEEDS,
+    SAMPLING_RUNS,
     build_profile,
-    check_planted_pairs,
+    check_config,
     export_visualization,
     run_connection_check,
     run_degree_experiment,
@@ -32,37 +33,11 @@ from .experiments import (
     run_phase_sweep,
     run_sample,
 )
-from .kernels import kernel_to_json, profile_to_csv
+from .kernels import profile_to_csv
 from .serialize import json_sanitize, write_json
 
-_QUANTITIES = (
-    "kernel-norm",
-    "profile",
-    "expected-degree",
-    "connection-probability",
-    "degree-bounds",
-    "offspring-mean",
-    "isolated-bound",
-)
-
-# config values each analytics quantity needs; connection-probability
-# also needs --t
-_QUANTITY_NEEDS = {
-    "expected-degree": ("lambda", "mu"),
-    "connection-probability": ("mu",),
-    "degree-bounds": ("lambda", "mu"),
-    "offspring-mean": ("lambda", "mu"),
-    "isolated-bound": ("mu",),
-}
-
-_SUBCOMMAND_KIND = {
-    "sample": "sample",
-    "degrees": "degrees",
-    "phase": "phase",
-    "visualize": "visualize",
-    "validate": None,  # the config's own kind picks the check
-    "analytics": "analytics",
-}
+# every run of the requirements table that samples nothing is a quantity
+_QUANTITIES = tuple(run for run in RUN_NEEDS if run not in SAMPLING_RUNS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,37 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args):
-    t = getattr(args, "t", None)
-    if t is not None and not 0.0 <= t < float("inf"):  # also refuses NaN
-        raise ConfigError(f"--t must be a finite distance >= 0, got {t}")
-    quantity = getattr(args, "quantity", None)
-    if t is None and quantity == "connection-probability":
-        raise ConfigError("connection-probability needs --t")
-    needs = _QUANTITY_NEEDS.get(quantity, ())
-    missing = [f for f in needs if getattr(config, "lam" if f == "lambda" else f) is None]
-    if missing:
-        raise ConfigError(f"{quantity} needs config value(s): {missing}")
-    updates = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {args.seed}")
-        updates["seed"] = args.seed
-    if args.replicates is not None:
-        if args.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {args.replicates}")
-        updates["replicates"] = args.replicates
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
-        updates["threads"] = args.threads
-    if not updates:
-        return config
-    config = dataclasses.replace(config, **updates)
-    check_planted_pairs(config)
-    return config
-
-
 def _write_manifest(out_dir, subcommand, config, status, error=None) -> None:
     outputs = []
     if os.path.isdir(out_dir):
@@ -150,75 +94,40 @@ def _write_manifest(out_dir, subcommand, config, status, error=None) -> None:
     write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
-def _params(config, **extra) -> dict:
-    params = {
-        "kernel": kernel_to_json(config.kernel),
-        "torus": {"d": config.torus.d, "side": config.torus.side},
-        "lambda": config.lam,
-        "mu": config.mu,
-    }
-    params.update(extra)
-    return params
-
-
 def _run_analytics(config, quantity, t, out_dir) -> dict:
     spec = config.kernel
+    described = config.describe()
+    params = {key: described[key] for key in ("kernel", "torus", "lambda", "mu")}
+    extras = {}
     # the first three quantities read only ||g||: no self-convolution profile
     if quantity == "kernel-norm":
-        record = analytics.analytics_record(
-            "kernel_norm", _params(config), kernels.kernel_norm(spec)
-        )
+        value = kernels.kernel_norm(spec)
     elif quantity == "offspring-mean":
         mean = analytics.offspring_mean(config.lam, config.mu, kernels.kernel_norm(spec))
-        record = analytics.analytics_record(
-            "offspring_mean",
-            _params(config),
-            mean.value,
-            subcritical=mean.subcritical,
-        )
+        value, extras = mean.value, {"subcritical": mean.subcritical}
     elif quantity == "isolated-bound":
-        record = analytics.analytics_record(
-            "isolated_bound",
-            _params(config),
-            analytics.isolated_probability_bound(config.mu, kernels.kernel_norm(spec)),
-        )
+        value = analytics.isolated_probability_bound(config.mu, kernels.kernel_norm(spec))
     else:
         profile = build_profile(config)
         if quantity == "profile":
-            path = os.path.join(out_dir, "profile.csv")
-            profile_to_csv(profile, path)
-            record = analytics.analytics_record(
-                "profile",
-                _params(config),
-                profile.f0,
-                kind=profile.kind,
-                support=profile.support,
-                max_abs_error=profile.max_abs_error,
-                refinement_level=profile.refinement_level,
-            )
+            profile_to_csv(profile, os.path.join(out_dir, "profile.csv"))
+            value = profile.f0
+            extras = {
+                "kind": profile.kind,
+                "support": profile.support,
+                "max_abs_error": profile.max_abs_error,
+                "refinement_level": profile.refinement_level,
+            }
         elif quantity == "expected-degree":
-            record = analytics.analytics_record(
-                "expected_degree",
-                _params(config),
-                analytics.expected_degree(profile, config.lam, config.mu),
-            )
+            value = analytics.expected_degree(profile, config.lam, config.mu)
         elif quantity == "connection-probability":
-            record = analytics.analytics_record(
-                "connection_probability",
-                _params(config, t=t),
-                analytics.connection_probability(profile, config.mu, t),
-            )
-        elif quantity == "degree-bounds":
+            params["t"] = t
+            value = analytics.connection_probability(profile, config.mu, t)
+        else:  # degree-bounds: argparse restricts the choices
             bounds = analytics.degree_bounds(profile, config.lam, config.mu)
-            record = analytics.analytics_record(
-                "degree_bounds",
-                _params(config),
-                bounds.upper_simple,
-                bracket_low=bounds.bracket_low,
-                bracket_high=bounds.bracket_high,
-            )
-        else:  # pragma: no cover - argparse restricts the choices
-            raise ConfigError(f"unknown quantity {quantity!r}")
+            value = bounds.upper_simple
+            extras = {"bracket_low": bounds.bracket_low, "bracket_high": bounds.bracket_high}
+    record = {"quantity": quantity.replace("-", "_"), "params": params, "value": value, **extras}
     write_json(os.path.join(out_dir, "analytics.json"), record)
     return record
 
@@ -256,14 +165,26 @@ def _dispatch(args, config, out_dir) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    quantity, t = getattr(args, "quantity", None), getattr(args, "t", None)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "replicates", "threads")
+        if getattr(args, key) is not None
+    }
     try:
-        config = load_config(args.config, kind=_SUBCOMMAND_KIND[args.subcommand])
-        config = _apply_overrides(config, args)
-        if args.subcommand == "validate" and config.kind not in ("joint_groups", "connection"):
+        if t is not None and not 0.0 <= t < float("inf"):  # also refuses NaN
+            raise ConfigError(f"--t must be a finite distance >= 0, got {t}")
+        if t is None and quantity == "connection-probability":
+            raise ConfigError("connection-probability needs --t")
+        # validate takes its kind from the config; every other subcommand is one
+        kind = None if args.subcommand == "validate" else args.subcommand
+        config = load_config(args.config, kind, overrides)
+        if kind is None and config.kind not in ("joint_groups", "connection"):
             raise ConfigError(
                 f'validate needs a config with "kind": "joint_groups" or "connection", '
                 f"got {config.kind!r}"
             )
+        check_config(config, quantity or config.kind)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

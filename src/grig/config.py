@@ -24,7 +24,7 @@ import math
 import os
 
 from .errors import ConfigError
-from .experiments import ExperimentConfig, check_planted_pairs
+from .experiments import ExperimentConfig
 from .geometry import Torus
 from .graph import BuildOptions
 from .kernels import kernel_from_json
@@ -209,7 +209,7 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
         if not mu_values:
             mu_values = default_sweep_values()
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         kind=resolved_kind,
         kernel=kernel,
         torus=torus,
@@ -227,12 +227,13 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
         dispersion_alpha=dispersion_alpha,
         profile_options=_profile_options(payload),
     )
-    check_planted_pairs(config)
-    return config
 
 
-def load_config(path, kind=None) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+def load_config(path, kind=None, overrides=None) -> ExperimentConfig:
+    """Read and validate a JSON config file.
+
+    `overrides` (the CLI's --seed, --replicates and --threads) replace the
+    file's values before validation, so they pass the same checks."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -240,4 +241,6 @@ def load_config(path, kind=None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if overrides and isinstance(payload, dict):
+        payload = {**payload, **overrides}
     return config_from_dict(payload, kind=kind)

@@ -142,6 +142,71 @@ def build_profile(config: ExperimentConfig):
     return self_convolve(config.kernel, grid=grid, **opts)
 
 
+# the JSON keys each run needs; a run is a config kind or an analytics quantity
+RUN_NEEDS = {
+    "sample": ("lambda", "mu"),
+    "degrees": ("lambda", "mu"),
+    "phase": ("lambda_values", "mu_values"),
+    "visualize": ("lambda", "mu"),
+    "joint_groups": ("mu", "probe_distances"),
+    "connection": ("mu", "probe_distances"),
+    "kernel-norm": (),
+    "profile": (),
+    "expected-degree": ("lambda", "mu"),
+    "connection-probability": ("mu",),
+    "degree-bounds": ("lambda", "mu"),
+    "offspring-mean": ("lambda", "mu"),
+    "isolated-bound": ("mu",),
+}
+SAMPLING_RUNS = ("sample", "degrees", "phase", "visualize", "joint_groups", "connection")
+# the largest expected count of vertices, groups or memberships a sampling
+# run may draw: 2^25 float64 or int64 values take 256 MiB, so a d = 2 cloud
+# of that many points holds 512 MiB of coordinates, and that many
+# memberships 256 MiB of indices plus as much again in candidate uniforms
+MAX_EXPECTED_COUNT = 1 << 25
+
+
+def check_config(config: ExperimentConfig, run: str) -> None:
+    """Refuse a config that cannot serve `run` before anything is written
+    or allocated: a value RUN_NEEDS[run] lists is missing, a probe distance
+    lies outside [0, side/2] (where the planted pair's torus distance would
+    not be t), a joint-groups check has fewer replicates than its
+    dispersion test needs, a scene is not 2-d, or a sampling run expects
+    more than MAX_EXPECTED_COUNT vertices, groups or memberships (at the
+    grid maxima for a phase sweep)."""
+    values = {key: getattr(config, "lam" if key == "lambda" else key) for key in RUN_NEEDS[run]}
+    missing = [key for key, value in values.items() if value is None or np.size(value) == 0]
+    if missing:
+        raise ConfigError(f"{run} needs config value(s): {missing}")
+    for t in config.probe_distances:
+        if not 0 <= t <= config.torus.side / 2:
+            raise ConfigError(f"probe distance {t} must lie in [0, side/2], the torus half-side")
+    least = stats.DISPERSION_MIN_SAMPLES
+    if run == "joint_groups" and config.replicates < least:
+        raise ConfigError(f"joint_groups needs replicates >= {least}, got {config.replicates}")
+    if run == "visualize" and config.torus.d != 2:
+        raise ConfigError("visualization is only available for d = 2")
+    if run not in SAMPLING_RUNS:
+        return
+    if run == "phase":
+        lam, mu = max(config.lambda_values), max(config.mu_values)
+    else:
+        lam, mu = config.lam, config.mu
+    volume = config.torus.volume
+    # a planted-pair trial builds its two vertices against one group cloud
+    vertices = 2.0 if run in ("joint_groups", "connection") else lam * volume
+    expected = {
+        "vertices": vertices,
+        "groups": mu * volume,
+        "memberships": vertices * mu * kernel_norm(config.kernel),
+    }
+    for name, count in expected.items():
+        if not count <= MAX_EXPECTED_COUNT:  # also refuses NaN
+            raise ConfigError(
+                f"{run} expects {count:.4g} {name}, over the limit of {MAX_EXPECTED_COUNT}"
+            )
+
+
 def _map_tasks(fn, tasks, threads: int):
     """Run tasks, optionally on a process pool; output order = task order."""
     if threads <= 1 or len(tasks) <= 1:
@@ -222,8 +287,7 @@ def _degree_replicate(args):
 
 def run_degree_experiment(config: ExperimentConfig, out_dir=None) -> DegreeResult:
     """Sample degree histograms of the vertex projection (replicates pooled)."""
-    if config.lam is None or config.mu is None:
-        raise ConfigError("degree experiment needs lambda and mu")
+    check_config(config, "degrees")
     results = _map_tasks(
         _degree_replicate, [(config, k) for k in range(config.replicates)], config.threads
     )
@@ -379,10 +443,9 @@ def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:
     compared against the group-side grid at (b, a), which has the same
     distribution by the role-swap symmetry of the construction.
     """
+    check_config(config, "phase")
     lams = np.asarray(config.lambda_values, dtype=float)
     mus = np.asarray(config.mu_values, dtype=float)
-    if lams.size == 0 or mus.size == 0:
-        raise ConfigError("phase sweep needs lambda_values and mu_values")
     tasks = [
         (config.seed, config.kernel, config.torus, lams, mus, k, config.mode, config.eps_tail)
         for k in range(config.replicates)
@@ -452,18 +515,6 @@ def _write_phase_csv(path, grid: PhaseGrid, matrix: np.ndarray) -> None:
 _BATCH_GROUPS = 1 << 15
 
 
-def check_planted_pairs(config: ExperimentConfig) -> None:
-    """Refuse probe distances outside [0, side/2], where the torus distance
-    of the planted pair would not be t, and a joint-groups check with
-    fewer replicates than its dispersion test needs."""
-    for t in config.probe_distances:
-        if not 0 <= t <= config.torus.side / 2:
-            raise ConfigError(f"probe distance {t} must lie in [0, side/2], the torus half-side")
-    least = stats.DISPERSION_MIN_SAMPLES
-    if config.kind == "joint_groups" and config.replicates < least:
-        raise ConfigError(f"joint_groups needs replicates >= {least}, got {config.replicates}")
-
-
 def _planted_trials(config: ExperimentConfig, kind: int, p: int, t: float) -> np.ndarray:
     """Groups shared by two planted vertices at distance t, per trial.
     Memberships are independent per (vertex, group) pair, so a batch of
@@ -497,11 +548,7 @@ def run_joint_groups_check(config: ExperimentConfig, out_dir=None) -> dict:
     the runner compares empirical mean and variance against that value
     (3-sigma bands under the null) and runs a dispersion test.
     """
-    if config.mu is None:
-        raise ConfigError("joint-groups check needs mu")
-    if not config.probe_distances:
-        raise ConfigError("joint-groups check needs probe_distances")
-    check_planted_pairs(config)
+    check_config(config, "joint_groups")
     profile = build_profile(config)
     report = {"kind": "joint_groups", "probes": [], "all_passed": True}
     for p, t in enumerate(config.probe_distances):
@@ -551,11 +598,7 @@ def run_connection_check(config: ExperimentConfig, out_dir=None) -> dict:
     Wilson interval at the configured confidence must contain the closed
     form.  Probes beyond the doubled kernel support must never connect.
     """
-    if config.mu is None:
-        raise ConfigError("connection check needs mu")
-    if not config.probe_distances:
-        raise ConfigError("connection check needs probe_distances")
-    check_planted_pairs(config)
+    check_config(config, "connection")
     profile = build_profile(config)
     s_max = support_radius(config.kernel, 0.0)
     report = {"kind": "connection", "probes": [], "all_passed": True}
@@ -595,12 +638,13 @@ def run_connection_check(config: ExperimentConfig, out_dir=None) -> dict:
 _BATCH_PAIRS = 1 << 17
 
 
-def _offsets_from(centers: np.ndarray, spec: KernelSpec, rng: np.random.Generator) -> np.ndarray:
-    """Each center, a column of the (d, n) array, moved by a draw from the
-    density g / ||g||: a uniform direction and a radius of the tail law."""
-    direction = rng.standard_normal(centers.shape)
+def _offsets(n: int, spec: KernelSpec, rng: np.random.Generator) -> tuple:
+    """n draws from the density g / ||g||, as a coordinate-major (d, n)
+    array with their radii: a uniform direction and a radius of the tail law."""
+    direction = rng.standard_normal((spec.d, n))
     direction /= np.sqrt(np.square(direction).sum(axis=0))
-    return centers + direction * support_radius(spec, rng.random(centers.shape[1]))
+    radius = support_radius(spec, rng.random(n))
+    return direction * radius, radius
 
 
 def sample_origin_degrees(
@@ -637,18 +681,34 @@ def sample_origin_degrees(
         m = joined[start : start + per_batch]
         sample = np.repeat(np.arange(m.size), m)  # the sample of each group
         # positions are coordinate-major, (d, n), so each coordinate is contiguous
-        u = _offsets_from(np.zeros((spec.d, sample.size)), spec, rng)
+        u, u_radius = _offsets(sample.size, spec, rng)
+        # a group beyond the float range is infinitely far from the other
+        # groups' proposals; a finite stand-in position keeps inf - inf out
+        far = ~np.isfinite(u_radius)
+        u[:, far] = 0.0
         proposer = np.repeat(np.arange(sample.size), rng.poisson(lam * norm, size=sample.size))
-        x = _offsets_from(np.take(u, proposer, axis=1), spec, rng)
+        offset, radius = _offsets(proposer.size, spec, rng)
+        x = np.take(u, proposer, axis=1) + offset
         # pair each proposal with every group of its sample, proposal-major
         width = m[sample[proposer]]
         first = np.cumsum(width) - width
         row = np.repeat(np.arange(proposer.size), width)
-        col = np.arange(row.size) + np.repeat((np.cumsum(m) - m)[sample[proposer]] - first, width)
+        lead = (np.cumsum(m) - m)[sample[proposer]]  # the first group of each proposal's sample
+        col = np.arange(row.size) + np.repeat(lead - first, width)
         delta = np.take(x, row, axis=1) - np.take(u, col, axis=1)
-        g = _eval_kernel_array(spec, np.sqrt(np.square(delta).sum(axis=0)))
-        hit = 1.0 - np.multiply.reduceat(1.0 - g, first)
-        keep = rng.random(proposer.size) * np.add.reduceat(g, first) < hit
+        with np.errstate(over="ignore"):  # a distance past the float range reads inf
+            distance = np.sqrt(np.square(delta).sum(axis=0))
+        if far.any():
+            distance[far[col] | far[proposer[row]]] = np.inf
+        # a proposal lies at its own radius from its own group
+        distance[first + proposer - lead] = radius
+        g = _eval_kernel_array(spec, distance)
+        # 1 - prod_k (1 - g_k), without the cancellation that rounds it to 0
+        # when every g_k is below an ulp of 1; log1p(-1) is -inf where g = 1
+        with np.errstate(divide="ignore"):
+            hit = -np.expm1(np.add.reduceat(np.log1p(-g), first))
+        # <= keeps a proposal whose g all underflow to 0: its probability tends to 1
+        keep = rng.random(proposer.size) * np.add.reduceat(g, first) <= hit
         degrees[start : start + m.size] = np.bincount(sample[proposer[keep]], minlength=m.size)
     return degrees
 
@@ -663,10 +723,7 @@ def export_visualization(config: ExperimentConfig, out_dir) -> dict:
     Edges wrapping around the torus are drawn as two straight stubs, one
     leaving each endpoint toward the nearest image of the other.
     """
-    if config.torus.d != 2:
-        raise ConfigError("visualization is only available for d = 2")
-    if config.lam is None or config.mu is None:
-        raise ConfigError("visualization needs lambda and mu")
+    check_config(config, "visualize")
     rng_v = rng_for(config.seed, KIND_VISUALIZE, STREAM_VERTICES)
     rng_u = rng_for(config.seed, KIND_VISUALIZE, STREAM_GROUPS)
     rng_m = rng_for(config.seed, KIND_VISUALIZE, STREAM_MEMBERSHIPS)
@@ -743,8 +800,7 @@ def run_sample(config: ExperimentConfig, out_dir) -> dict:
     """Sample the two clouds and write them out (CSV + JSON)."""
     from .geometry import cloud_to_csv, cloud_to_json
 
-    if config.lam is None or config.mu is None:
-        raise ConfigError("sampling needs lambda and mu")
+    check_config(config, "sample")
     rng_v = rng_for(config.seed, KIND_SAMPLE, STREAM_VERTICES)
     rng_u = rng_for(config.seed, KIND_SAMPLE, STREAM_GROUPS)
     V = sample_poisson(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +305,124 @@ def test_cli_bad_override_values(tmp_path):
     assert main(["degrees", "--config", cfg, "--out", out, "--seed", "-1"]) == 2
     assert main(["degrees", "--config", cfg, "--out", out, "--replicates", "0"]) == 2
     assert main(["degrees", "--config", cfg, "--out", out, "--threads", "0"]) == 2
+
+
+TORUS_12 = {"d": 2, "measure": "side", "value": 12.0}
+SAMPLED = {"kernel": GAUSS, "torus": TORUS_12, "lambda": 1.0, "mu": 1.0, "replicates": 2}
+PLANTED = {"kernel": BOOL, "torus": TORUS_12, "mu": 1.5, "replicates": 50, "probe_distances": [0.5]}
+
+
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+# configs that load, but that the subcommand's run cannot use
+UNSERVABLE = [
+    *(
+        pytest.param(sub, _without(dict(SAMPLED, kind=sub), key), id=f"{sub}-no-{key}")
+        for sub in ("sample", "degrees", "visualize")
+        for key in ("lambda", "mu")
+    ),
+    *(
+        pytest.param("validate", _without(dict(PLANTED, kind=kind), key), id=f"{kind}-no-{key}")
+        for kind in ("joint_groups", "connection")
+        for key in ("mu", "probe_distances")
+    ),
+    pytest.param(
+        "visualize",
+        dict(SAMPLED, kind="visualize", kernel=dict(GAUSS, d=1), torus=dict(TORUS_12, d=1)),
+        id="visualize-d1",
+    ),
+]
+
+
+@pytest.mark.parametrize("subcommand, payload", UNSERVABLE)
+def test_cli_refuses_configs_the_run_cannot_use(tmp_path, capsys, subcommand, payload):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_module_exit_status_of_a_config_error(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", _without(dict(SAMPLED, kind="degrees"), "lambda"))
+    out = tmp_path / "out"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "grig.cli", "degrees", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert run.returncode == 2, run.stderr
+    assert "config error" in run.stderr
+    assert not out.exists()
+
+
+# runs whose expected vertex, group or membership count passes the limit
+# on the default torus of area 1000, each refused before anything is drawn
+OVERSIZED = [
+    pytest.param("degrees", {"kind": "degrees", "lambda": 1e12, "mu": 1.0}, id="vertices"),
+    pytest.param("sample", {"kind": "sample", "lambda": 1.0, "mu": 1e12}, id="groups"),
+    pytest.param("visualize", {"kind": "visualize", "lambda": 1e3, "mu": 1e3}, id="memberships"),
+    pytest.param(
+        "phase", {"kind": "phase", "lambda_values": [1.0, 1e12], "mu_values": [1.0]}, id="grid-max"
+    ),
+    pytest.param(
+        "validate",
+        {"kind": "connection", "mu": 1e9, "replicates": 50, "probe_distances": [0.5]},
+        id="planted-groups",
+    ),
+]
+
+
+@pytest.mark.parametrize("subcommand, payload", OVERSIZED)
+def test_cli_refuses_oversized_runs(tmp_path, capsys, subcommand, payload):
+    cfg = _write(tmp_path, "cfg.json", dict(payload, kernel=GAUSS))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "over the limit" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_analytics_is_never_refused_for_size(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"kind": "analytics", "kernel": GAUSS, "lambda": 1e12, "mu": 1e12})
+    out = tmp_path / "out"
+    assert main(["analytics", "--config", cfg, "--out", str(out), "--quantity", "offspring-mean"]) == 0
+    assert json.loads((out / "analytics.json").read_text())["value"] == pytest.approx(1e24)
+    capsys.readouterr()
+
+
+OVERRIDES = st.dictionaries(
+    st.sampled_from(["--seed", "--replicates", "--threads"]),
+    st.integers(-3, 3) | st.integers(-(10**30), 10**30),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edited_configs() | JSON,
+    st.sampled_from(["kernel-norm", "offspring-mean", "isolated-bound"]),
+    OVERRIDES,
+)
+def test_cli_main_exits_0_or_2_on_fuzzed_configs(payload, quantity, overrides):
+    # these quantities build no profile and sample nothing, so every config
+    # either runs at once or is refused before the output directory exists
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        argv = ["analytics", "--config", cfg, "--out", out, "--quantity", quantity]
+        code = main(argv + [f"{flag}={value}" for flag, value in overrides.items()])
+        assert code in (0, 2)
+        if code == 2:
+            assert not os.path.exists(out)
 
 
 def test_cli_runtime_failure_partial_manifest(tmp_path, capsys):

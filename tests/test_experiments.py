@@ -580,6 +580,26 @@ def test_origin_degrees_heavy_tail_runs():
         assert p_true >= p_dom - 3.0 * se
 
 
+def test_origin_degrees_tail_past_the_float_range():
+    # at alpha = 1.01 in d = 1, 0.08% of the radii pass the float range and
+    # most g values lie below an ulp of 1; the suite turns the warnings of an
+    # inf - inf or an overflowing square into errors.  With a the amplitude,
+    # x - x^2/2 <= 1 - e^{-x} <= x and f <= f(0) <= a ||g|| bracket the
+    # exact mean lam int (1 - e^{-mu f}) in [m (1 - mu a ||g|| / 2), m],
+    # m = lam mu ||g||^2
+    spec = PowerLawKernel.with_norm(1.01, 1.0, 1)
+    n, norm = 10_000, kernel_norm(spec)
+    degrees = sample_origin_degrees(spec, 1.0, 1.0, n, rng_for(12, 5))
+    dom = sample_dominating_degree(1.0, 1.0, norm, rng_for(12, 6), size=n)
+    for k in range(int(np.quantile(dom, 0.999)) + 1):
+        p_true, p_dom = np.mean(degrees <= k), np.mean(dom <= k)
+        se = math.sqrt(p_true * (1 - p_true) / n + p_dom * (1 - p_dom) / n)
+        assert p_true >= p_dom - 3.0 * se
+    stderr = degrees.std() / math.sqrt(n)
+    low = norm**2 * (1.0 - spec.amplitude * norm / 2.0)
+    assert low - 5.0 * stderr <= degrees.mean() <= norm**2 + 5.0 * stderr, (degrees.mean(), stderr)
+
+
 def test_origin_degree_law_matches_torus_builds():
     # the plane law of the exact sampler against exact torus builds, bin by
     # bin up to the 99.9th percentile.  The vertices of one build are

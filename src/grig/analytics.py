@@ -23,6 +23,8 @@ from .kernels import ConvolutionProfile, eval_profile, radius_level
 
 # the one 8-node Gauss-Legendre rule of the expected-degree integral
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the connection probability where the expected-degree integral is cut off
+_DEGREE_CUTOFF = 1e-6
 # equal panels on [0, cutoff] for closed-form profiles; at 512 the lens
 # integral (r <= 2.5, mu <= 20) lies within 3e-10 of adaptive quadrature
 _CLOSED_FORM_PANELS = 512
@@ -36,21 +38,19 @@ def connection_probability(profile: ConvolutionProfile, mu: float, t):
     return -np.expm1(-mu * f_val) if isinstance(f_val, np.ndarray) else -math.expm1(-mu * f_val)
 
 
-def expected_degree(profile: ConvolutionProfile, lam: float, mu: float, tol: float = 1e-6) -> float:
+def expected_degree(profile: ConvolutionProfile, lam: float, mu: float) -> float:
     """Expected vertex degree lambda * integral of (1 - e^{-mu f}) over R^d.
 
     Radial reduction: lambda * S_{d-1} * int_0^T (1 - e^{-mu f(t)}) t^{d-1} dt,
-    cut off at the radius where the connection probability falls below tol
-    (capped at the profile's tabulated range).
+    cut off at the radius where the connection probability falls to
+    _DEGREE_CUTOFF (capped at the profile's tabulated range).
     """
     if lam < 0 or mu < 0:
         raise ValueError("intensities must be >= 0")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if lam == 0 or mu == 0:
         return 0.0
-    # radius where 1 - e^{-mu f} falls to tol; 0 when f(0) is already below
-    cutoff = radius_level(profile, -math.log1p(-tol) / mu)
+    # radius where 1 - e^{-mu f} falls to the cutoff; 0 when f(0) is already below
+    cutoff = radius_level(profile, -math.log1p(-_DEGREE_CUTOFF) / mu)
     if profile.kind == "tabulated":
         # the interpolant's nodes below the cutoff, closed by the cutoff itself
         edges = np.append(profile.radii[profile.radii < cutoff], cutoff)

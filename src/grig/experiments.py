@@ -34,6 +34,7 @@ import csv
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -62,7 +63,9 @@ from .graph import (
 from .kernels import (
     ConvolutionGrid,
     KernelSpec,
+    TabulatedKernel,
     _eval_kernel_array,
+    _mass_law,
     eval_profile,
     kernel_norm,
     kernel_to_json,
@@ -160,9 +163,10 @@ RUN_NEEDS = {
 }
 SAMPLING_RUNS = ("sample", "degrees", "phase", "visualize", "joint_groups", "connection")
 # the largest expected count of vertices, groups or memberships a sampling
-# run may draw: 2^25 float64 or int64 values take 256 MiB, so a d = 2 cloud
-# of that many points holds 512 MiB of coordinates, and that many
-# memberships 256 MiB of indices plus as much again in candidate uniforms
+# run may draw over all its replicates, and of results it may keep: 2^25
+# float64 or int64 values take 256 MiB, so a d = 2 cloud of that many points
+# holds 512 MiB of coordinates, and that many memberships 256 MiB of indices
+# plus as much again in candidate uniforms
 MAX_EXPECTED_COUNT = 1 << 25
 
 
@@ -172,7 +176,8 @@ def check_config(config: ExperimentConfig, run: str) -> None:
     lies outside [0, side/2] (where the planted pair's torus distance would
     not be t), a joint-groups check has fewer replicates than its
     dispersion test needs, a scene is not 2-d, or a sampling run expects
-    more than MAX_EXPECTED_COUNT vertices, groups or memberships (at the
+    more than MAX_EXPECTED_COUNT results (one per replicate and grid cell),
+    vertices, groups or memberships, summed over its replicates (at the
     grid maxima for a phase sweep)."""
     values = {key: getattr(config, "lam" if key == "lambda" else key) for key in RUN_NEEDS[run]}
     missing = [key for key, value in values.items() if value is None or np.size(value) == 0]
@@ -190,15 +195,20 @@ def check_config(config: ExperimentConfig, run: str) -> None:
         return
     if run == "phase":
         lam, mu = max(config.lambda_values), max(config.mu_values)
+        cells = len(config.lambda_values) * len(config.mu_values)
     else:
-        lam, mu = config.lam, config.mu
+        lam, mu, cells = config.lam, config.mu, 1
+    # a scene or a sample is one draw; the other runs draw once per replicate
+    # (a count past the float range reads as the largest float)
+    runs = 1 if run in ("sample", "visualize") else min(config.replicates, sys.float_info.max)
     volume = config.torus.volume
     # a planted-pair trial builds its two vertices against one group cloud
     vertices = 2.0 if run in ("joint_groups", "connection") else lam * volume
     expected = {
-        "vertices": vertices,
-        "groups": mu * volume,
-        "memberships": vertices * mu * kernel_norm(config.kernel),
+        "results": runs * cells,
+        "vertices": runs * vertices,
+        "groups": runs * mu * volume,
+        "memberships": runs * vertices * mu * kernel_norm(config.kernel),
     }
     for name, count in expected.items():
         if not count <= MAX_EXPECTED_COUNT:  # also refuses NaN
@@ -640,10 +650,29 @@ _BATCH_PAIRS = 1 << 17
 
 def _offsets(n: int, spec: KernelSpec, rng: np.random.Generator) -> tuple:
     """n draws from the density g / ||g||, as a coordinate-major (d, n)
-    array with their radii: a uniform direction and a radius of the tail law."""
+    array with their radii: a uniform direction and a radius of the radial
+    law, by its inverse at a uniform tail fraction or, for a table, with no
+    inverse: a uniform picks each radius's segment by the node masses, and
+    a radius of density r^(d-1) on it is kept with probability g(r) / g(lo),
+    else redrawn on the same segment (picking it again would bias the law)."""
     direction = rng.standard_normal((spec.d, n))
     direction /= np.sqrt(np.square(direction).sum(axis=0))
-    radius = support_radius(spec, rng.random(n))
+    u = rng.random(n)
+    if not isinstance(spec, TabulatedKernel):
+        radius = support_radius(spec, u)
+        return direction * radius, radius
+    radii, values, d = spec.radii, spec.values, spec.d
+    _, cum = _mass_law(spec)
+    # the last segment with mass takes a u ||g|| that rounds up to ||g||
+    last = np.searchsorted(cum, cum[-1]) - 1
+    i = np.minimum(np.searchsorted(cum, u * cum[-1], side="right") - 1, last)
+    inner, outer = radii[i] ** d, radii[i + 1] ** d
+    radius, todo = np.empty(n), np.arange(n)
+    while todo.size:
+        r = (inner[todo] + rng.random(todo.size) * (outer[todo] - inner[todo])) ** (1.0 / d)
+        keep = rng.random(todo.size) * values[i[todo]] < _eval_kernel_array(spec, r)
+        radius[todo[keep]] = r[keep]
+        todo = todo[~keep]
     return direction * radius, radius
 
 

@@ -16,7 +16,7 @@ tabulated   monotone linear interpolation of (radii, v)    bounded
 
 Each family's radial mass (the integral of g inside a radius) and its
 inverse have closed forms; the tabulated mass is a polynomial on each
-segment, inverted by Newton's method inside the one segment found.
+segment, inverted by bisection inside the one segment found.
 
 The self-convolution ``f = g * g`` drives every analytic quantity: the
 number of groups shared by two vertices at distance t is Poisson with
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -64,7 +64,7 @@ class GaussianKernel:
     """Gaussian kernel a * exp(-t^2 / 2 sigma^2) with amplitude a in (0, 1]."""
 
     sigma: float
-    amplitude: float
+    amplitude: float = 1.0
     d: int = 2
 
     def __post_init__(self):
@@ -140,6 +140,13 @@ class TabulatedKernel:
 
 
 KernelSpec = Union[BooleanKernel, GaussianKernel, PowerLawKernel, TabulatedKernel]
+# the JSON name of each family; its parameters are the class's fields besides d
+_FAMILIES = {
+    "boolean": BooleanKernel,
+    "gaussian": GaussianKernel,
+    "powerlaw": PowerLawKernel,
+    "tabulated": TabulatedKernel,
+}
 
 
 def _check_dim(d):
@@ -191,70 +198,55 @@ def kernel_norm(spec: KernelSpec) -> float:
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
-def _tabulated_mass(spec: TabulatedKernel, r) -> np.ndarray:
-    """Mass of g inside radius r (scalar or array), in closed form.
+def _mass_law(spec: TabulatedKernel) -> tuple:
+    """(coef, cum): the tabulated mass law, a polynomial per segment.
 
     On segment i, g = v_i + b_i h with h = x - lo_i, and the shell mass is a
     polynomial in h whose coefficients expand (lo_i + h)^(d-1) binomially;
     unlike r^d - lo^d, it does not cancel on a short segment far from the
-    origin.  Each r sums its own segment's polynomial by Horner's rule."""
+    origin.  coef[i, q] multiplies h^(q+1), and cum[i] is the mass inside
+    node i."""
     radii, values, d = spec.radii, spec.values, spec.d
     k = np.arange(d)
-    # the integrand (lo_i + h)^(d-1) (v_i + b_i h) in powers h^0 .. h^d,
-    # integrated: coef[i, q] multiplies h^(q+1)
+    # the integrand (lo_i + h)^(d-1) (v_i + b_i h) in powers h^0 .. h^d, integrated
     expansion = np.array([math.comb(d - 1, j) for j in k]) * radii[:-1, None] ** (d - 1 - k)
     coef = np.zeros((radii.size - 1, d + 1))
     coef[:, :d] += expansion * values[:-1, None]
     coef[:, 1:] += expansion * (np.diff(values) / np.diff(radii))[:, None]
     coef *= sphere_surface(d) / np.arange(1, d + 2)
+    return coef, np.concatenate([[0.0], np.cumsum(_shells(coef, np.diff(radii)))])
 
-    def shells(i, h):
-        acc = coef[i, d]
-        for q in range(d - 1, -1, -1):
-            acc = acc * h + coef[i, q]
-        return acc * h
 
-    cum = np.concatenate([[0.0], np.cumsum(shells(np.arange(radii.size - 1), np.diff(radii)))])
+def _shells(coef, h):
+    """Segment masses from the lower node out to h past it, by Horner's rule;
+    each row of coef (the last axis) pairs with one h."""
+    acc = coef[..., -1]
+    for q in range(coef.shape[-1] - 2, -1, -1):
+        acc = acc * h + coef[..., q]
+    return acc * h
+
+
+def _tabulated_mass(spec: TabulatedKernel, r) -> np.ndarray:
+    """Mass of g inside radius r (scalar or array), in closed form: each r
+    sums its own segment's polynomial of _mass_law."""
+    coef, cum = _mass_law(spec)
+    radii = spec.radii
     r = np.minimum(np.asarray(r, dtype=float), radii[-1])
     i = np.minimum(np.searchsorted(radii, r, side="right"), radii.size - 1) - 1
-    return cum[i] + shells(i, r - radii[i])
+    return cum[i] + _shells(coef[i], r - radii[i])
 
 
-def _newton_root(func, rate, lo, hi):
-    """Roots of an increasing func, one in each bracket [lo, hi] (1-d arrays).
-
-    func(x, k) answers for the elements k (func < 0 at lo, >= 0 at hi), and
-    rate(x) is its derivative.  Newton steps begin at hi; a step that leaves
-    the open bracket, or is over half the step before last, bisects, so a
-    plateau of rounded values cannot stall it.  Below the root a step under
-    two ulps becomes a probe up, doubling while it stays below; above it,
-    such a step stops the element, as does a bracket two ulps wide.  Returns
-    each bracket's top, where func >= 0.
-    """
-    x, out = hi, hi.copy()
-    k = np.arange(hi.size)  # the elements still moving
-    last = before = hi - lo  # each one's last step, and the step before it
-    reach = np.zeros(hi.size)  # after a probe, the next probe's length
-    for _ in range(100):
-        if k.size == 0:
-            break
-        value = func(x, k)
-        below = value < 0
-        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-        few = 2.0 * np.spacing(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = value / rate(x)  # NaN or infinite without slope: bisects
-        short = np.abs(step) <= few
-        step = np.where(short, -np.maximum(few, reach), step)
-        nxt = x - step
-        newton = (lo < nxt) & (nxt < hi) & (short | (np.abs(step) <= 0.5 * before))
-        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-        reach = np.where(short & newton, -2.0 * step, 0.0)
-        before, last = last, np.abs(nxt - x)
-        out[k] = hi
-        going = (hi - lo > few) & (below | ~short)
-        k, x, lo, hi, last, before, reach = (a[going] for a in (k, nxt, lo, hi, last, before, reach))
-    return out
+def _bisect(below, lo, hi):
+    """The least float in (lo, hi] where the monotone predicate below turns
+    false, element-wise, for non-negative brackets with below(lo) true and
+    below(hi) false.  Non-negative floats order as their int64 bit patterns,
+    and 64 halvings close any gap between two patterns to one."""
+    lo, hi = (np.asarray(x, dtype=float).view(np.int64) for x in (lo, hi))
+    for _ in range(64):
+        mid = lo + (hi - lo) // 2
+        true = below(mid.view(float))
+        lo, hi = np.where(true, mid, lo), np.where(true, hi, mid)
+    return hi.view(float)
 
 
 def tail_mass(spec: KernelSpec, radius: float) -> float:
@@ -315,23 +307,20 @@ def support_radius(spec: KernelSpec, eps_tail=0.0):
 
 def _tabulated_radius(spec: TabulatedKernel, eps):
     """support_radius of a table: the node that closes the last positive
-    value at eps = 0, else a Newton solve of the mass law in one segment."""
+    value at eps = 0, else the least R in the one segment found whose tail
+    norm - mass(R), in _tabulated_mass's own arithmetic, is within eps ||g||."""
     positive = np.flatnonzero(spec.values > 0)
     s_max = spec.radii[min(positive[-1] + 1, spec.radii.size - 1)] if positive.size else 0.0
     if s_max == 0.0 or not np.any(eps):  # an all-zero table, or eps_tail = 0 throughout
         return np.full(np.shape(eps), s_max)
-    norm, d = kernel_norm(spec), spec.d
+    coef, cum = _mass_law(spec)
+    norm = kernel_norm(spec)
     target = np.ravel(eps * norm)
-    # the first node whose mass reaches norm - target closes the segment
-    # that holds R, so a zero tail, which adds no mass, is never entered
-    cum = _tabulated_mass(spec, spec.radii)
-    i = np.minimum(np.searchsorted(cum, norm - target), cum.size - 1) - 1
-    radius = _newton_root(
-        lambda r, k: target[k] - (norm - _tabulated_mass(spec, r)),
-        lambda r: sphere_surface(d) * r ** (d - 1) * _eval_kernel_array(spec, r),
-        spec.radii[i],
-        spec.radii[i + 1],
-    )
+    # the first node whose tail is within the target closes the segment that
+    # holds R, so a zero tail, which adds no mass, is never entered
+    j = np.maximum(np.searchsorted(cum - norm, -target), 1)
+    lo, c, inside = spec.radii[j - 1], coef[j - 1], cum[j - 1]
+    radius = _bisect(lambda r: norm - (inside + _shells(c, r - lo)) > target, lo, spec.radii[j])
     return np.where(eps > 0, radius.reshape(np.shape(eps)), s_max)
 
 
@@ -677,15 +666,9 @@ def radius_level(profile: ConvolutionProfile, s: float) -> float:
     if profile.kind == "gaussian":
         return 2.0 * profile.sigma * math.sqrt(math.log(f0 / s))
     if profile.kind == "boolean_lens":
-        # the lens area A falls from f0 to 0 on [0, 2r], A'(t) = -sqrt(4r^2 - t^2)
+        # the lens area falls from f0 to 0 on [0, 2r]
         r = profile.r
-        (t,) = _newton_root(
-            lambda t, _: s - _lens_area(t, r),
-            lambda t: np.sqrt(np.maximum(4.0 * r * r - t * t, 0.0)),
-            np.zeros(1),
-            np.full(1, 2.0 * r),
-        )
-        return float(t)
+        return float(_bisect(lambda t: _lens_area(t, r) > s, 0.0, 2.0 * r))
     values, radii = profile.values, profile.radii
     above = np.nonzero(values > s)[0]
     i = int(above[-1])
@@ -702,34 +685,19 @@ def radius_level(profile: ConvolutionProfile, s: float) -> float:
 
 def kernel_to_json(spec: KernelSpec) -> dict:
     """JSON object {"family": ..., "params": {...}, "d": ...}."""
-    if isinstance(spec, BooleanKernel):
-        return {"family": "boolean", "params": {"r": spec.r}, "d": spec.d}
-    if isinstance(spec, GaussianKernel):
-        return {
-            "family": "gaussian",
-            "params": {"sigma": spec.sigma, "amplitude": spec.amplitude},
-            "d": spec.d,
-        }
-    if isinstance(spec, PowerLawKernel):
-        return {
-            "family": "powerlaw",
-            "params": {"alpha": spec.alpha, "amplitude": spec.amplitude},
-            "d": spec.d,
-        }
-    if isinstance(spec, TabulatedKernel):
-        return {
-            "family": "tabulated",
-            "params": {
-                "radii": [float(v) for v in spec.radii],
-                "values": [float(v) for v in spec.values],
-            },
-            "d": spec.d,
-        }
-    raise TypeError(f"unknown kernel spec {spec!r}")
+    family = next((name for name, cls in _FAMILIES.items() if isinstance(spec, cls)), None)
+    if family is None:
+        raise TypeError(f"unknown kernel spec {spec!r}")
+    params = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "d"}
+    if family == "tabulated":
+        params = {key: [float(v) for v in array] for key, array in params.items()}
+    return {"family": family, "params": params, "d": spec.d}
 
 
 def _finite(value) -> float:
-    """float(value), refusing NaN and the infinities with a ValueError."""
+    """float(value), refusing booleans, NaN and the infinities with a ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"parameters must be numbers, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"parameters must be finite, got {value!r}")
@@ -739,39 +707,41 @@ def _finite(value) -> float:
 def kernel_from_json(obj: dict) -> KernelSpec:
     """Parse a kernel spec; gaussian/powerlaw accept "norm" instead of "amplitude".
 
-    Parameters may sit in a nested "params" object (the canonical form
-    kernel_to_json emits) or directly next to "family" and "d".
+    Parameters sit either in a nested "params" object (the canonical form
+    kernel_to_json emits) or directly next to "family" and "d", not both.
+    The parameters a family accepts are its dataclass fields besides d,
+    and "norm" where the class has with_norm; any other key is refused.
     """
     try:
-        family = obj["family"]
-        if "params" in obj:
-            params = dict(obj["params"])
-        else:
-            params = {k: v for k, v in obj.items() if k not in ("family", "d")}
-        d = obj["d"]
+        family, d = obj["family"], obj["d"]
+        params = {k: v for k, v in obj.items() if k not in ("family", "d")}
+        if "params" in params:
+            if len(params) > 1:
+                raise ValueError(f"parameters {sorted(params)} both in and next to 'params'")
+            params = dict(params["params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed kernel spec: {exc}") from exc
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown kernel family {family!r}")
+    accepted = {f.name for f in fields(cls) if f.name != "d"}
+    if hasattr(cls, "with_norm"):
+        accepted.add("norm")
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        raise ConfigError(f"unknown {family} kernel parameter(s) {unknown}; accepted: {sorted(accepted)}")
+    if {"norm", "amplitude"} <= set(params):
+        raise ConfigError(f"a {family} kernel takes amplitude or norm, not both")
     try:
-        if family == "boolean":
-            return BooleanKernel(r=_finite(params["r"]), d=d)
-        if family == "gaussian":
-            sigma = _finite(params["sigma"])
-            if "norm" in params:
-                return GaussianKernel.with_norm(sigma, _finite(params["norm"]), d)
-            return GaussianKernel(sigma=sigma, amplitude=_finite(params.get("amplitude", 1.0)), d=d)
-        if family == "powerlaw":
-            alpha = _finite(params["alpha"])
-            if "norm" in params:
-                return PowerLawKernel.with_norm(alpha, _finite(params["norm"]), d)
-            return PowerLawKernel(alpha=alpha, amplitude=_finite(params.get("amplitude", 1.0)), d=d)
-        if family == "tabulated":
+        if cls is TabulatedKernel:
             radii, values = (np.asarray(params[key], dtype=float) for key in ("radii", "values"))
             if not (np.isfinite(radii).all() and np.isfinite(values).all()):
                 raise ValueError("radii and values must be finite")
             return TabulatedKernel(radii=radii, values=values, d=d)
+        numbers = {key: _finite(value) for key, value in params.items()}
+        return cls.with_norm(**numbers, d=d) if "norm" in numbers else cls(**numbers, d=d)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid kernel parameters for family {family!r}: {exc}") from exc
-    raise ConfigError(f"unknown kernel family {family!r}")
 
 
 def profile_to_csv(profile: ConvolutionProfile, path, n_samples: int = 513) -> None:

@@ -227,6 +227,12 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
             "kernel": {"family": "tabulated", "radii": [0.5, 1.0], "values": [math.nan, 0.1], "d": 2},
             "torus": torus,
         },
+        # kernel parameters the family does not have, or given twice
+        {"kind": "degrees", "kernel": {"family": "gaussian", "sigma": 1.0, "amplitud": 0.5, "d": 2}, "torus": torus},
+        {"kind": "degrees", "kernel": dict(BOOL, radius=3.0), "torus": torus},
+        {"kind": "degrees", "kernel": dict(GAUSS, amplitude=0.5), "torus": torus},
+        {"kind": "degrees", "kernel": dict(GAUSS, params={"sigma": 2.0}), "torus": torus},
+        {"kind": "degrees", "kernel": dict(BOOL, r=True), "torus": torus},
         # finite inputs whose torus side or volume leaves the float range
         {"kind": "degrees", "kernel": GAUSS, "torus": {"d": 10**400, "measure": "area", "value": 2.0}},
         {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value=1e200)},
@@ -362,8 +368,9 @@ def test_cli_module_exit_status_of_a_config_error(tmp_path):
     assert not out.exists()
 
 
-# runs whose expected vertex, group or membership count passes the limit
-# on the default torus of area 1000, each refused before anything is drawn
+# runs whose expected count of results, or of vertices, groups or
+# memberships over all replicates, passes the limit on the default torus of
+# area 1000, each refused before anything is drawn
 OVERSIZED = [
     pytest.param("degrees", {"kind": "degrees", "lambda": 1e12, "mu": 1.0}, id="vertices"),
     pytest.param("sample", {"kind": "sample", "lambda": 1.0, "mu": 1e12}, id="groups"),
@@ -375,6 +382,19 @@ OVERSIZED = [
         "validate",
         {"kind": "connection", "mu": 1e9, "replicates": 50, "probe_distances": [0.5]},
         id="planted-groups",
+    ),
+    pytest.param(
+        "validate",
+        {"kind": "joint_groups", "mu": 1.0, "replicates": 10**12, "probe_distances": [0.5]},
+        id="planted-replicates",
+    ),
+    pytest.param(
+        "degrees", {"kind": "degrees", "lambda": 1.0, "mu": 1.0, "replicates": 10**6}, id="replicate-memberships"
+    ),
+    pytest.param(
+        "phase",
+        {"kind": "phase", "lambda_values": [1e-6] * 100, "mu_values": [1e-6] * 100, "replicates": 10**4},
+        id="grid-results",
     ),
 ]
 

@@ -10,6 +10,7 @@ from scipy import integrate, optimize, special, stats
 
 from grig import kernels
 from grig.errors import ConfigError, ConvergenceError
+from grig.experiments import _offsets
 from grig.geometry import sphere_surface
 from grig.kernels import (
     BooleanKernel,
@@ -365,6 +366,24 @@ def test_support_radius_tabulated_array_keeps_the_tail_bound(d):
         assert all(tail_mass(spec, r) <= e * norm for r, e in zip(radii[::10], eps[::10]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_support_radius_tabulated_is_the_least_radius_within_the_bound(d):
+    # the smallest R whose tail fits: the float below R breaks the bound.
+    # Tails in tail_mass's own arithmetic, for every radius at once
+    rng = np.random.default_rng(60 + d)
+    eps = np.concatenate([rng.random(20_000), 10.0 ** rng.uniform(-12, -1, 2000)])
+    for radii, values in (BENCH_TABLE, ZERO_TAIL_TABLE, ([0.0, 1.0], [1.0, 0.0]), ([10.0, 10.001], [0.9, 0.0])):
+        spec = TabulatedKernel(radii=np.array(radii), values=np.array(values), d=d)
+        norm = kernel_norm(spec)
+        radius = support_radius(spec, eps)
+
+        def tail(r):
+            return np.maximum(0.0, norm - kernels._tabulated_mass(spec, r))
+
+        assert np.all(tail(radius) <= eps * norm), (radii, d)
+        assert np.all(tail(np.nextafter(radius, 0.0)) > eps * norm), (radii, d)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize(
     "table",
@@ -412,6 +431,20 @@ def test_support_radius_at_uniform_eps_follows_the_radial_law(d):
         tail = _tail_fraction(spec)
         result = stats.kstest(radii, lambda r: 1.0 - tail(r))
         assert result.pvalue > 1e-3, (spec, result)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_offsets_tabulated_radii_follow_the_radial_law(d):
+    # the segment-and-rejection draws of a table: P(R <= r) = mass(r) / ||g||,
+    # a KS test on 2 * 10^5 radii per table against a dense trapezoid of g
+    rng = np.random.default_rng(70 + d)
+    for radii, values in (BENCH_TABLE, ZERO_TAIL_TABLE, ([0.0, 1.0], [1.0, 0.0])):
+        spec = TabulatedKernel(radii=np.array(radii), values=np.array(values), d=d)
+        offsets, radius = _offsets(200_000, spec, rng)
+        np.testing.assert_allclose(np.sqrt(np.square(offsets).sum(axis=0)), radius, rtol=1e-12)
+        tail = _tail_fraction(spec)
+        result = stats.kstest(radius, lambda r: 1.0 - tail(r))
+        assert result.pvalue > 1e-3, (radii, d, result)
 
 
 def test_length_scale_positive_and_finite():
@@ -715,3 +748,16 @@ def test_kernel_json_malformed():
         kernel_from_json({"family": "gaussian", "d": 2})  # no sigma
     with pytest.raises(ConfigError):
         kernel_from_json({"d": 2})
+    # a parameter the family does not have, amplitude next to norm, flat
+    # parameters next to a "params" object, and a boolean for a number
+    for obj in (
+        {"family": "gaussian", "sigma": 1.0, "amplitud": 0.5, "d": 2},
+        {"family": "boolean", "radius": 3.0, "r": 1.0, "d": 2},
+        {"family": "gaussian", "sigma": 1.0, "amplitude": 0.5, "norm": 1.0, "d": 2},
+        {"family": "powerlaw", "params": {"alpha": 2.0, "amplitude": 0.5, "norm": 1.0}, "d": 2},
+        {"family": "gaussian", "params": {"sigma": 1.0}, "sigma": 2.0, "d": 2},
+        {"family": "tabulated", "radii": [0.5, 1.0], "values": [0.9, 0.1], "norm": 1.0, "d": 2},
+        {"family": "boolean", "r": True, "d": 2},
+    ):
+        with pytest.raises(ConfigError):
+            kernel_from_json(obj)

@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .experiments import ExperimentConfig
 from .geometry import Torus
 from .graph import BuildOptions
-from .kernels import kernel_from_json
+from .kernels import _finite, kernel_from_json
 
 KINDS = ("sample", "degrees", "phase", "joint_groups", "connection", "visualize", "analytics")
 
@@ -68,17 +68,6 @@ def _int_at_least(value, what: str, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
     return value
-
-
-def _finite(value, what: str) -> float:
-    """A finite number; NaN, the infinities and non-numbers are refused."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return number
 
 
 def resolve_torus(payload) -> Torus:

@@ -52,8 +52,8 @@ from .geometry import (
     sample_poisson,
 )
 from .graph import (
-    BipartiteGraph,
     BuildOptions,
+    _largest_share,
     bipartite_labels,
     build_bipartite,
     degree_histogram,
@@ -377,11 +377,6 @@ class PhaseGrid:
 KEPT_COUNTS = ("vertices", "groups", "memberships")
 
 
-def _largest_share(labels: np.ndarray) -> float:
-    """Largest label count as a fraction of all labels; NaN when empty."""
-    return float(np.bincount(labels).max() / labels.size) if labels.size else math.nan
-
-
 def _phase_replicate(args):
     """Replicate k of the coupled sweep: every cell thinned from one build.
 
@@ -410,21 +405,17 @@ def _phase_replicate(args):
     rng_aux = rng_for(seed, KIND_PHASE, k, STREAM_AUX)
     mark_v = rng_aux.random(bi.vertex_count) * lam_max
     mark_u = rng_aux.random(bi.group_count) * mu_max
-    rows = np.repeat(np.arange(bi.vertex_count), bi.membership_counts())
-    for i, lam in enumerate(lams):
-        keep_v = mark_v < lam
-        row_kept = keep_v[rows]
-        for j, mu in enumerate(mus):
-            keep_u = mark_u < mu
-            keep = row_kept & keep_u[bi.indices]
-            offsets = np.concatenate(([0], np.cumsum(keep)))
-            cell = BipartiteGraph(bi.vertex_count, bi.group_count, offsets[bi.indptr], bi.indices[keep])
-            # dropped nodes are isolated, so the kept nodes' components are
-            # those of the cell; one search on the bipartite graph serves both sides
+    # rows and columns in mark order: cell (i, j) is the leading block of
+    # a_i rows and b_j columns, a_i the number of vertex marks below lams[i]
+    order_v, order_u = np.argsort(mark_v), np.argsort(mark_u)
+    master = bi.incidence()[order_v][:, order_u]
+    for i, a in enumerate(np.searchsorted(mark_v[order_v], lams)):
+        for j, b in enumerate(np.searchsorted(mark_u[order_u], mus)):
+            # one component search serves both sides: vertices come first
+            cell = master[:a, :b]
             labels = bipartite_labels(cell)
-            fractions[0, i, j] = _largest_share(labels[: bi.vertex_count][keep_v])
-            fractions[1, i, j] = _largest_share(labels[bi.vertex_count :][keep_u])
-            kept[:, i, j] = keep_v.sum(), keep_u.sum(), offsets[-1]
+            fractions[:, i, j] = _largest_share(labels[:a]), _largest_share(labels[a:])
+            kept[:, i, j] = a, b, cell.nnz
     return fractions, kept, bi.build_options, None
 
 

@@ -280,26 +280,28 @@ def components(graph: IntersectionGraph) -> ComponentPartition:
     return _canonical_partition(labels.astype(np.int64))
 
 
-def bipartite_labels(bi: BipartiteGraph) -> np.ndarray:
-    """Component label of every node of the bipartite graph: vertices
-    first, then group u at index vertex_count + u.
+def bipartite_labels(incidence: sparse.csr_matrix) -> np.ndarray:
+    """Component label of every node of the bipartite graph with incidence
+    matrix B (vertices x groups, CSR): vertices first, then group u at
+    index B.shape[0] + u.
 
-    The graph is the block matrix [[0, B], [Bᵀ, 0]]; only the upper block
-    is stored, since an undirected component search reads each stored
-    entry in both directions.
+    The graph is the block matrix [[0, B], [Bᵀ, 0]] with float64 unit
+    entries, the type the search works in; only the upper block is
+    stored, since an undirected component search reads each stored entry
+    in both directions.
     """
-    n_v, n = bi.vertex_count, bi.vertex_count + bi.group_count
-    indptr = np.concatenate([bi.indptr, np.full(bi.group_count, bi.indptr[-1])])
+    n_v, n_u = incidence.shape
+    indptr = np.concatenate([incidence.indptr, np.full(n_u, incidence.nnz)])
     mat = sparse.csr_matrix(
-        (np.ones(bi.indices.size, dtype=np.int8), bi.indices + n_v, indptr), shape=(n, n)
+        (np.ones(incidence.nnz), incidence.indices + n_v, indptr), shape=(n_v + n_u, n_v + n_u)
     )
-    return csgraph.connected_components(mat, directed=False)[1].astype(np.int64)
+    return csgraph.connected_components(mat, directed=False)[1]
 
 
 def bipartite_components(bi: BipartiteGraph) -> ComponentPartition:
     """Components of the bipartite graph; groups follow the vertices in the
     node numbering (group u sits at index vertex_count + u)."""
-    return _canonical_partition(bipartite_labels(bi))
+    return _canonical_partition(bipartite_labels(bi.incidence()).astype(np.int64))
 
 
 def restrict_partition(partition: ComponentPartition, node_indices: np.ndarray) -> ComponentPartition:
@@ -310,11 +312,16 @@ def restrict_partition(partition: ComponentPartition, node_indices: np.ndarray) 
     return _canonical_partition(dense.astype(np.int64))
 
 
+def _largest_share(labels: np.ndarray) -> float:
+    """Largest label count as a fraction of all labels; NaN when empty."""
+    return float(np.bincount(labels).max() / labels.size) if labels.size else math.nan
+
+
 def largest_component_fraction(graph: IntersectionGraph) -> float:
     """Size of the largest component as a fraction of all nodes."""
     if graph.node_count == 0:
         raise ValueError("fraction undefined on an empty graph")
-    return components(graph).largest_size / graph.node_count
+    return _largest_share(csgraph.connected_components(graph.shared, directed=False)[1])
 
 
 @dataclass(frozen=True)

@@ -694,13 +694,17 @@ def kernel_to_json(spec: KernelSpec) -> dict:
     return {"family": family, "params": params, "d": spec.d}
 
 
-def _finite(value) -> float:
-    """float(value), refusing booleans, NaN and the infinities with a ValueError."""
-    if isinstance(value, bool):
-        raise ValueError(f"parameters must be numbers, got {value!r}")
-    number = float(value)
+def _finite(value, what: str) -> float:
+    """float(value), refusing with a ConfigError booleans, values float()
+    cannot read, NaN and the infinities."""
+    try:
+        number = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None:
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     if not math.isfinite(number):
-        raise ValueError(f"parameters must be finite, got {value!r}")
+        raise ConfigError(f"{what} must be finite, got {value!r}")
     return number
 
 
@@ -738,7 +742,7 @@ def kernel_from_json(obj: dict) -> KernelSpec:
             if not (np.isfinite(radii).all() and np.isfinite(values).all()):
                 raise ValueError("radii and values must be finite")
             return TabulatedKernel(radii=radii, values=values, d=d)
-        numbers = {key: _finite(value) for key, value in params.items()}
+        numbers = {key: _finite(value, f"{family} {key}") for key, value in params.items()}
         return cls.with_norm(**numbers, d=d) if "norm" in numbers else cls(**numbers, d=d)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid kernel parameters for family {family!r}: {exc}") from exc

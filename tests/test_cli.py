@@ -233,6 +233,15 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
         {"kind": "degrees", "kernel": dict(GAUSS, amplitude=0.5), "torus": torus},
         {"kind": "degrees", "kernel": dict(GAUSS, params={"sigma": 2.0}), "torus": torus},
         {"kind": "degrees", "kernel": dict(BOOL, r=True), "torus": torus},
+        # JSON booleans are not numbers, wherever a number is expected
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "lambda": True},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "mu": True},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "eps_tail": False},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "lambda_values": [1.0, True]},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "probe_distances": [True]},
+        {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value=True)},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"tol": True}},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"t_max": True}},
         # finite inputs whose torus side or volume leaves the float range
         {"kind": "degrees", "kernel": GAUSS, "torus": {"d": 10**400, "measure": "area", "value": 2.0}},
         {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value=1e200)},

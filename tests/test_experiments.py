@@ -315,6 +315,33 @@ def test_phase_sweep_role_swap_distribution():
     assert diff < 3.0 * pooled
 
 
+def test_phase_regimes_by_finite_size_scaling():
+    # a largest-component fraction that shrinks as the torus grows marks no
+    # percolation; one that holds steady marks a giant component
+    sweeps = {
+        # branching bound lam * mu * ||g||^2 < 1: no giant component
+        "sub": dict(kernel=GAUSS_N1, lambda_values=(0.5, 1.0), mu_values=(0.5, 0.9)),
+        "super": dict(kernel=GAUSS_N1, lambda_values=(0.5,), mu_values=(16.0,)),
+        # the vertex graph is a subgraph of the disk graph of radius 2r, which
+        # does not percolate below lam = 4.51 / (4 pi) ~ 0.359 at any mu
+        # (continuum percolation; Mertens & Moore 2012)
+        "bool": dict(kernel=BOOL_R1, lambda_values=(0.25,), mu_values=(16.0, 64.0)),
+    }
+    grids = {name: [] for name in sweeps}
+    for area in (500.0, 2000.0, 8000.0):
+        for name, cells in sweeps.items():
+            cfg = _cfg(kind="phase", torus=Torus(2, area**0.5), replicates=6, seed=5, mode="truncated", **cells)
+            grids[name].append(run_phase_sweep(cfg))
+    for small, large in zip(grids["sub"], grids["sub"][1:]):
+        assert np.all(small.mean_v - large.mean_v > np.hypot(small.stderr_v, large.stderr_v))
+    for grid in grids["super"]:
+        assert grid.mean_v[0, 0] > 0.99
+    means = np.array([grid.mean_v[0] for grid in grids["bool"]])
+    assert np.all(np.diff(means, axis=0) < 0)
+    mid, large = grids["bool"][1:]
+    assert np.all(mid.mean_v - large.mean_v > 3.0 * np.hypot(mid.stderr_v, large.stderr_v))
+
+
 def test_phase_sweep_threads_equivalent():
     cfg = _cfg(
         kind="phase",

@@ -22,8 +22,11 @@ The self-convolution ``f = g * g`` drives every analytic quantity: the
 number of groups shared by two vertices at distance t is Poisson with
 mean ``mu * f(t)``.  Closed forms exist for the gaussian family (any d)
 and the boolean family in d = 2 (disk lens area); everything else is
-tabulated by tensor-grid trapezoidal quadrature with dyadic refinement
-and Richardson extrapolation, with the achieved error bound recorded.
+tabulated, with the achieved error bound recorded.  For d >= 2 the
+tabulation is a panel Gauss-Legendre rule whose panels end on every kink
+of the integrand, compared at n and 2n nodes per panel; for d = 1 it is a
+trapezoid line integral with dyadic refinement and Richardson
+extrapolation.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from .errors import ConfigError, ConvergenceError
 from .geometry import ball_volume, sphere_surface
 
 _TAIL_SCALE = math.exp(-2.0)  # tail fraction defining the kernel's length scale
-# (s, theta) nodes per quadrature tile; bounds the memory of one trapezoid pass
+# (t, s) and (t, s, theta) nodes per quadrature tile; bounds the memory of one pass
 _TILE_NODES = 1 << 15
-# relative slack on the support radius when skipping nodes the kernel cannot reach
-_PRUNE_MARGIN = 1e-9
+# Gauss-Legendre nodes per panel at refinement level 0, compared with twice as many
+_GAUSS_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,13 @@ def _eval_kernel_array(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
     if isinstance(spec, BooleanKernel):
         return (t < spec.r).astype(float)
     if isinstance(spec, GaussianKernel):
-        return spec.amplitude * np.exp(-0.5 * (t / spec.sigma) ** 2)
+        # amplitude * exp(-0.5 * (t / sigma)^2), in place on one temporary
+        out = np.divide(t, spec.sigma, out=np.empty(np.shape(t)))
+        np.square(out, out=out)
+        out *= -0.5
+        np.exp(out, out=out)
+        out *= spec.amplitude
+        return out
     if isinstance(spec, PowerLawKernel):
         # clamping at 1 realizes min(1, t^(-d alpha)) without a branch
         return spec.amplitude * np.maximum(t, 1.0) ** (-spec.d * spec.alpha)
@@ -408,16 +417,25 @@ def self_convolve(
 
     Gaussian kernels and 2-d boolean kernels get exact closed forms; other
     specs are tabulated on ``grid.n_radii`` equispaced radii in
-    ``[0, grid.t_max]``.  Tabulation refines a tensor-grid trapezoid rule
-    dyadically, Richardson-extrapolates, and stops once successive
-    estimates agree within tol; exceeding the refinement budget raises
-    ConvergenceError carrying the best profile.
+    ``[0, grid.t_max]``.
+
+    For d >= 2, refinement level l runs the kink-aligned panel
+    Gauss-Legendre rule (_panel_convolution) at n = 8 * 2^l and at 2n nodes
+    per panel, returns the 2n estimate, and bounds its error by the largest
+    gap between the two plus the truncation bound; base_nodes is unused.
+    For d = 1, level l runs a trapezoid rule at base_nodes * 2^l nodes
+    across the integration range, Richardson-extrapolates, and bounds the
+    error by the gap between successive extrapolations.  Tabulation stops
+    at the first level l <= max_refinements whose bound meets tol;
+    otherwise it raises ConvergenceError carrying the finest profile.
 
     method: "auto" prefers closed forms, "tabulated" forces the quadrature
     path (used to cross-check closed forms against the numeric machinery).
     """
     if method not in ("auto", "tabulated"):
         raise ValueError(f"method must be 'auto' or 'tabulated', got {method!r}")
+    if max_refinements < 0:
+        raise ValueError(f"max_refinements must be >= 0, got {max_refinements}")
     if grid is None:
         grid = ConvolutionGrid()
     norm = kernel_norm(spec)
@@ -526,86 +544,142 @@ def _segment_nodes(breaks: np.ndarray, per_unit: float):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _trapezoid_convolution(spec, radii, level, base_nodes, r_int):
-    """One trapezoid pass of the reduced convolution integral.
+def _line_convolution(spec, radii, level, base_nodes, r_int):
+    """One trapezoid pass of the d = 1 convolution, a plain line integral.
+    Kernel kink radii are grid breakpoints, so refinement only has to
+    resolve the t-dependent kinks at x = t +- k."""
+    scale = base_nodes * 2**level
+    kinks = [k for k in kernel_kinks(spec) if 0.0 < k < r_int]
+    breaks = np.array(sorted({-r_int, *(-k for k in kinks), 0.0, *kinks, r_int}))
+    x, w = _segment_nodes(breaks, scale / (2.0 * r_int))
+    a_x = w * _eval_kernel_array(spec, np.abs(x))
+    out = np.empty(radii.size)
+    for i, t in enumerate(radii):
+        out[i] = float(np.sum(a_x * _eval_kernel_array(spec, np.abs(t - x))))
+    return out
 
-    For d >= 2 the integral over R^d reduces to the (s, theta) rectangle
+
+def _edges(spec: KernelSpec) -> np.ndarray:
+    """Ascending radii where g is not smooth: its kinks, and its support
+    edge when finite, where a tabulated or boolean g jumps to 0."""
+    s_max = support_radius(spec, 0.0)
+    edges = {k for k in kernel_kinks(spec) if 0.0 < k < s_max}
+    if math.isfinite(s_max):
+        edges.add(s_max)
+    return np.array(sorted(edges))
+
+
+def _panel_convolution(spec, radii, n, r_int):
+    """One panel Gauss-Legendre pass, n nodes per panel, of the reduced
+    convolution integral for d >= 2:
 
         f(t) = C_d * int_0^R int_0^pi g(s) g(D) s^(d-1) sin^(d-2)(theta)
                dtheta ds,   D^2 = t^2 + s^2 - 2 t s cos(theta),
 
-    with C_d the surface area of the unit (d-2)-sphere (C_2 = 2).  In
-    d = 1 it is a plain line integral.  Kernel kink radii are grid
-    breakpoints so refinement only has to resolve the t-dependent kinks.
-    For d >= 2 each radius is summed over tiles of s-rows, _TILE_NODES
-    nodes each, in one reused buffer, so memory does not grow with the
-    level or the number of radii.
+    with C_d the surface area of the unit (d-2)-sphere (C_2 = 2).
+
+    The panels follow the kinks, so the integrand is smooth on each.  The
+    s-axis breaks at 0 and R, at every edge k of g (_edges), at the
+    tangency radii |t - k| and t + k, where the circle D = k meets the
+    ends of the theta range, at t, where D = 0 does (a g with a slope at
+    0 has a cone there), and at 2^j half length scales (j >= 0).
+    Each s-panel is mapped by s = a + h (3u^2 - 2u^3), whose Jacobian
+    vanishes at both ends and absorbs the square-root edge of the inner
+    integral at a tangency radius.  For each s node the theta-axis breaks
+    where D = k, at cos(theta) = (t^2 + s^2 - k^2) / (2 t s); past the
+    support edge g is 0, so no panel is laid there, nor on an s-panel the
+    support cannot reach.
+
+    Radii are taken in chunks of about _TILE_NODES (t, s) nodes, at least
+    one radius each, and their theta integrals in tiles of about
+    _TILE_NODES (t, s, theta) nodes, so memory does not grow with the
+    number of radii.
     """
     d = spec.d
-    scale = base_nodes * 2**level
-    kinks = [k for k in kernel_kinks(spec) if 0.0 < k < r_int]
-
-    if d == 1:
-        breaks = np.array(sorted({-r_int, *(-k for k in kinks), 0.0, *kinks, r_int}))
-        x, w = _segment_nodes(breaks, scale / (2.0 * r_int))
-        a_x = w * _eval_kernel_array(spec, np.abs(x))
-        out = np.empty(radii.size)
-        for i, t in enumerate(radii):
-            out[i] = float(np.sum(a_x * _eval_kernel_array(spec, np.abs(t - x))))
-        return out
-
-    breaks = np.array(sorted({0.0, *kinks, r_int}))
-    s, w_s = _segment_nodes(breaks, scale / r_int)
-    theta = np.linspace(0.0, math.pi, scale + 1)
-    w_t = np.full(theta.size, math.pi / scale)
-    w_t[0] = w_t[-1] = 0.5 * math.pi / scale
-
+    x, w = np.polynomial.legendre.leggauss(n)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    s_u, s_w = u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u) * w
+    edges = _edges(spec)
+    reach = support_radius(spec, 0.0)
+    scale = 0.5 * length_scale(spec)
+    steps = scale * 2.0 ** np.arange(max(1, math.ceil(math.log2(r_int / scale))))
+    fixed = np.unique(np.clip(np.concatenate([[0.0, r_int], edges, steps]), 0.0, r_int))
+    # every s node carries one theta panel per edge, and one more up to pi
+    # when g has no support edge; the last edge is the support edge otherwise
+    panels = edges.size + (0 if math.isfinite(reach) else 1)
+    chunk = max(1, _TILE_NODES // ((fixed.size + 1 + 2 * edges.size) * n))
+    rows = max(1, _TILE_NODES // (panels * n))
     c_d = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
-    a_s = w_s * _eval_kernel_array(spec, s) * s ** (d - 1)
-    a_t = w_t * np.sin(theta) ** (d - 2)
-    cos_t = np.cos(theta)
-    neg_cos = -cos_t  # ascending, for searchsorted
-    s_sq = s**2
-
-    # D <= s_max needs 2 t s cos(theta) >= t^2 + s^2 - s_max^2, and cos falls
-    # with theta, so the nodes where a bounded g can be nonzero form a prefix
-    # of each s-row (empty when |t - s| > s_max); the margin on s_max keeps
-    # rounding in D from cutting off a nonzero node
-    reach_sq = (support_radius(spec, 0.0) * (1.0 + _PRUNE_MARGIN)) ** 2
-    rows = max(1, _TILE_NODES // theta.size)
-    starts = np.arange(0, s.size, rows)
-    tile = np.empty(rows * theta.size)
-    per_s = np.empty(s.size)
     out = np.empty(radii.size)
-    for i, t in enumerate(radii):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cut = (t**2 + s_sq - reach_sq) / (2.0 * t * s)
-        # t s = 0 gives -inf or +inf, a row all live or all dead since then
-        # D = |t - s|; 0/0 gives NaN, which sorts last: all live
-        live = np.searchsorted(neg_cos, -cut, side="right")
-        for start, cols in zip(starts.tolist(), np.maximum.reduceat(live, starts).tolist()):
-            stop = min(start + rows, s.size)
-            buf = tile[: (stop - start) * cols].reshape(stop - start, cols)
-            # D^2 = t^2 + s^2 - 2 t s cos(theta), clamped at 0 before the root
-            np.multiply(s[start:stop, None], cos_t[:cols], out=buf)
-            buf *= 2.0 * t
-            np.subtract((t**2 + s_sq[start:stop])[:, None], buf, out=buf)
-            np.maximum(buf, 0.0, out=buf)
-            np.sqrt(buf, out=buf)
-            per_s[start:stop] = _eval_kernel_array(spec, buf) @ a_t[:cols]
-        out[i] = c_d * (per_s @ a_s)
+    for first in range(0, radii.size, chunk):
+        t = radii[first : first + chunk, None]
+        cuts = [np.broadcast_to(fixed, (t.size, fixed.size)), t, np.abs(t - edges), t + edges]
+        breaks = np.sort(np.clip(np.concatenate(cuts, axis=1), 0.0, r_int), axis=1)
+        lo, hi = breaks[:, :-1], breaks[:, 1:]
+        # drop empty panels and those whose every D lies beyond the support
+        which, panel = np.nonzero((hi > lo) & (hi > t - reach) & (lo < t + reach))
+        lo, h = lo[which, panel, None], (hi - lo)[which, panel, None]
+        s = (lo + h * s_u).ravel()
+        weight = (h * s_w).ravel() * _eval_kernel_array(spec, s) * s ** (d - 1)
+        which = np.repeat(which, n)
+        t_s = t[which, 0]
+        for start in range(0, s.size, rows):
+            part = slice(start, start + rows)
+            weight[part] *= _theta_integral(spec, t_s[part, None], s[part, None], edges, panels, u, w)
+        out[first : first + chunk] = c_d * np.bincount(which, weights=weight, minlength=t.size)
     return out
 
 
+def _theta_integral(spec, t, s, edges, panels, u, w):
+    """int_0^pi g(D) sin^(d-2)(theta) dtheta at each (t, s) pair, on
+    Gauss-Legendre panels (nodes u, weights w on [0, 1]) between the angles
+    where D crosses an edge; the first `panels` of them are laid, and empty
+    ones are skipped."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_k = (t * t + s * s - edges**2) / (2.0 * t * s)
+    # clip to [-1, 1]; fmin maps the NaN of t = 0, s = k to 1, theta_k = 0
+    theta_k = np.arccos(np.fmax(np.fmin(cos_k, 1.0), -1.0))
+    bounds = np.concatenate([np.zeros_like(t), theta_k, np.full_like(t, math.pi)], axis=1)
+    width = np.diff(bounds[:, : panels + 1], axis=1)
+    row, panel = np.nonzero(width > 0)
+    width = width[row, panel, None]
+    theta = bounds[row, panel, None] + width * u
+    dist = np.cos(theta)
+    dist *= -2.0 * t[row] * s[row]
+    dist += (t * t + s * s)[row]
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    g = _eval_kernel_array(spec, dist)
+    if spec.d > 2:
+        g *= np.sin(theta) ** (spec.d - 2)
+    return np.bincount(row, weights=(g @ w) * width[:, 0], minlength=t.size)
+
+
 def _tabulate_convolution(spec, radii, tol, base_nodes, max_refinements):
-    """(values, error bound, level): the Richardson estimate at the first level
-    whose successive estimates agree within tol, else the finest one tried."""
+    """(values, error bound, level) of the first refinement level that meets
+    tol, else of the finest level tried.
+
+    For d >= 2, level l compares the panel rule at n = _GAUSS_NODES * 2^l
+    nodes per panel with the rule at 2n, returns the 2n estimate, and bounds
+    its error by their largest gap plus the truncation bound.  The d = 1
+    trapezoid returns the Richardson estimate of the first level whose
+    successive estimates agree within tol.
+    """
     r_int, trunc_err = _truncation_radius(spec, float(radii[-1]), tol)
+    if spec.d >= 2:
+        coarse = _panel_convolution(spec, radii, _GAUSS_NODES, r_int)
+        for level in range(max_refinements + 1):
+            fine = _panel_convolution(spec, radii, 2 * _GAUSS_NODES * 2**level, r_int)
+            err = float(np.max(np.abs(fine - coarse))) + trunc_err
+            if err <= tol:
+                break
+            coarse = fine
+        return fine, err, level
     trap_prev = None
     rich_prev = None
     best = None
     for level in range(max_refinements + 1):
-        trap = _trapezoid_convolution(spec, radii, level, base_nodes, r_int)
+        trap = _line_convolution(spec, radii, level, base_nodes, r_int)
         if trap_prev is not None:
             rich = trap + (trap - trap_prev) / 3.0
             if rich_prev is not None:
@@ -695,10 +769,11 @@ def kernel_to_json(spec: KernelSpec) -> dict:
 
 
 def _finite(value, what: str) -> float:
-    """float(value), refusing with a ConfigError booleans, values float()
-    cannot read, NaN and the infinities."""
+    """float(value), refusing with a ConfigError booleans, strings (JSON
+    "1.5" is not a number), values float() cannot read, NaN and the
+    infinities."""
     try:
-        number = None if isinstance(value, bool) else float(value)
+        number = None if isinstance(value, (bool, str)) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None:
@@ -738,9 +813,10 @@ def kernel_from_json(obj: dict) -> KernelSpec:
         raise ConfigError(f"a {family} kernel takes amplitude or norm, not both")
     try:
         if cls is TabulatedKernel:
-            radii, values = (np.asarray(params[key], dtype=float) for key in ("radii", "values"))
-            if not (np.isfinite(radii).all() and np.isfinite(values).all()):
-                raise ValueError("radii and values must be finite")
+            radii, values = (
+                np.array([_finite(v, f"tabulated {key} entry") for v in params[key]], dtype=float)
+                for key in ("radii", "values")
+            )
             return TabulatedKernel(radii=radii, values=values, d=d)
         numbers = {key: _finite(value, f"{family} {key}") for key, value in params.items()}
         return cls.with_norm(**numbers, d=d) if "norm" in numbers else cls(**numbers, d=d)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,21 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
         {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value=True)},
         {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"tol": True}},
         {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"t_max": True}},
+        # JSON strings are not numbers either
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "lambda": "1.5"},
+        {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value="12")},
+        {"kind": "degrees", "kernel": dict(GAUSS, sigma="2"), "torus": torus},
+        {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"tol": "1e-6"}},
+        {
+            "kind": "degrees",
+            "kernel": {"family": "tabulated", "radii": ["0.5", "1"], "values": [0.9, 0.1], "d": 2},
+            "torus": torus,
+        },
+        {
+            "kind": "degrees",
+            "kernel": {"family": "tabulated", "radii": [0.5, 1.0], "values": [True, 0.5], "d": 2},
+            "torus": torus,
+        },
         # finite inputs whose torus side or volume leaves the float range
         {"kind": "degrees", "kernel": GAUSS, "torus": {"d": 10**400, "measure": "area", "value": 2.0}},
         {"kind": "degrees", "kernel": GAUSS, "torus": dict(torus, value=1e200)},
@@ -467,7 +483,8 @@ def test_cli_runtime_failure_partial_manifest(tmp_path, capsys):
             "replicates": 2,
             "seed": 2,
             "threads": 1,
-            "profile": {"tol": 1e-6, "max_refinements": 2, "n_radii": 256},
+            # the panel rule's first level misses tol, and no level follows
+            "profile": {"tol": 1e-6, "max_refinements": 0, "n_radii": 256},
         },
     )
     out = tmp_path / "out"
@@ -612,7 +629,20 @@ def test_cli_analytics_kernel_norm_and_profile(tmp_path, capsys):
     assert main(["analytics", "--config", cfg, "--out", str(out3), "--quantity", "profile"]) == 0
     record = json.loads((out3 / "analytics.json").read_text())
     assert record["max_abs_error"] <= 1e-3
-    assert record["refinement_level"] in range(2, 7)
+    assert record["refinement_level"] == 0
+    capsys.readouterr()
+
+
+def test_cli_analytics_readme_powerlaw_at_default_profile(tmp_path, capsys):
+    # the README powerlaw kernel with no profile block: 1024 radii to tol 1e-6
+    kernel = {"family": "powerlaw", "alpha": 2.0, "norm": 1.0, "d": 2}
+    cfg = _degrees_cfg(tmp_path, kind="analytics", kernel=kernel)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["analytics", "--config", cfg, "--out", str(out), "--quantity", "expected-degree"]) == 0
+    assert time.perf_counter() - start < 30.0
+    record = json.loads((out / "analytics.json").read_text())
+    assert 0.0 < record["value"] <= 1.0  # lambda mu ||g||^2
     capsys.readouterr()
 
 

@@ -176,7 +176,8 @@ def test_degree_experiment_convergence_failure_flagged(tmp_path):
         mu=0.5,
         replicates=2,
         seed=2,
-        profile_options={"tol": 1e-6, "max_refinements": 2, "n_radii": 256},
+        # the panel rule's first level misses tol, and no level follows
+        profile_options={"tol": 1e-6, "max_refinements": 0, "n_radii": 256},
     )
     with pytest.raises(ConvergenceError) as exc_info:
         run_degree_experiment(cfg, out_dir=tmp_path)

@@ -52,6 +52,21 @@ def test_eval_kernel_vectorized_and_negative():
         eval_kernel(spec, -0.1)
 
 
+def test_gaussian_evaluation_in_place_is_bit_identical():
+    # the in-place evaluation against the expression it replaced, at t = 0,
+    # at subnormal t, and far enough out that exp underflows to 0
+    spec = GaussianKernel(sigma=0.7, amplitude=0.3, d=2)
+    rng = np.random.default_rng(5)
+    t = np.concatenate([[0.0, 5e-324, 1e-300, 1e3, np.inf], rng.uniform(0.0, 40.0, 10**5)])
+    old = spec.amplitude * np.exp(-0.5 * (t / spec.sigma) ** 2)
+    new = eval_kernel(spec, t)
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    assert np.count_nonzero(new == 0.0) > 10**4
+    assert eval_kernel(spec, 0.0) == 0.3
+    block = rng.uniform(0.0, 5.0, size=(30, 14))
+    assert np.array_equal(eval_kernel(spec, block), spec.amplitude * np.exp(-0.5 * (block / spec.sigma) ** 2))
+
+
 def test_powerlaw_plateau_and_tail():
     spec = PowerLawKernel(alpha=2.0, amplitude=0.8, d=2)
     # constant at amplitude up to t=1, then t^(-d*alpha)
@@ -507,17 +522,43 @@ def test_gaussian_quadrature_path_matches_closed_form():
         assert diff < 1e-6
 
 
+def _lens_d3(r, t):
+    """Overlap volume of two radius-r balls at distance t: pi/12 (4r+t)(2r-t)^2."""
+    return math.pi / 12.0 * (4.0 * r + t) * np.maximum(2.0 * r - t, 0.0) ** 2
+
+
 def test_boolean_d3_sphere_overlap():
-    # two balls radius r at distance t overlap in pi/12 (4r+t)(2r-t)^2
     r = 0.9
     prof = self_convolve(
         BooleanKernel(r=r, d=3), grid=ConvolutionGrid(n_radii=257), tol=5e-3, max_refinements=4
     )
     ts = np.linspace(0.0, 2.0 * r, 101)
-    closed = math.pi / 12.0 * (4.0 * r + ts) * np.maximum(2.0 * r - ts, 0.0) ** 2
-    diff = np.abs(eval_profile(prof, ts) - closed).max()
-    assert diff <= prof.max_abs_error * 1.05 + 1e-12
-    assert diff < 5e-3
+    assert np.abs(eval_profile(prof, ts) - _lens_d3(r, ts)).max() < 5e-3
+    # the recorded bound covers the quadrature error at the tabulated radii;
+    # between them the linear interpolant adds its own error
+    assert np.abs(prof.values - _lens_d3(r, prof.radii)).max() <= prof.max_abs_error * 1.05 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, closed",
+    [
+        (BooleanKernel(r=0.9, d=2), lambda t: kernels._lens_area(t, 0.9)),
+        (BooleanKernel(r=1.3, d=3), lambda t: _lens_d3(1.3, t)),
+        (GaussianKernel(sigma=0.8, amplitude=0.6, d=2), None),
+        (GaussianKernel(sigma=1.2, amplitude=0.4, d=3), None),
+    ],
+    ids=["boolean-d2", "boolean-d3", "gaussian-d2", "gaussian-d3"],
+)
+def test_tabulated_method_matches_closed_forms(spec, closed):
+    # the panel rule puts a panel edge on every kink of the integrand, so it
+    # reaches the closed forms to 1e-9
+    prof = self_convolve(spec, grid=ConvolutionGrid(n_radii=257), tol=1e-10, method="tabulated")
+    if closed is None:
+        exact = eval_profile(self_convolve(spec), prof.radii)
+    else:
+        exact = closed(prof.radii)
+    assert prof.max_abs_error <= 1e-10
+    assert np.abs(prof.values - exact).max() <= 1e-9
 
 
 def test_powerlaw_d1_profile_value_at_zero():
@@ -561,16 +602,17 @@ def test_profile_monotone_and_bounded_by_norm():
 
 
 def test_convergence_error_carries_estimate():
+    # tol 1e-18 lies below the rounding of f(0) = 4 pi / 3, so no level meets it
     with pytest.raises(ConvergenceError, match="at refinement level 2") as exc_info:
         self_convolve(
             BooleanKernel(r=1.0, d=3),
             grid=ConvolutionGrid(n_radii=129),
-            tol=1e-9,
+            tol=1e-18,
             max_refinements=2,
         )
     err = exc_info.value
     assert err.estimate is not None
-    assert err.error_bound > 1e-9
+    assert err.error_bound > 1e-18
     assert err.estimate.refinement_level == 2
     # the carried estimate is still a usable profile
     assert eval_profile(err.estimate, 0.0) > 0
@@ -587,36 +629,16 @@ def test_refinement_level_on_benchmark_profiles():
     tab = self_convolve(
         BENCH_TABULATED, grid=ConvolutionGrid(n_radii=64), tol=1e-4, max_refinements=4
     )
-    assert tab.refinement_level == 4
+    assert tab.refinement_level == 0
     plaw = self_convolve(
         PowerLawKernel.with_norm(2.0, 1.0, 2),
         grid=ConvolutionGrid(n_radii=128),
         tol=1e-4,
         max_refinements=4,
     )
-    assert plaw.refinement_level == 3
+    assert plaw.refinement_level == 0
     assert self_convolve(GaussianKernel.with_norm(1.0, 1.0, 2)).refinement_level is None
     assert self_convolve(BooleanKernel(r=1.0, d=2)).refinement_level is None
-
-
-def _dense_trapezoid(spec, radii, level, base_nodes, r_int):
-    """The (t, s, theta) tensor-grid trapezoid sum, one dense plane per radius."""
-    d = spec.d
-    scale = base_nodes * 2**level
-    kinks = [k for k in kernels.kernel_kinks(spec) if 0.0 < k < r_int]
-    s, w_s = kernels._segment_nodes(np.array(sorted({0.0, *kinks, r_int})), scale / r_int)
-    theta = np.linspace(0.0, math.pi, scale + 1)
-    w_t = np.full(theta.size, math.pi / scale)
-    w_t[0] = w_t[-1] = 0.5 * math.pi / scale
-    c_d = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
-    a_s = w_s * eval_kernel(spec, s) * s ** (d - 1)
-    a_t = w_t * np.sin(theta) ** (d - 2)
-    out = []
-    for t in radii:
-        d_sq = t**2 + s[:, None] ** 2 - 2.0 * t * s[:, None] * np.cos(theta)[None, :]
-        gvals = eval_kernel(spec, np.sqrt(np.maximum(d_sq, 0.0)))
-        out.append(c_d * np.einsum("st,s,t->", gvals, a_s, a_t))
-    return np.array(out), s
 
 
 @pytest.mark.parametrize(
@@ -641,32 +663,33 @@ def _dense_trapezoid(spec, radii, level, base_nodes, r_int):
     ],
 )
 def test_tiled_convolution_matches_dense_reference(spec, monkeypatch):
+    # the panel rule in one tile holding every node, against tiles of one
+    # node, of 37 nodes, and the default
     s_max = support_radius(spec, 0.0)
     t_top = 2.0 * s_max if math.isfinite(s_max) else 3.0 * length_scale(spec)
     r_int, _ = kernels._truncation_radius(spec, t_top, 1e-4)
+    # t = 0, t on an edge of g, and radii whose panels the support just reaches
+    edges = kernels._edges(spec)
+    radii = np.unique(np.concatenate([np.linspace(0.0, t_top, 9), edges, 2.0 * edges]))
     default_tile = kernels._TILE_NODES
-    for level in range(3):
-        radii = np.linspace(0.0, t_top, 9)
-        _, s = _dense_trapezoid(spec, radii[:1], level, 16, r_int)
-        if math.isfinite(s_max):
-            # radii one support away from the s-nodes sit on the pruning edge,
-            # where rounding decides whether a row holds a nonzero node
-            radii = np.concatenate([radii, s + s_max])
-        ref, _ = _dense_trapezoid(spec, radii, level, 16, r_int)
+    for n in (8, 16):
+        monkeypatch.setattr(kernels, "_TILE_NODES", 1 << 62)
+        ref = kernels._panel_convolution(spec, radii, n, r_int)
         bound = 1e-12 * max(1.0, float(np.abs(ref).max()))
-        # one row per tile, 37 rows at level 2 with a short last tile, and the default
-        for tile in (1, 37, 37 * (16 * 4 + 1), default_tile):
+        for tile in (1, 37, default_tile):
             monkeypatch.setattr(kernels, "_TILE_NODES", tile)
-            got = kernels._trapezoid_convolution(spec, radii, level, 16, r_int)
-            assert np.abs(got - ref).max() <= bound, (level, tile)
+            got = kernels._panel_convolution(spec, radii, n, r_int)
+            assert np.abs(got - ref).max() <= bound, (n, tile)
 
 
 def test_self_convolve_memory_does_not_grow_with_the_grid():
+    # tol 1e-18 lies below the rounding of f(0), so every level runs, up to
+    # 128 nodes per panel
     tracemalloc.start()
     try:
         with pytest.raises(ConvergenceError):
             self_convolve(
-                BENCH_TABULATED, grid=ConvolutionGrid(n_radii=64), tol=1e-4, max_refinements=3
+                BENCH_TABULATED, grid=ConvolutionGrid(n_radii=64), tol=1e-18, max_refinements=3
             )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -758,6 +781,11 @@ def test_kernel_json_malformed():
         {"family": "gaussian", "params": {"sigma": 1.0}, "sigma": 2.0, "d": 2},
         {"family": "tabulated", "radii": [0.5, 1.0], "values": [0.9, 0.1], "norm": 1.0, "d": 2},
         {"family": "boolean", "r": True, "d": 2},
+        # JSON strings are not numbers, in a parameter or a table entry
+        {"family": "gaussian", "sigma": "2", "d": 2},
+        {"family": "powerlaw", "alpha": "2.0", "norm": 1.0, "d": 2},
+        {"family": "tabulated", "radii": ["0.5", "1"], "values": [0.9, 0.1], "d": 2},
+        {"family": "tabulated", "radii": [0.5, 1.0], "values": [True, 0.1], "d": 2},
     ):
         with pytest.raises(ConfigError):
             kernel_from_json(obj)

@@ -374,7 +374,8 @@ class ConvolutionProfile:
 
     Either closed form ("gaussian" for any d, "boolean_lens" for d = 2) or
     tabulated on an equispaced radius grid with a recorded error bound and
-    the refinement level of the quadrature pass it came from.
+    the refinement level of the quadrature pass it came from.  For d >= 2
+    the bound covers the linear interpolation between the radii too.
     Values are non-increasing in t and bounded by ||g||; for a kernel with
     bounded support s_max, f vanishes beyond 2 * s_max.
     """
@@ -428,6 +429,12 @@ def self_convolve(
     error by the gap between successive extrapolations.  Tabulation stops
     at the first level l <= max_refinements whose bound meets tol;
     otherwise it raises ConvergenceError carrying the finest profile.
+
+    tol bounds the quadrature error at the tabulated radii.  For d >= 2
+    the recorded max_abs_error adds the error of the linear interpolant
+    between them (_interpolation_error), so it bounds what eval_profile
+    returns on [0, t_max]; that part shrinks with n_radii, not with the
+    level, and may exceed tol.
 
     method: "auto" prefers closed forms, "tabulated" forces the quadrature
     path (used to cross-check closed forms against the numeric machinery).
@@ -497,7 +504,7 @@ def self_convolve(
         kernel_support=s_max,
         radii=radii,
         values=values,
-        max_abs_error=err,
+        max_abs_error=err + _interpolation_error(values) if spec.d >= 2 else err,
         refinement_level=level,
     )
     if err > tol:
@@ -508,6 +515,18 @@ def self_convolve(
             error_bound=err,
         )
     return profile
+
+
+def _interpolation_error(values: np.ndarray) -> float:
+    """How far the linear interpolant of a non-increasing f may stray from
+    f between equispaced radii, read off the values: half their largest
+    second difference, four times the h^2/8 |f''| of a smooth f, which
+    also covers the (2r - t)^(3/2) edge a jump in g leaves; and never more
+    than the largest drop across one cell, which bounds it outright."""
+    drop = float(np.max(-np.diff(values)))
+    if values.size < 3:
+        return drop
+    return min(drop, 0.5 * float(np.max(np.abs(np.diff(values, 2)))))
 
 
 def _truncation_radius(spec: KernelSpec, t_top: float, tol: float) -> tuple[float, float]:

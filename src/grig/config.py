@@ -51,7 +51,7 @@ _TOP_KEYS = {
 }
 
 # profile key -> smallest allowed integer value
-_PROFILE_INTS = {"n_radii": 2, "base_nodes": 1, "max_refinements": 0}
+_PROFILE_INTS = {"n_radii": 2, "max_refinements": 0}
 _PROFILE_KEYS = set(_PROFILE_INTS) | {"t_max", "tol", "method"}
 
 DEFAULT_TORUS = {"d": 2, "measure": "area", "value": 1000.0}

@@ -22,11 +22,10 @@ The self-convolution ``f = g * g`` drives every analytic quantity: the
 number of groups shared by two vertices at distance t is Poisson with
 mean ``mu * f(t)``.  Closed forms exist for the gaussian family (any d)
 and the boolean family in d = 2 (disk lens area); everything else is
-tabulated, with the achieved error bound recorded.  For d >= 2 the
-tabulation is a panel Gauss-Legendre rule whose panels end on every kink
-of the integrand, compared at n and 2n nodes per panel; for d = 1 it is a
-trapezoid line integral with dyadic refinement and Richardson
-extrapolation.
+tabulated, with the achieved error bound recorded.  The tabulation, in
+every dimension, is one panel Gauss-Legendre rule whose panels end on
+every kink of the integrand, compared at n and 2n nodes per panel; for
+d = 1 its theta-axis is the two points {0, pi}.
 """
 
 from __future__ import annotations
@@ -410,7 +409,6 @@ def self_convolve(
     spec: KernelSpec,
     grid: ConvolutionGrid | None = None,
     tol: float = 1e-6,
-    base_nodes: int = 64,
     max_refinements: int = 6,
     method: str = "auto",
 ) -> ConvolutionProfile:
@@ -420,21 +418,20 @@ def self_convolve(
     specs are tabulated on ``grid.n_radii`` equispaced radii in
     ``[0, grid.t_max]``.
 
-    For d >= 2, refinement level l runs the kink-aligned panel
-    Gauss-Legendre rule (_panel_convolution) at n = 8 * 2^l and at 2n nodes
-    per panel, returns the 2n estimate, and bounds its error by the largest
-    gap between the two plus the truncation bound; base_nodes is unused.
-    For d = 1, level l runs a trapezoid rule at base_nodes * 2^l nodes
-    across the integration range, Richardson-extrapolates, and bounds the
-    error by the gap between successive extrapolations.  Tabulation stops
-    at the first level l <= max_refinements whose bound meets tol;
-    otherwise it raises ConvergenceError carrying the finest profile.
+    Refinement level l runs the kink-aligned panel Gauss-Legendre rule
+    (_panel_convolution) at n = 8 * 2^l and at 2n nodes per panel, returns
+    the 2n estimate, and bounds its error by the largest gap between the
+    two plus the truncation bound; for d = 1 the rule's theta-axis is the
+    two points {0, pi}.  Tabulation stops at the first level
+    l <= max_refinements whose bound meets tol; otherwise it raises
+    ConvergenceError carrying the finest profile.
 
     tol bounds the quadrature error at the tabulated radii.  For d >= 2
     the recorded max_abs_error adds the error of the linear interpolant
     between them (_interpolation_error), so it bounds what eval_profile
     returns on [0, t_max]; that part shrinks with n_radii, not with the
-    level, and may exceed tol.
+    level, and may exceed tol.  For d = 1 the bound covers the tabulated
+    radii only.
 
     method: "auto" prefers closed forms, "tabulated" forces the quadrature
     path (used to cross-check closed forms against the numeric machinery).
@@ -489,7 +486,7 @@ def self_convolve(
             # that radius explodes and would starve the grid near zero
             t_max = min(2.0 * support_radius(spec, 1e-4), 16.0 * length_scale(spec))
     radii = np.linspace(0.0, t_max, grid.n_radii)
-    values, err, level = _tabulate_convolution(spec, radii, tol, base_nodes, max_refinements)
+    values, err, level = _tabulate_convolution(spec, radii, tol, max_refinements)
 
     # enforce profile invariants: range, monotonicity, exact support cutoff
     values = np.clip(values, 0.0, norm)
@@ -549,35 +546,6 @@ def _truncation_radius(spec: KernelSpec, t_top: float, tol: float) -> tuple[floa
     )
 
 
-def _segment_nodes(breaks: np.ndarray, per_unit: float):
-    """Composite trapezoid nodes/weights on segments between breakpoints."""
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        n_int = max(1, int(math.ceil((hi - lo) * per_unit)))
-        x = np.linspace(lo, hi, n_int + 1)
-        h = (hi - lo) / n_int
-        w = np.full(n_int + 1, h)
-        w[0] = w[-1] = 0.5 * h
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _line_convolution(spec, radii, level, base_nodes, r_int):
-    """One trapezoid pass of the d = 1 convolution, a plain line integral.
-    Kernel kink radii are grid breakpoints, so refinement only has to
-    resolve the t-dependent kinks at x = t +- k."""
-    scale = base_nodes * 2**level
-    kinks = [k for k in kernel_kinks(spec) if 0.0 < k < r_int]
-    breaks = np.array(sorted({-r_int, *(-k for k in kinks), 0.0, *kinks, r_int}))
-    x, w = _segment_nodes(breaks, scale / (2.0 * r_int))
-    a_x = w * _eval_kernel_array(spec, np.abs(x))
-    out = np.empty(radii.size)
-    for i, t in enumerate(radii):
-        out[i] = float(np.sum(a_x * _eval_kernel_array(spec, np.abs(t - x))))
-    return out
-
-
 def _edges(spec: KernelSpec) -> np.ndarray:
     """Ascending radii where g is not smooth: its kinks, and its support
     edge when finite, where a tabulated or boolean g jumps to 0."""
@@ -590,12 +558,14 @@ def _edges(spec: KernelSpec) -> np.ndarray:
 
 def _panel_convolution(spec, radii, n, r_int):
     """One panel Gauss-Legendre pass, n nodes per panel, of the reduced
-    convolution integral for d >= 2:
+    convolution integral:
 
         f(t) = C_d * int_0^R int_0^pi g(s) g(D) s^(d-1) sin^(d-2)(theta)
                dtheta ds,   D^2 = t^2 + s^2 - 2 t s cos(theta),
 
-    with C_d the surface area of the unit (d-2)-sphere (C_2 = 2).
+    with C_d the surface area of the unit (d-2)-sphere (C_2 = 2).  For
+    d = 1 the theta-integral is the sum over the two angles {0, pi}, that
+    is g(|t - s|) + g(t + s), and C_1 = 1.
 
     The panels follow the kinks, so the integrand is smooth on each.  The
     s-axis breaks at 0 and R, at every edge k of g (_edges), at the
@@ -628,7 +598,7 @@ def _panel_convolution(spec, radii, n, r_int):
     panels = edges.size + (0 if math.isfinite(reach) else 1)
     chunk = max(1, _TILE_NODES // ((fixed.size + 1 + 2 * edges.size) * n))
     rows = max(1, _TILE_NODES // (panels * n))
-    c_d = 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
+    c_d = 1.0 if d == 1 else 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
     out = np.empty(radii.size)
     for first in range(0, radii.size, chunk):
         t = radii[first : first + chunk, None]
@@ -653,7 +623,9 @@ def _theta_integral(spec, t, s, edges, panels, u, w):
     """int_0^pi g(D) sin^(d-2)(theta) dtheta at each (t, s) pair, on
     Gauss-Legendre panels (nodes u, weights w on [0, 1]) between the angles
     where D crosses an edge; the first `panels` of them are laid, and empty
-    ones are skipped."""
+    ones are skipped.  For d = 1 it is the sum over the angles {0, pi}."""
+    if spec.d == 1:
+        return (_eval_kernel_array(spec, np.abs(t - s)) + _eval_kernel_array(spec, t + s))[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_k = (t * t + s * s - edges**2) / (2.0 * t * s)
     # clip to [-1, 1]; fmin maps the NaN of t = 0, s = k to 1, theta_k = 0
@@ -674,43 +646,23 @@ def _theta_integral(spec, t, s, edges, panels, u, w):
     return np.bincount(row, weights=(g @ w) * width[:, 0], minlength=t.size)
 
 
-def _tabulate_convolution(spec, radii, tol, base_nodes, max_refinements):
+def _tabulate_convolution(spec, radii, tol, max_refinements):
     """(values, error bound, level) of the first refinement level that meets
     tol, else of the finest level tried.
 
-    For d >= 2, level l compares the panel rule at n = _GAUSS_NODES * 2^l
-    nodes per panel with the rule at 2n, returns the 2n estimate, and bounds
-    its error by their largest gap plus the truncation bound.  The d = 1
-    trapezoid returns the Richardson estimate of the first level whose
-    successive estimates agree within tol.
+    Level l compares the panel rule at n = _GAUSS_NODES * 2^l nodes per
+    panel with the rule at 2n, returns the 2n estimate, and bounds its error
+    by their largest gap plus the truncation bound.
     """
     r_int, trunc_err = _truncation_radius(spec, float(radii[-1]), tol)
-    if spec.d >= 2:
-        coarse = _panel_convolution(spec, radii, _GAUSS_NODES, r_int)
-        for level in range(max_refinements + 1):
-            fine = _panel_convolution(spec, radii, 2 * _GAUSS_NODES * 2**level, r_int)
-            err = float(np.max(np.abs(fine - coarse))) + trunc_err
-            if err <= tol:
-                break
-            coarse = fine
-        return fine, err, level
-    trap_prev = None
-    rich_prev = None
-    best = None
+    coarse = _panel_convolution(spec, radii, _GAUSS_NODES, r_int)
     for level in range(max_refinements + 1):
-        trap = _line_convolution(spec, radii, level, base_nodes, r_int)
-        if trap_prev is not None:
-            rich = trap + (trap - trap_prev) / 3.0
-            if rich_prev is not None:
-                diff = float(np.max(np.abs(rich - rich_prev)))
-                best = (rich, diff + trunc_err, level)
-                if diff + trunc_err <= tol:
-                    return best
-            rich_prev = rich
-        trap_prev = trap
-    if best is None:
-        best = (trap_prev, math.inf, max_refinements)
-    return best
+        fine = _panel_convolution(spec, radii, 2 * _GAUSS_NODES * 2**level, r_int)
+        err = float(np.max(np.abs(fine - coarse))) + trunc_err
+        if err <= tol:
+            break
+        coarse = fine
+    return fine, err, level
 
 
 # ---------------------------------------------------------------------------

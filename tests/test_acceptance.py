@@ -165,7 +165,6 @@ def test_criterion_3_expected_degree(capsys):
                 "n_radii": 3000,
                 "t_max": 30.0,
                 "tol": 1e-5,
-                "base_nodes": 256,
                 "max_refinements": 8,
             },
             3.1288262242701697,
@@ -375,7 +374,7 @@ def test_criterion_7_convolution_correctness(capsys):
             failures.append(f"lens area at t={t:.2f}: MC {est:.5f} vs closed {closed_val:.5f}")
 
     spec_rng = np.random.default_rng(770)
-    light = dict(grid=ConvolutionGrid(n_radii=65), tol=1e-2, base_nodes=16, max_refinements=2)
+    light = dict(grid=ConvolutionGrid(n_radii=65), tol=1e-2, max_refinements=2)
     for case in range(1000):
         kernel = _random_kernel(spec_rng)
         try:

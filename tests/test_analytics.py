@@ -122,12 +122,12 @@ def test_isolated_probability_bound():
 
 
 def test_expected_degree_powerlaw_d1_reference():
-    # frozen reference from the tabulated profile at error 8.8e-6
+    # frozen from an earlier trapezoid tabulation (bound 8.8e-6); the panel
+    # rule meets tol at level 0 (bound 2.5e-6) and reads it to 7e-11 relative
     prof = self_convolve(
         PowerLawKernel(alpha=3.0, amplitude=0.7, d=1),
         grid=ConvolutionGrid(n_radii=3000, t_max=30.0),
         tol=1e-5,
-        base_nodes=256,
         max_refinements=8,
     )
     ed = expected_degree(prof, 1.0, 1.0)

@@ -104,7 +104,7 @@ VALID_CONFIGS = [
         "probe_distances": [0.0, 1.0],
         "confidence": 0.99,
         "dispersion_alpha": 0.01,
-        "profile": {"n_radii": 64, "base_nodes": 8, "max_refinements": 2, "t_max": 4.0, "tol": 1e-6},
+        "profile": {"n_radii": 64, "max_refinements": 2, "t_max": 4.0, "tol": 1e-6},
     },
     {"kind": "connection", "kernel": BOOL, "mu": 1.5, "profile": {"method": "tabulated"}},
 ]
@@ -281,6 +281,15 @@ def test_cli_config_error_writes_nothing(tmp_path, capsys):
         assert "config error" in captured.err
         assert captured.out == ""
         assert not out.exists()
+    # the profile has no base_nodes option, whatever its value
+    payload = {"kind": "degrees", "kernel": GAUSS, "torus": torus, "profile": {"base_nodes": 64}}
+    bad = _write(tmp_path, "base-nodes.json", dict({"lambda": 1.0, "mu": 1.0}, **payload))
+    out = tmp_path / "out-base-nodes"
+    assert main(["degrees", "--config", bad, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "base_nodes" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
     # a pair distance that is not finite or is negative is refused up front
     cfg = _degrees_cfg(tmp_path, kind="analytics")
     for k, t in enumerate(("nan", "-1", "inf")):
@@ -647,6 +656,22 @@ def test_cli_analytics_readme_powerlaw_at_default_profile(tmp_path, capsys):
     assert time.perf_counter() - start < 30.0
     record = json.loads((out / "analytics.json").read_text())
     assert 0.0 < record["value"] <= 1.0  # lambda mu ||g||^2
+    capsys.readouterr()
+
+
+def test_cli_analytics_boolean_d1(tmp_path, capsys):
+    # f(t) = max(0, 2 - t) at r = 1, so the expected degree
+    # lambda * int (1 - exp(-mu f(t))) dt reads 2 (1 + e^-2) at lambda = mu = 1
+    kernel = {"family": "boolean", "r": 1.0, "d": 1}
+    torus = {"d": 1, "measure": "side", "value": 100.0}
+    cfg = _degrees_cfg(tmp_path, kind="analytics", kernel=kernel, torus=torus)
+    out = tmp_path / "degree"
+    assert main(["analytics", "--config", cfg, "--out", str(out), "--quantity", "expected-degree"]) == 0
+    record = json.loads((out / "analytics.json").read_text())
+    assert record["value"] == pytest.approx(2.0 * (1.0 + math.exp(-2.0)), rel=1e-9)
+    out = tmp_path / "profile"
+    assert main(["analytics", "--config", cfg, "--out", str(out), "--quantity", "profile"]) == 0
+    assert json.loads((out / "analytics.json").read_text())["refinement_level"] == 0
     capsys.readouterr()
 
 

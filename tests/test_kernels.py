@@ -566,7 +566,6 @@ def test_powerlaw_d1_profile_value_at_zero():
         PowerLawKernel(alpha=alpha, amplitude=a, d=1),
         grid=ConvolutionGrid(n_radii=3000, t_max=30.0),
         tol=1e-5,
-        base_nodes=256,
         max_refinements=8,
     )
     closed = a**2 * (2.0 + 2.0 / (2.0 * alpha - 1.0))
@@ -589,7 +588,7 @@ def test_profile_monotone_and_bounded_by_norm():
     spec = PowerLawKernel(alpha=2.0, amplitude=0.9, d=2)
     try:
         prof = self_convolve(
-            spec, grid=ConvolutionGrid(n_radii=257), tol=5e-3, base_nodes=32, max_refinements=3
+            spec, grid=ConvolutionGrid(n_radii=257), tol=5e-3, max_refinements=3
         )
     except ConvergenceError as exc:
         prof = exc.estimate

@@ -1,7 +1,8 @@
-"""Property tests for torus distances (d up to 10), and for builds,
+"""Property tests for torus distances (d up to 10), for builds,
 projections and the phase replicate on random small clouds: d in
 {1, 2, 3}, boolean, gaussian and tabulated kernels, empty clouds, and
-tori smaller than twice the truncation radius."""
+tori smaller than twice the truncation radius; and for the tabulated
+self-convolution of short tables and boolean kernels in d in {1, 2, 3}."""
 
 import math
 from unittest import mock
@@ -20,7 +21,16 @@ from grig.experiments import (
     _phase_replicate,
     rng_for,
 )
-from grig.geometry import GROUP, VERTEX, PointCloud, Torus, min_image_distance, sample_poisson
+from grig.geometry import (
+    GROUP,
+    VERTEX,
+    PointCloud,
+    Torus,
+    ball_volume,
+    min_image_distance,
+    sample_poisson,
+    sphere_surface,
+)
 from grig.graph import (
     BipartiteGraph,
     BuildOptions,
@@ -29,7 +39,14 @@ from grig.graph import (
     project_onto_groups,
     project_onto_vertices,
 )
-from grig.kernels import BooleanKernel, GaussianKernel, TabulatedKernel, eval_kernel
+from grig.kernels import (
+    BooleanKernel,
+    ConvolutionGrid,
+    GaussianKernel,
+    TabulatedKernel,
+    eval_kernel,
+    self_convolve,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -259,3 +276,39 @@ def test_one_cell_sweep_equals_single_build(scene, mode):
     expected = [_fraction(bi, project_onto_vertices), _fraction(bi, project_onto_groups)]
     np.testing.assert_array_equal(fractions[:, 0, 0], expected)
     assert list(kept[:, 0, 0]) == [bi.vertex_count, bi.group_count, bi.indices.size]
+
+
+@st.composite
+def short_kernels(draw):
+    """A boolean kernel or a table of 2-8 nodes, in d in {1, 2, 3}."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return BooleanKernel(r=draw(st.floats(0.2, 3.0)), d=d)
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return TabulatedKernel(radii=np.cumsum(gaps), values=np.sort(values)[::-1], d=d)
+
+
+def _square_norm(spec):
+    """The integral of g^2 over R^d, exactly: g^2 r^(d-1) is a polynomial
+    of degree at most 4 on each segment, which 4 Gauss-Legendre nodes
+    integrate exactly."""
+    if isinstance(spec, BooleanKernel):
+        return ball_volume(spec.d, spec.r)
+    x, w = np.polynomial.legendre.leggauss(4)
+    lo, hi = spec.radii[:-1, None], spec.radii[1:, None]
+    r = lo + 0.5 * (hi - lo) * (x + 1.0)
+    shells = 0.5 * (hi - lo) * w * eval_kernel(spec, r) ** 2 * r ** (spec.d - 1)
+    return sphere_surface(spec.d) * float(np.sum(shells))
+
+
+@settings(max_examples=40, deadline=None)
+@given(short_kernels())
+def test_tabulated_profile_at_zero_is_the_square_norm(spec):
+    # f(0) = int g^2; a d = 1 boolean kernel has f(t) = max(0, 2r - t) exactly
+    profile = self_convolve(spec, grid=ConvolutionGrid(n_radii=33), tol=1e-10, method="tabulated")
+    assert abs(profile.values[0] - _square_norm(spec)) <= 1e-12 * _square_norm(spec)
+    if isinstance(spec, BooleanKernel) and spec.d == 1:
+        exact = np.maximum(0.0, 2.0 * spec.r - profile.radii)
+        assert np.max(np.abs(profile.values - exact)) <= 1e-12

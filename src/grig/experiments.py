@@ -265,14 +265,16 @@ BUILD_TOTALS = ("vertices", "groups", "candidate_pairs", "memberships")
 
 
 def _build_totals(records) -> dict:
-    """Mode and truncation radius of the replicates' builds (mode "mixed"
-    when auto resolved differently across them), and the BUILD_TOTALS
-    summed over replicates: candidate pairs are the uniforms drawn."""
+    """Mode of the replicates' builds (mode "mixed" when auto resolved
+    differently across them), their truncation radius and split radius
+    when some build has one, and the BUILD_TOTALS summed over replicates:
+    candidate pairs are the uniforms compared with g."""
     modes = {r["mode"] for r in records}
     block = {"mode": modes.pop() if len(modes) == 1 else "mixed"}
-    radii = [r["truncation_radius"] for r in records if r["mode"] == "truncated"]
-    if radii:
-        block["truncation_radius"] = radii[0]
+    for key in ("truncation_radius", "split_radius"):
+        radii = [r[key] for r in records if key in r]
+        if radii:
+            block[key] = radii[0]
     block.update((key, sum(r[key] for r in records)) for key in BUILD_TOTALS)
     return block
 

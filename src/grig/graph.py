@@ -11,19 +11,28 @@ onto U uses Bᵀ B.  Components of the projections match the respective
 restrictions of the bipartite components exactly, which the test suite
 checks sample by sample.
 
-The two build modes differ only in the radius R within which pairs are
-considered; one loop draws one uniform per considered pair, vertex-major
-with groups ascending within a vertex, block by block of vertices:
+The pairs within a radius R are candidates: one loop draws one uniform
+per candidate, vertex-major with groups ascending within a vertex, block
+by block of vertices, and links the pair when the uniform falls below
+g(d), d its torus distance.
 
-* exact: R is infinite and every (vertex, group) pair is considered, in
-  dense blocks; the default when the pair count is small enough.  A
-  block's distances are computed per coordinate, in place, in one work
-  array allocated per build and reused by every block.
 * truncated: R = support_radius(spec, eps_tail), skipping at most an
   eps_tail fraction of membership mass.  For bounded-support kernels R
   is the exact support, so no mass is lost.  Candidates come from a
   periodic KD-tree (scipy's cKDTree with boxsize = side, which gives the
   torus metric).
+* exact: every pair is sampled.  A build of at least _THIN_MIN_VERTICES
+  vertices splits at the radius R_s of least estimated cost
+  (_split_radius): the near field is the truncated loop at R = R_s, and
+  the far field is thinned.  g is radial and non-increasing, so a pair
+  beyond R_s joins with probability at most p = g(R_s): a Bernoulli(p)
+  skip process over the flat pair index picks candidates, and one beyond
+  R_s joins when p times its uniform falls below g(d).  A bounded kernel
+  whose R_s is its support has no far field.  Smaller builds, and builds
+  no split makes cheaper, run the loop with R infinite, in dense blocks
+  whose distances are computed per coordinate, in place, in one work
+  array allocated per build and reused by every block.  Exact is the
+  default when the pair count is small enough.
 """
 
 from __future__ import annotations
@@ -45,6 +54,22 @@ from .kernels import KernelSpec, _eval_kernel_array, support_radius
 _EXACT_PAIR_LIMIT = 10_000_000
 # expected candidate pairs per vertex block; bounds the memory of one block
 _BLOCK_PAIRS = 1 << 16
+# an exact build of fewer vertices scans every pair: below it, the tree
+# over the groups costs more than the scan saves
+_THIN_MIN_VERTICES = 64
+# estimated cost per pair of a split exact build, in thinned far pairs:
+# _NEAR_COST per near pair, and the scan's cost, which a split must beat
+_NEAR_COST = 4.0
+_SCAN_COST = 0.3
+# radii the split radius is chosen from, evenly spaced up to its bound
+_SPLIT_GRID = 256
+# thinning at any rate >= g(R_s) is exact; this floor keeps the skips finite
+_MIN_RATE = 1e-300
+# expected candidates per near block of a split exact build: a tree
+# candidate holds about three times the memory of a scanned pair
+_NEAR_BLOCK_PAIRS = 1 << 14
+# thinned pairs per far-field chunk
+_SKIP_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -103,8 +128,9 @@ def build_bipartite(
     """Sample the membership graph between a vertex and a group cloud.
 
     Its ``build_options`` record the resolved mode (with eps_tail and the
-    truncation radius when truncated) and ``candidate_pairs``, the number
-    of uniforms drawn.
+    truncation radius when truncated, with ``split_radius`` and
+    ``far_rate`` when an exact build splits) and ``candidate_pairs``, the
+    number of uniforms compared with g.
     """
     if V.role != VERTEX or U.role != GROUP:
         raise ValueError("build_bipartite needs a vertex cloud and a group cloud")
@@ -118,14 +144,23 @@ def build_bipartite(
     mode = opts.mode
     if mode == "auto":
         mode = "exact" if n_v * n_u <= _EXACT_PAIR_LIMIT else "truncated"
-    if mode == "exact":
-        radius = math.inf
-        record = {"mode": "exact"}
-    else:
+    if mode == "truncated":
         radius = opts.truncation_radius(spec)
         record = {"mode": "truncated", "eps_tail": opts.eps_tail, "truncation_radius": radius}
-
-    keys, record["candidate_pairs"] = _draw_memberships(V, U, spec, rng, radius)
+        keys, drawn = _draw_memberships(V, U, spec, rng, radius, _BLOCK_PAIRS)
+    else:
+        record = {"mode": "exact"}
+        split = _split_radius(spec, V.torus) if n_v >= _THIN_MIN_VERTICES else None
+        if split is None:
+            keys, drawn = _draw_memberships(V, U, spec, rng, math.inf, _BLOCK_PAIRS)
+        else:
+            radius, rate = split
+            record.update(split_radius=radius, far_rate=rate)
+            keys, drawn = _draw_memberships(V, U, spec, rng, radius, _NEAR_BLOCK_PAIRS)
+            if rate > 0.0:
+                far, far_drawn = _thin_far_field(V, U, spec, rng, radius, rate)
+                keys, drawn = np.sort(np.concatenate((keys, far))), drawn + far_drawn
+    record["candidate_pairs"] = drawn
     return BipartiteGraph(
         vertex_count=n_v,
         group_count=n_u,
@@ -135,18 +170,41 @@ def build_bipartite(
     )
 
 
-def _draw_memberships(V, U, spec, rng, radius):
+def _split_radius(spec, torus):
+    """(R_s, p) of the cheapest split of an exact build, or None when
+    scanning every pair is estimated to cost less.
+
+    A near pair costs _NEAR_COST and a thinned far pair 1; per pair that
+    is _NEAR_COST * min(1, ball(R) / |T|) + g(R), minimised over a grid
+    of radii up to the support of g or the torus half-diagonal.  At the
+    support no pair lies beyond R_s, so the rate is 0.
+    """
+    support = support_radius(spec, 0.0)
+    top = min(support, 0.5 * torus.side * math.sqrt(torus.d))
+    radii = top * np.arange(1, _SPLIT_GRID + 1) / _SPLIT_GRID
+    rates = np.where(radii < support, _eval_kernel_array(spec, radii), 0.0)
+    rates[(rates > 0.0) & (rates < _MIN_RATE)] = _MIN_RATE
+    share = np.minimum(1.0, ball_volume(torus.d, 1.0) * radii**torus.d / torus.volume)
+    cost = _NEAR_COST * share + rates
+    best = int(np.argmin(cost))
+    if cost[best] >= _SCAN_COST:
+        return None
+    return float(radii[best]), float(rates[best])
+
+
+def _draw_memberships(V, U, spec, rng, radius, block_pairs):
     """Sorted flat keys v * n_u + u of the memberships among the pairs
     within `radius` (every pair when it is infinite), drawing one uniform
-    per candidate pair, vertex-major with groups ascending; returned with
-    the number of candidate pairs."""
+    per candidate pair, vertex-major with groups ascending, in vertex
+    blocks of about `block_pairs` candidates; returned with the number of
+    candidate pairs."""
     torus, side = V.torus, V.torus.side
     n_v, n_u = V.positions.shape[0], U.positions.shape[0]
     if radius <= 0.0 or n_v == 0 or n_u == 0:
         # zero-support kernel or an empty cloud: nothing can ever connect
         return np.empty(0, dtype=np.intp), 0
     per_vertex = n_u * min(1.0, ball_volume(torus.d, radius) / torus.volume)
-    block = max(1, int(_BLOCK_PAIRS / max(per_vertex, 1.0)))
+    block = max(1, int(block_pairs / max(per_vertex, 1.0)))
     dense = not math.isfinite(radius)
     if dense:
         # one work array for every block, and U coordinate-major, so each
@@ -179,6 +237,38 @@ def _draw_memberships(V, U, spec, rng, radius):
         keys.append((np.flatnonzero(hits) if dense else cand[hits]) + start * n_u)
         drawn += dist.size
     return (keys[0] if len(keys) == 1 else np.concatenate(keys)), drawn
+
+
+def _thin_far_field(V, U, spec, rng, radius, rate):
+    """Sorted flat keys of the memberships among the pairs farther apart
+    than `radius`, where g <= rate, and the number of such pairs thinned.
+
+    A Bernoulli(rate) skip process over the flat pair index v * n_u + u
+    thins the pairs; a thinned pair beyond `radius` joins when rate times
+    its uniform falls below g(d), so it joins with probability g(d).
+    Each thinned pair takes one row of uniforms, its skip then its
+    acceptance uniform, so the result does not depend on _SKIP_CHUNK;
+    the generator's state afterwards does, as the last chunk runs past
+    the last pair.  Flat indices are exact in float64 below 2^53.
+    """
+    side, n_u = V.torus.side, U.positions.shape[0]
+    total = V.positions.shape[0] * n_u
+    log_keep = math.log1p(-rate)
+    keys, drawn, last = [], 0, -1.0
+    while True:
+        draws = rng.random((_SKIP_CHUNK, 2))
+        # geometric skips >= 1 by inversion
+        pos = last + np.cumsum(np.floor(np.log1p(-draws[:, 0]) / log_keep) + 1.0)
+        n = int(np.searchsorted(pos, total))
+        flat = pos[:n].astype(np.int64)
+        v, u = np.divmod(flat, n_u)
+        dist = min_image_distance(V.positions[v], U.positions[u], side)
+        far = dist > radius
+        drawn += int(np.count_nonzero(far))
+        keys.append(flat[far & (rate * draws[:n, 1] < _eval_kernel_array(spec, dist))])
+        if n < _SKIP_CHUNK:
+            return np.concatenate(keys), drawn
+        last = pos[-1]
 
 
 # ---------------------------------------------------------------------------

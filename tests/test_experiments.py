@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from scipy import stats as sps
+from test_properties import flat_keys, split_reference
 
 from grig import experiments
 from grig.analytics import expected_degree, sample_dominating_degree
@@ -132,21 +133,33 @@ def _replayed_build(cfg, kind, k, lam, mu):
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
 def test_degree_report_build_totals(tmp_path, mode):
     # the build block sums the replicates' builds, replayed from their
-    # streams; a candidate pair is one within the truncation radius R by
-    # the min-image formula (every pair in exact mode)
+    # streams.  A truncated build's candidate pairs are the pairs within
+    # its truncation radius by the min-image formula.  The exact builds
+    # here split: their near candidates are the pairs within the split
+    # radius, and their far candidates the thinned pairs beyond it, as the
+    # brute-force reference of the stream draws them
     cfg = _cfg(replicates=3, seed=4, mode=mode)
     res = run_degree_experiment(cfg, out_dir=tmp_path)
     expected = {"mode": mode, "vertices": 0, "groups": 0, "candidate_pairs": 0, "memberships": 0}
     for k in range(cfg.replicates):
         V, U, bi = _replayed_build(cfg, KIND_DEGREE, k, cfg.lam, cfg.mu)
-        radius = bi.build_options.get("truncation_radius", math.inf)
+        record, dist = bi.build_options, _pair_distances(V, U)
         if mode == "truncated":
-            expected["truncation_radius"] = radius
+            expected["truncation_radius"] = record["truncation_radius"]
+            within = int(np.count_nonzero(dist <= record["truncation_radius"]))
+            expected["candidate_pairs"] += within
+        else:
+            expected["split_radius"] = record["split_radius"]
+            rng_m = rng_for(cfg.seed, KIND_DEGREE, k, STREAM_MEMBERSHIPS)
+            keys, near, far = split_reference(dist, cfg.kernel, rng_m, record)
+            assert near == int(np.count_nonzero(dist <= record["split_radius"]))
+            assert 0 < far < np.count_nonzero(dist > record["split_radius"])
+            assert np.array_equal(flat_keys(bi), keys)
+            expected["candidate_pairs"] += near + far
         expected["vertices"] += V.count
         expected["groups"] += U.count
-        expected["candidate_pairs"] += int(np.count_nonzero(_pair_distances(V, U) <= radius))
         expected["memberships"] += int(bi.membership_counts().sum())
-    assert 0 < expected["candidate_pairs"] <= expected["vertices"] * expected["groups"]
+    assert 0 < expected["candidate_pairs"] < expected["vertices"] * expected["groups"]
     assert res.build == expected
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["build"] == expected
@@ -164,6 +177,17 @@ def test_build_totals_mixed_modes():
         "groups": 6,
         "candidate_pairs": 10,
         "memberships": 2,
+    }
+    # a split exact build reports its split radius the same way
+    split = dict(exact, split_radius=1.5, far_rate=0.02)
+    assert _build_totals([exact, split, truncated]) == {
+        "mode": "mixed",
+        "truncation_radius": 2.5,
+        "split_radius": 1.5,
+        "vertices": 6,
+        "groups": 9,
+        "candidate_pairs": 16,
+        "memberships": 3,
     }
 
 

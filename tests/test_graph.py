@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from grig import graph as graph_module
 from grig.errors import ConfigError
@@ -18,7 +19,14 @@ from grig.graph import (
     project_onto_vertices,
     restrict_partition,
 )
-from grig.kernels import BooleanKernel, GaussianKernel, TabulatedKernel, kernel_norm
+from grig.kernels import (
+    BooleanKernel,
+    GaussianKernel,
+    PowerLawKernel,
+    TabulatedKernel,
+    eval_kernel,
+    kernel_norm,
+)
 
 TORUS = Torus(2, 8.0)
 
@@ -112,6 +120,57 @@ def test_build_modes_agree_for_bounded_kernel():
     b = np.array(edge_counts["truncated"], dtype=float)
     se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
     assert abs(a.mean() - b.mean()) < 3.0 * se
+
+
+def test_exact_powerlaw_far_pairs_join_with_probability_g():
+    # the heavy tail on the split exact path: every pair binned by
+    # distance, the bins past the split radius included; each bin's
+    # membership count against its summed g, with variance the summed
+    # g(1 - g), over 8 builds of 1000 x 1000 pairs (z-scores, Bonferroni
+    # over bins at family level 1e-3)
+    spec = PowerLawKernel.with_norm(2.0, 1.0, 2)
+    torus = Torus(2, math.sqrt(1000.0))
+    n = 1000
+    split, counts, means, variances = None, 0.0, 0.0, 0.0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (n, 2)), 1.0, torus)
+        U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (n, 2)), 1.0, torus)
+        bi = build_bipartite(V, U, spec, rng, BuildOptions(mode="exact"))
+        record = bi.build_options
+        assert record["far_rate"] > 0.0
+        if split is None:
+            split = record["split_radius"]
+            edges = np.array([0.0, 1.0, 1.5, split, 2.5, 3.0, 4.0, 6.0, 10.0, np.inf])
+        assert record["split_radius"] == split
+        delta = np.abs(V.positions[:, None, :] - U.positions[None, :, :])
+        dist = np.sqrt(np.sum(np.minimum(delta, torus.side - delta) ** 2, axis=-1))
+        g = eval_kernel(spec, dist).ravel()
+        bins = np.digitize(dist, edges).ravel() - 1
+        joined = np.zeros((n, n), dtype=bool)
+        joined[np.repeat(np.arange(n), bi.membership_counts()), bi.indices] = True
+        counts = counts + np.bincount(bins[joined.ravel()], minlength=edges.size - 1)
+        means = means + np.bincount(bins, g, minlength=edges.size - 1)
+        variances = variances + np.bincount(bins, g * (1.0 - g), minlength=edges.size - 1)
+    assert 1.5 < split < 2.5
+    assert np.all(means > 20.0)
+    z = (counts - means) / np.sqrt(variances)
+    assert np.all(np.abs(z) < sps.norm.isf(1e-3 / (2 * z.size))), z
+
+
+def test_split_rate_floor_keeps_far_skips_finite():
+    # sigma = 0.01 puts g(R_s) near 5e-306 at the first grid radius; skips
+    # at that rate would overflow their running sum, so the rate is raised
+    # to the floor, which still bounds g beyond R_s
+    spec = GaussianKernel(sigma=0.01, amplitude=1.0, d=2)
+    torus = Torus(2, 192.0 / math.sqrt(2.0))
+    rng = np.random.default_rng(0)
+    V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
+    U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
+    bi = build_bipartite(V, U, spec, rng, BuildOptions(mode="exact"))
+    assert bi.build_options["split_radius"] == 0.375
+    assert bi.build_options["far_rate"] == graph_module._MIN_RATE
+    assert 0.0 < eval_kernel(spec, 0.375) < graph_module._MIN_RATE
 
 
 def test_truncated_same_seed_reproducible():

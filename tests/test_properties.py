@@ -1,8 +1,10 @@
 """Property tests for torus distances (d up to 10), for builds,
 projections and the phase replicate on random small clouds: d in
 {1, 2, 3}, boolean, gaussian and tabulated kernels, empty clouds, and
-tori smaller than twice the truncation radius; and for the tabulated
-self-convolution of short tables and boolean kernels in d in {1, 2, 3}."""
+tori smaller than twice the truncation radius; for the split exact build
+against a brute-force reference of its stream, with powerlaw kernels
+too; and for the tabulated self-convolution of short tables and boolean
+kernels in d in {1, 2, 3}."""
 
 import math
 from unittest import mock
@@ -43,26 +45,31 @@ from grig.kernels import (
     BooleanKernel,
     ConvolutionGrid,
     GaussianKernel,
+    PowerLawKernel,
     TabulatedKernel,
     eval_kernel,
     self_convolve,
+    support_radius,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def scenes(draw):
+def scenes(draw, families=("boolean", "gaussian", "tabulated")):
     """(torus, kernel, vertex intensity, group intensity, seed); at most
     about 30 points per cloud, and either cloud may be empty."""
     d = draw(st.integers(1, 3))
     torus = Torus(d, draw(st.floats(0.5, 4.0)))
     scale = draw(st.floats(0.1, 2.5))
-    family = draw(st.sampled_from(["boolean", "gaussian", "tabulated"]))
+    family = draw(st.sampled_from(families))
     if family == "boolean":
         spec = BooleanKernel(r=scale, d=d)
     elif family == "gaussian":
         spec = GaussianKernel(sigma=0.5 * scale, amplitude=draw(st.floats(0.1, 1.0)), d=d)
+    elif family == "powerlaw":
+        alpha, amplitude = draw(st.floats(1.5, 4.0)), draw(st.floats(0.1, 1.0))
+        spec = PowerLawKernel(alpha=alpha, amplitude=amplitude, d=d)
     else:
         spec = TabulatedKernel(radii=scale * np.array([0.5, 1.0]), values=np.array([0.8, 0.3]), d=d)
     counts = st.one_of(st.just(0.0), st.floats(1.0, 30.0))
@@ -176,6 +183,69 @@ def test_truncated_build_matches_brute_force(scene, mode, block_pairs):
         cand = np.nonzero(dist[v] <= radius)[0]
         hits = rng.random(cand.size) < eval_kernel(spec, dist[v, cand])
         assert np.array_equal(row, cand[hits])
+
+
+def split_reference(dist, spec, rng, record):
+    """Flat keys v * n_u + u of an exact build's memberships, and its near
+    and far candidate counts, from the dense distances of its pairs.
+
+    One uniform per pair within ``split_radius`` (every pair when the
+    build did not split), vertex-major with groups ascending; then one row
+    of two uniforms per pair the skip process thins, its geometric skip
+    by inversion and its acceptance uniform, drawn a row at a time.
+    """
+    flat = dist.ravel()
+    radius = record.get("split_radius", math.inf)
+    rate = record.get("far_rate", 0.0)
+    near = np.flatnonzero(flat <= radius)
+    near_hits = near[rng.random(near.size) < eval_kernel(spec, flat[near])]
+    thinned, accept, pos = [], [], -1
+    while rate > 0.0:
+        skip_u, accept_u = rng.random((1, 2))[0]
+        pos += math.floor(math.log1p(-skip_u) / math.log1p(-rate)) + 1
+        if pos >= flat.size:
+            break
+        thinned.append(pos)
+        accept.append(accept_u)
+    thinned, accept = np.array(thinned, dtype=np.int64), np.array(accept)
+    beyond = flat[thinned] > radius
+    far, accept = thinned[beyond], accept[beyond]
+    far_hits = far[rate * accept < eval_kernel(spec, flat[far])]
+    return np.sort(np.concatenate((near_hits, far_hits))), near.size, far.size
+
+
+def flat_keys(bi):
+    rows = np.repeat(np.arange(bi.vertex_count), bi.membership_counts())
+    return rows * bi.group_count + bi.indices
+
+
+@SETTINGS
+@given(
+    scenes(("boolean", "gaussian", "powerlaw", "tabulated")),
+    st.sampled_from([1, 40, 1 << 14]),
+    st.sampled_from([1, 3, 1 << 12]),
+)
+def test_split_exact_build_matches_reference(scene, block_pairs, chunk):
+    # at a scan cost of 1.0 a build splits whenever its estimate is below
+    # one thinned pair per pair, which keeps its rate below 1; g stays
+    # within the rate past the split radius, and the memberships and the
+    # candidate count equal the reference's, whatever the near blocks and
+    # the skip chunks
+    V, U = _sample(scene)
+    spec = scene[1]
+    patch = dict(
+        _THIN_MIN_VERTICES=1, _SCAN_COST=1.0, _NEAR_BLOCK_PAIRS=block_pairs, _SKIP_CHUNK=chunk
+    )
+    with mock.patch.multiple(graph_module, **patch):
+        bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode="exact"))
+    record = bi.build_options
+    dist = _dense_distances(V, U)
+    if "split_radius" in record:
+        assert 0.0 <= record["far_rate"] < 1.0
+        assert np.all(eval_kernel(spec, dist[dist > record["split_radius"]]) <= record["far_rate"])
+    keys, near, far = split_reference(dist, spec, np.random.default_rng(7), record)
+    assert np.array_equal(flat_keys(bi), keys)
+    assert record["candidate_pairs"] == near + far
 
 
 @SETTINGS
@@ -312,3 +382,36 @@ def test_tabulated_profile_at_zero_is_the_square_norm(spec):
     if isinstance(spec, BooleanKernel) and spec.d == 1:
         exact = np.maximum(0.0, 2.0 * spec.r - profile.radii)
         assert np.max(np.abs(profile.values - exact)) <= 1e-12
+
+
+@SETTINGS
+@given(
+    short_kernels(),
+    st.floats(16.0, 32.0),
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_split_at_the_support_is_the_truncated_build(spec, factor, n_v, n_u, seed):
+    # no pair lies beyond the support of a bounded kernel, so a split
+    # there has no far field and draws a truncated build's stream; on a
+    # torus this large a boolean kernel always splits there
+    support = support_radius(spec)
+    scale = spec.r if isinstance(spec, BooleanKernel) else spec.radii[-1]
+    torus = Torus(spec.d, factor * scale)
+    rng = np.random.default_rng(seed)
+    V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (n_v, spec.d)), 1.0, torus)
+    U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (n_u, spec.d)), 1.0, torus)
+    with mock.patch.multiple(graph_module, _THIN_MIN_VERTICES=1, _SCAN_COST=1.0):
+        split = build_bipartite(V, U, spec, np.random.default_rng(seed), BuildOptions(mode="exact"))
+    truncated = build_bipartite(
+        V, U, spec, np.random.default_rng(seed), BuildOptions(mode="truncated")
+    )
+    record = split.build_options
+    if isinstance(spec, BooleanKernel):
+        assert record["split_radius"] == support
+    if record["split_radius"] == support:
+        assert record["far_rate"] == 0.0
+        assert record["candidate_pairs"] == truncated.build_options["candidate_pairs"]
+        assert np.array_equal(split.indptr, truncated.indptr)
+        assert np.array_equal(split.indices, truncated.indices)

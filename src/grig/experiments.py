@@ -265,12 +265,10 @@ BUILD_TOTALS = ("vertices", "groups", "candidate_pairs", "memberships")
 
 
 def _build_totals(records) -> dict:
-    """Mode of the replicates' builds (mode "mixed" when auto resolved
-    differently across them), their truncation radius and split radius
-    when some build has one, and the BUILD_TOTALS summed over replicates:
-    candidate pairs are the uniforms compared with g."""
-    modes = {r["mode"] for r in records}
-    block = {"mode": modes.pop() if len(modes) == 1 else "mixed"}
+    """Mode of the replicates' builds, their truncation radius and split
+    radius when some build has one, and the BUILD_TOTALS summed over
+    replicates: candidate pairs are the uniforms compared with g."""
+    block = {"mode": records[0]["mode"]}
     for key in ("truncation_radius", "split_radius"):
         radii = [r[key] for r in records if key in r]
         if radii:

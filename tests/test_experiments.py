@@ -133,29 +133,27 @@ def _replayed_build(cfg, kind, k, lam, mu):
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
 def test_degree_report_build_totals(tmp_path, mode):
     # the build block sums the replicates' builds, replayed from their
-    # streams.  A truncated build's candidate pairs are the pairs within
-    # its truncation radius by the min-image formula.  The exact builds
-    # here split: their near candidates are the pairs within the split
-    # radius, and their far candidates the thinned pairs beyond it, as the
-    # brute-force reference of the stream draws them
+    # streams.  The builds here split: their near candidates are the pairs
+    # within the split radius by the min-image formula, and their far
+    # candidates the thinned pairs beyond it (and, when truncated, within
+    # the truncation radius), as the brute-force reference of the stream
+    # draws them
     cfg = _cfg(replicates=3, seed=4, mode=mode)
     res = run_degree_experiment(cfg, out_dir=tmp_path)
     expected = {"mode": mode, "vertices": 0, "groups": 0, "candidate_pairs": 0, "memberships": 0}
     for k in range(cfg.replicates):
         V, U, bi = _replayed_build(cfg, KIND_DEGREE, k, cfg.lam, cfg.mu)
         record, dist = bi.build_options, _pair_distances(V, U)
+        cap = record.get("truncation_radius", math.inf)
         if mode == "truncated":
-            expected["truncation_radius"] = record["truncation_radius"]
-            within = int(np.count_nonzero(dist <= record["truncation_radius"]))
-            expected["candidate_pairs"] += within
-        else:
-            expected["split_radius"] = record["split_radius"]
-            rng_m = rng_for(cfg.seed, KIND_DEGREE, k, STREAM_MEMBERSHIPS)
-            keys, near, far = split_reference(dist, cfg.kernel, rng_m, record)
-            assert near == int(np.count_nonzero(dist <= record["split_radius"]))
-            assert 0 < far < np.count_nonzero(dist > record["split_radius"])
-            assert np.array_equal(flat_keys(bi), keys)
-            expected["candidate_pairs"] += near + far
+            expected["truncation_radius"] = cap
+        split = expected["split_radius"] = record["split_radius"]
+        rng_m = rng_for(cfg.seed, KIND_DEGREE, k, STREAM_MEMBERSHIPS)
+        keys, near, far = split_reference(dist, cfg.kernel, rng_m, record)
+        assert near == int(np.count_nonzero(dist <= split))
+        assert 0 < far < np.count_nonzero((dist > split) & (dist <= cap))
+        assert np.array_equal(flat_keys(bi), keys)
+        expected["candidate_pairs"] += near + far
         expected["vertices"] += V.count
         expected["groups"] += U.count
         expected["memberships"] += int(bi.membership_counts().sum())
@@ -166,27 +164,37 @@ def test_degree_report_build_totals(tmp_path, mode):
     assert report["node_total"] == expected["vertices"]
 
 
-def test_build_totals_mixed_modes():
-    # auto may resolve differently across replicates near the pair limit
+def test_build_totals_radii():
+    # a radius is reported when some build has one; the totals are summed
     exact = {"mode": "exact", "vertices": 2, "groups": 3, "candidate_pairs": 6, "memberships": 1}
-    truncated = dict(exact, mode="truncated", eps_tail=1e-3, truncation_radius=2.5, candidate_pairs=4)
-    assert _build_totals([exact, truncated]) == {
-        "mode": "mixed",
-        "truncation_radius": 2.5,
+    split = dict(exact, split_radius=1.5, far_rate=0.02)
+    assert _build_totals([exact, split]) == {
+        "mode": "exact",
+        "split_radius": 1.5,
         "vertices": 4,
         "groups": 6,
-        "candidate_pairs": 10,
+        "candidate_pairs": 12,
         "memberships": 2,
     }
-    # a split exact build reports its split radius the same way
-    split = dict(exact, split_radius=1.5, far_rate=0.02)
-    assert _build_totals([exact, split, truncated]) == {
-        "mode": "mixed",
+    # a truncated build reports its truncation radius, and its split
+    # radius the same way
+    truncated = dict(exact, mode="truncated", eps_tail=1e-3, truncation_radius=2.5, candidate_pairs=4)
+    capped = dict(truncated, split_radius=1.5, far_rate=0.02)
+    assert _build_totals([truncated]) == {
+        "mode": "truncated",
+        "truncation_radius": 2.5,
+        "vertices": 2,
+        "groups": 3,
+        "candidate_pairs": 4,
+        "memberships": 1,
+    }
+    assert _build_totals([truncated, capped, truncated]) == {
+        "mode": "truncated",
         "truncation_radius": 2.5,
         "split_radius": 1.5,
         "vertices": 6,
         "groups": 9,
-        "candidate_pairs": 16,
+        "candidate_pairs": 12,
         "memberships": 3,
     }
 
@@ -252,27 +260,22 @@ def test_phase_sweep_shape_and_range(tmp_path):
     assert meta["mean_kept"]["vertices"][1][2] > meta["mean_kept"]["vertices"][0][2]
 
 
-def test_phase_sweep_auto_mode_resolves_on_master_build(monkeypatch):
-    # the master build at (2, 2) on area 100 has about 4e4 pairs: over a
-    # limit of 1e4 every cell is thinned from one truncated build
-    monkeypatch.setattr("grig.graph._EXACT_PAIR_LIMIT", 10_000)
-    cfg = _cfg(
+def test_phase_sweep_auto_mode_resolves_on_master_build():
+    # auto spells exact: the master builds (about 4e4 pairs each) and every
+    # cell equal an exact sweep's at the same seed
+    base = dict(
         kind="phase",
         kernel=BOOL_R1,
         torus=Torus(2, 10.0),
         lambda_values=(0.25, 2.0),
         mu_values=(0.25, 2.0),
         replicates=2,
-        mode="auto",
     )
-    grid = run_phase_sweep(cfg)
-    record = {"mode": "truncated", "eps_tail": 1e-3, "truncation_radius": 1.0}
-    # candidate pairs: the master build's pairs within R = 1
-    candidates = [
-        int(np.count_nonzero(_pair_distances(V, U) <= 1.0))
-        for V, U, _ in (_replayed_build(cfg, KIND_PHASE, k, 2.0, 2.0) for k in range(2))
-    ]
-    assert grid.builds == [dict(record, candidate_pairs=c) for c in candidates]
+    auto, exact = (run_phase_sweep(_cfg(**base, mode=mode)) for mode in ("auto", "exact"))
+    assert [b["mode"] for b in auto.builds] == ["exact"] * 2
+    assert auto.builds == exact.builds
+    for name in ("mean_v", "mean_u"):
+        np.testing.assert_array_equal(getattr(auto, name), getattr(exact, name))
 
 
 def test_phase_cells_follow_the_model_law():

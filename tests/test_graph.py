@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,39 +123,49 @@ def test_build_modes_agree_for_bounded_kernel():
     assert abs(a.mean() - b.mean()) < 3.0 * se
 
 
-def test_exact_powerlaw_far_pairs_join_with_probability_g():
-    # the heavy tail on the split exact path: every pair binned by
-    # distance, the bins past the split radius included; each bin's
-    # membership count against its summed g, with variance the summed
-    # g(1 - g), over 8 builds of 1000 x 1000 pairs (z-scores, Bonferroni
-    # over bins at family level 1e-3)
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_powerlaw_far_pairs_join_with_probability_g(mode):
+    # the heavy tail on the split path: every pair binned by distance, the
+    # bins past the split radius included; each bin's membership count
+    # against its summed g, with variance the summed g(1 - g), over 8
+    # builds of 1000 x 1000 pairs (z-scores, Bonferroni over bins at
+    # family level 1e-3).  A truncated build at eps_tail 0.05 caps the far
+    # field at R ~ 3.16 > R_s: a pair joins with probability g 1[d <= R],
+    # and no pair beyond R joins
     spec = PowerLawKernel.with_norm(2.0, 1.0, 2)
     torus = Torus(2, math.sqrt(1000.0))
+    options = BuildOptions(mode=mode, eps_tail=0.05)
+    cap = options.truncation_radius(spec) if mode == "truncated" else math.inf
     n = 1000
     split, counts, means, variances = None, 0.0, 0.0, 0.0
     for seed in range(8):
         rng = np.random.default_rng(seed)
         V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (n, 2)), 1.0, torus)
         U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (n, 2)), 1.0, torus)
-        bi = build_bipartite(V, U, spec, rng, BuildOptions(mode="exact"))
+        bi = build_bipartite(V, U, spec, rng, options)
         record = bi.build_options
         assert record["far_rate"] > 0.0
         if split is None:
             split = record["split_radius"]
-            edges = np.array([0.0, 1.0, 1.5, split, 2.5, 3.0, 4.0, 6.0, 10.0, np.inf])
+            edges = np.array([0.0, 1.0, 1.5, split, 2.5, 3.0, cap, 4.0, 6.0, 10.0, np.inf])
+            edges = np.unique(edges)
         assert record["split_radius"] == split
         delta = np.abs(V.positions[:, None, :] - U.positions[None, :, :])
         dist = np.sqrt(np.sum(np.minimum(delta, torus.side - delta) ** 2, axis=-1))
-        g = eval_kernel(spec, dist).ravel()
+        g = np.where(dist <= cap, eval_kernel(spec, dist), 0.0).ravel()
         bins = np.digitize(dist, edges).ravel() - 1
         joined = np.zeros((n, n), dtype=bool)
         joined[np.repeat(np.arange(n), bi.membership_counts()), bi.indices] = True
+        assert not np.any(joined[dist > cap])
         counts = counts + np.bincount(bins[joined.ravel()], minlength=edges.size - 1)
         means = means + np.bincount(bins, g, minlength=edges.size - 1)
         variances = variances + np.bincount(bins, g * (1.0 - g), minlength=edges.size - 1)
     assert 1.5 < split < 2.5
-    assert np.all(means > 20.0)
-    z = (counts - means) / np.sqrt(variances)
+    if mode == "truncated":
+        assert 3.0 < cap < 4.0
+    inside = edges[:-1] < cap
+    assert np.all(means[inside] > 20.0) and np.all(counts[~inside] == 0.0)
+    z = (counts[inside] - means[inside]) / np.sqrt(variances[inside])
     assert np.all(np.abs(z) < sps.norm.isf(1e-3 / (2 * z.size))), z
 
 
@@ -171,6 +182,31 @@ def test_split_rate_floor_keeps_far_skips_finite():
     assert bi.build_options["split_radius"] == 0.375
     assert bi.build_options["far_rate"] == graph_module._MIN_RATE
     assert 0.0 < eval_kernel(spec, 0.375) < graph_module._MIN_RATE
+
+
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_scan_memory_is_bounded_by_its_block(monkeypatch, mode):
+    # a row of 2^16 groups is longer than a block of 2^10 pairs: the scan
+    # takes it in ascending group ranges, so its peak stays within 16
+    # doubles per block pair (one whole row of distances alone would take
+    # 64), and the memberships equal an unsplit scan's
+    torus = Torus(1, 1000.0)
+    rng = np.random.default_rng(0)
+    V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (2, 1)), 1.0, torus)
+    U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (1 << 16, 1)), 1.0, torus)
+    spec = GaussianKernel(sigma=1.0, amplitude=1.0, d=1)
+    whole = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode=mode))
+    monkeypatch.setattr(graph_module, "_BLOCK_PAIRS", 1 << 10)
+    tracemalloc.start()
+    try:
+        split = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode=mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * (1 << 10)
+    assert split.build_options == whole.build_options
+    assert np.array_equal(split.indptr, whole.indptr)
+    assert np.array_equal(split.indices, whole.indices)
 
 
 def test_truncated_same_seed_reproducible():
@@ -201,14 +237,20 @@ def test_build_role_validation():
         build_bipartite(V2, U, spec, np.random.default_rng(0), BuildOptions())
 
 
-def test_auto_mode_switches_on_pair_count(monkeypatch):
-    V, U = _clouds(8, lam=1.0, mu=1.0)
-    spec = BooleanKernel(r=1.0, d=2)
-    small = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode="auto"))
-    assert small.build_options["mode"] == "exact"
-    monkeypatch.setattr(graph_module, "_EXACT_PAIR_LIMIT", 10)
-    big = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode="auto"))
-    assert big.build_options["mode"] == "truncated"
+def test_auto_mode_is_exact():
+    # auto spells exact: the same record and memberships at the same seed,
+    # on a build that splits and on one that scans
+    spec = GaussianKernel.with_norm(1.0, 1.0, 2)
+    for lam in (2.0, 0.25):
+        V, U = _clouds(8, lam=lam, mu=2.0)
+        auto, exact = (
+            build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode=mode))
+            for mode in ("auto", "exact")
+        )
+        assert auto.build_options == exact.build_options
+        assert ("split_radius" in auto.build_options) == (V.count >= 64)
+        assert np.array_equal(auto.indptr, exact.indptr)
+        assert np.array_equal(auto.indices, exact.indices)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Property tests for torus distances (d up to 10), for builds,
 projections and the phase replicate on random small clouds: d in
 {1, 2, 3}, boolean, gaussian and tabulated kernels, empty clouds, and
-tori smaller than twice the truncation radius; for the split exact build
-against a brute-force reference of its stream, with powerlaw kernels
-too; and for the tabulated self-convolution of short tables and boolean
-kernels in d in {1, 2, 3}."""
+tori smaller than twice the truncation radius; for the split build, exact
+and truncated, against a brute-force reference of its stream, with
+powerlaw kernels too; and for the tabulated self-convolution of short
+tables and boolean kernels in d in {1, 2, 3}."""
 
 import math
 from unittest import mock
@@ -186,16 +186,20 @@ def test_truncated_build_matches_brute_force(scene, mode, block_pairs):
 
 
 def split_reference(dist, spec, rng, record):
-    """Flat keys v * n_u + u of an exact build's memberships, and its near
-    and far candidate counts, from the dense distances of its pairs.
+    """Flat keys v * n_u + u of a build's memberships, and its near and
+    far candidate counts, from the dense distances of its pairs.
 
-    One uniform per pair within ``split_radius`` (every pair when the
-    build did not split), vertex-major with groups ascending; then one row
-    of two uniforms per pair the skip process thins, its geometric skip
-    by inversion and its acceptance uniform, drawn a row at a time.
+    The cap is the truncation radius of a truncated build, and infinite
+    otherwise.  One uniform per pair within ``split_radius`` (within the
+    cap when the build did not split), vertex-major with groups ascending;
+    then one row of two uniforms per pair the skip process thins, its
+    geometric skip by inversion and its acceptance uniform, drawn a row at
+    a time.  A thinned pair is a far candidate when it lies beyond the
+    split radius and within the cap.
     """
     flat = dist.ravel()
-    radius = record.get("split_radius", math.inf)
+    cap = record.get("truncation_radius", math.inf)
+    radius = record.get("split_radius", cap)
     rate = record.get("far_rate", 0.0)
     near = np.flatnonzero(flat <= radius)
     near_hits = near[rng.random(near.size) < eval_kernel(spec, flat[near])]
@@ -208,7 +212,7 @@ def split_reference(dist, spec, rng, record):
         thinned.append(pos)
         accept.append(accept_u)
     thinned, accept = np.array(thinned, dtype=np.int64), np.array(accept)
-    beyond = flat[thinned] > radius
+    beyond = (flat[thinned] > radius) & (flat[thinned] <= cap)
     far, accept = thinned[beyond], accept[beyond]
     far_hits = far[rate * accept < eval_kernel(spec, flat[far])]
     return np.sort(np.concatenate((near_hits, far_hits))), near.size, far.size
@@ -222,26 +226,27 @@ def flat_keys(bi):
 @SETTINGS
 @given(
     scenes(("boolean", "gaussian", "powerlaw", "tabulated")),
-    st.sampled_from([1, 40, 1 << 14]),
+    st.sampled_from(["exact", "truncated"]),
+    st.sampled_from([1, 40, 1 << 16]),
     st.sampled_from([1, 3, 1 << 12]),
 )
-def test_split_exact_build_matches_reference(scene, block_pairs, chunk):
+def test_split_exact_build_matches_reference(scene, mode, block_pairs, chunk):
     # at a scan cost of 1.0 a build splits whenever its estimate is below
     # one thinned pair per pair, which keeps its rate below 1; g stays
     # within the rate past the split radius, and the memberships and the
-    # candidate count equal the reference's, whatever the near blocks and
-    # the skip chunks
+    # candidate count equal the reference's, whatever the blocks and the
+    # skip chunks.  A truncated build splits below its truncation radius
+    # and joins no pair beyond it
     V, U = _sample(scene)
     spec = scene[1]
-    patch = dict(
-        _THIN_MIN_VERTICES=1, _SCAN_COST=1.0, _NEAR_BLOCK_PAIRS=block_pairs, _SKIP_CHUNK=chunk
-    )
+    patch = dict(_THIN_MIN_VERTICES=1, _SCAN_COST=1.0, _BLOCK_PAIRS=block_pairs, _SKIP_CHUNK=chunk)
     with mock.patch.multiple(graph_module, **patch):
-        bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode="exact"))
+        bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode=mode))
     record = bi.build_options
     dist = _dense_distances(V, U)
     if "split_radius" in record:
         assert 0.0 <= record["far_rate"] < 1.0
+        assert record["split_radius"] <= record.get("truncation_radius", math.inf)
         assert np.all(eval_kernel(spec, dist[dist > record["split_radius"]]) <= record["far_rate"])
     keys, near, far = split_reference(dist, spec, np.random.default_rng(7), record)
     assert np.array_equal(flat_keys(bi), keys)

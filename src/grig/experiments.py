@@ -24,30 +24,31 @@ every trial's group count, then the group positions trial by trial;
 groups in trial order.  Trials are built in batches, and the results do
 not depend on the batch size.
 
-Artifacts are written with ``repr`` floats and sorted JSON keys and carry
-no timestamps; reruns with the same config and seed are byte-identical.
+Every replicate's clouds come from ``_clouds``: V from stream 0 and U
+from stream 1 of the replicate's key.  Artifacts are written by
+``grig.serialize`` with ``repr`` floats and sorted JSON keys and carry no
+timestamps; reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import analytics, stats
 from .errors import ConfigError, ConvergenceError, GrigError
-from .serialize import write_json as _write_json
 from .geometry import (
     GROUP,
     VERTEX,
     PointCloud,
     Torus,
+    cloud_to_csv,
+    cloud_to_json,
     min_image_displacement,
     sample_poisson,
 )
@@ -72,6 +73,7 @@ from .kernels import (
     self_convolve,
     support_radius,
 )
+from .serialize import write_csv, write_json
 
 KIND_DEGREE = 1
 KIND_PHASE = 2
@@ -226,8 +228,21 @@ def _map_tasks(fn, tasks, threads: int):
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-def _float_cell(x) -> str:
-    return repr(float(x))
+def _clouds(config: ExperimentConfig, lam: float, mu: float, *key: int):
+    """The vertex cloud at intensity lam and the group cloud at mu of the
+    draw keyed (kind, indices...): V from stream STREAM_VERTICES of the
+    key and U from STREAM_GROUPS, each with its seed_record (seed, *key,
+    stream)."""
+    return tuple(
+        sample_poisson(
+            config.torus,
+            intensity,
+            rng_for(config.seed, *key, stream),
+            role=role,
+            seed_record=(config.seed, *key, stream),
+        )
+        for intensity, role, stream in ((lam, VERTEX, STREAM_VERTICES), (mu, GROUP, STREAM_GROUPS))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +263,8 @@ class DegreeResult:
     build: dict = field(default_factory=dict)  # see _build_totals
 
     def report(self) -> dict:
-        return {
-            "empirical_mean": self.empirical_mean,
-            "empirical_stderr": self.empirical_stderr,
-            "theoretical_mean": self.theoretical_mean,
-            "isolated_fraction": self.isolated_fraction,
-            "isolated_lower_bound": self.isolated_lower_bound,
-            "replicates": self.replicates,
-            "node_total": self.node_total,
-            "warnings": self.warnings,
-            "build": self.build,
-        }
+        """Every field but the histogram, which histogram.csv holds."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "histogram"}
 
 
 BUILD_TOTALS = ("vertices", "groups", "candidate_pairs", "memberships")
@@ -279,11 +285,8 @@ def _build_totals(records) -> dict:
 
 def _degree_replicate(args):
     config, k = args
-    rng_v = rng_for(config.seed, KIND_DEGREE, k, STREAM_VERTICES)
-    rng_u = rng_for(config.seed, KIND_DEGREE, k, STREAM_GROUPS)
+    V, U = _clouds(config, config.lam, config.mu, KIND_DEGREE, k)
     rng_m = rng_for(config.seed, KIND_DEGREE, k, STREAM_MEMBERSHIPS)
-    V = sample_poisson(config.torus, config.lam, rng_v, role=VERTEX)
-    U = sample_poisson(config.torus, config.mu, rng_u, role=GROUP)
     bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options())
     hist = degree_histogram(project_onto_vertices(bi))
     record = dict(
@@ -339,13 +342,8 @@ def run_degree_experiment(config: ExperimentConfig, out_dir=None) -> DegreeResul
         build=_build_totals([r for _, _, r in results]),
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "histogram.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["degree", "count"])
-            for degree, count in enumerate(result.histogram):
-                writer.writerow([degree, int(count)])
-        _write_json(os.path.join(out_dir, "report.json"), result.report())
+        write_csv(os.path.join(out_dir, "histogram.csv"), ["degree", "count"], enumerate(pooled))
+        write_json(os.path.join(out_dir, "report.json"), result.report())
     if convergence_failure is not None:
         raise ConvergenceError(
             "degree experiment finished but the theoretical mean is approximate: "
@@ -391,18 +389,19 @@ def _phase_replicate(args):
     for the vertex and the group side, kept (3, n_lambda, n_mu) counts in
     KEPT_COUNTS order, both NaN when the master build failed.
     """
-    seed, kernel, torus, lams, mus, k, mode, eps_tail = args
+    config, k = args
+    lams = np.asarray(config.lambda_values, dtype=float)
+    mus = np.asarray(config.mu_values, dtype=float)
     fractions = np.full((2, lams.size, mus.size), math.nan)
     kept = np.full((len(KEPT_COUNTS), lams.size, mus.size), math.nan)
     lam_max, mu_max = float(lams.max()), float(mus.max())
     try:
-        V = sample_poisson(torus, lam_max, rng_for(seed, KIND_PHASE, k, STREAM_VERTICES), role=VERTEX)
-        U = sample_poisson(torus, mu_max, rng_for(seed, KIND_PHASE, k, STREAM_GROUPS), role=GROUP)
-        rng_m = rng_for(seed, KIND_PHASE, k, STREAM_MEMBERSHIPS)
-        bi = build_bipartite(V, U, kernel, rng_m, BuildOptions(mode=mode, eps_tail=eps_tail))
+        V, U = _clouds(config, lam_max, mu_max, KIND_PHASE, k)
+        rng_m = rng_for(config.seed, KIND_PHASE, k, STREAM_MEMBERSHIPS)
+        bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options())
     except GrigError as exc:  # the replicate's cells are recorded as failed, the sweep goes on
         return fractions, kept, None, f"{type(exc).__name__}: {exc}"
-    rng_aux = rng_for(seed, KIND_PHASE, k, STREAM_AUX)
+    rng_aux = rng_for(config.seed, KIND_PHASE, k, STREAM_AUX)
     mark_v = rng_aux.random(bi.vertex_count) * lam_max
     mark_u = rng_aux.random(bi.group_count) * mu_max
     # rows and columns in mark order: cell (i, j) is the leading block of
@@ -447,11 +446,9 @@ def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:
     check_config(config, "phase")
     lams = np.asarray(config.lambda_values, dtype=float)
     mus = np.asarray(config.mu_values, dtype=float)
-    tasks = [
-        (config.seed, config.kernel, config.torus, lams, mus, k, config.mode, config.eps_tail)
-        for k in range(config.replicates)
-    ]
-    results = _map_tasks(_phase_replicate, tasks, config.threads)
+    results = _map_tasks(
+        _phase_replicate, [(config, k) for k in range(config.replicates)], config.threads
+    )
     fractions = np.stack([r[0] for r in results], axis=-1)
     kept = np.stack([r[1] for r in results], axis=-1)
     builds = [r[2] for r in results]
@@ -479,11 +476,12 @@ def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:
         mean_kept=dict(zip(KEPT_COUNTS, _replicate_stats(kept)[0])),
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_phase_csv(os.path.join(out_dir, "phase.csv"), grid, grid.mean_v)
-        _write_phase_csv(os.path.join(out_dir, "phase_groups.csv"), grid, grid.mean_u)
-        _write_phase_csv(os.path.join(out_dir, "phase_stderr.csv"), grid, grid.stderr_v)
-        _write_json(
+        # lambda values down the rows, mu values across the columns
+        matrices = {"phase": mean_v, "phase_groups": mean_u, "phase_stderr": stderr_v}
+        for name, matrix in matrices.items():
+            rows = ([lam, *row] for lam, row in zip(lams, matrix))
+            write_csv(os.path.join(out_dir, f"{name}.csv"), ["lambda\\mu", *mus], rows)
+        write_json(
             os.path.join(out_dir, "phase_meta.json"),
             {
                 "lambda_values": [float(v) for v in lams],
@@ -497,15 +495,6 @@ def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:
             },
         )
     return grid
-
-
-def _write_phase_csv(path, grid: PhaseGrid, matrix: np.ndarray) -> None:
-    """Matrix CSV: lambda values down the rows, mu values across columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda\\mu"] + [_float_cell(m) for m in grid.mu_values])
-        for i, lam in enumerate(grid.lambda_values):
-            writer.writerow([_float_cell(lam)] + [_float_cell(x) for x in matrix[i]])
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +576,7 @@ def run_joint_groups_check(config: ExperimentConfig, out_dir=None) -> dict:
             if v.passed is False:
                 report["all_passed"] = False
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_json(os.path.join(out_dir, "report.json"), report)
+        write_json(os.path.join(out_dir, "report.json"), report)
     return report
 
 
@@ -626,8 +614,7 @@ def run_connection_check(config: ExperimentConfig, out_dir=None) -> dict:
         if not passed:
             report["all_passed"] = False
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_json(os.path.join(out_dir, "report.json"), report)
+        write_json(os.path.join(out_dir, "report.json"), report)
     return report
 
 
@@ -744,22 +731,13 @@ def export_visualization(config: ExperimentConfig, out_dir) -> dict:
     leaving each endpoint toward the nearest image of the other.
     """
     check_config(config, "visualize")
-    rng_v = rng_for(config.seed, KIND_VISUALIZE, STREAM_VERTICES)
-    rng_u = rng_for(config.seed, KIND_VISUALIZE, STREAM_GROUPS)
+    V, U = _clouds(config, config.lam, config.mu, KIND_VISUALIZE)
     rng_m = rng_for(config.seed, KIND_VISUALIZE, STREAM_MEMBERSHIPS)
-    V = sample_poisson(config.torus, config.lam, rng_v, role=VERTEX)
-    U = sample_poisson(config.torus, config.mu, rng_u, role=GROUP)
     bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options())
     gv = project_onto_vertices(bi)
 
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "points.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["role", "index", "x", "y"])
-        for idx, pos in enumerate(V.positions):
-            writer.writerow(["vertex", idx, _float_cell(pos[0]), _float_cell(pos[1])])
-        for idx, pos in enumerate(U.positions):
-            writer.writerow(["group", idx, _float_cell(pos[0]), _float_cell(pos[1])])
+    rows = ((cloud.role, i, *pos) for cloud in (V, U) for i, pos in enumerate(cloud.positions))
+    write_csv(os.path.join(out_dir, "points.csv"), ["role", "index", "x", "y"], rows)
     edges_to_csv(gv, os.path.join(out_dir, "edges.csv"))
     svg_path = os.path.join(out_dir, "scene.svg")
     _write_scene_svg(svg_path, config.torus, V, U, gv)
@@ -818,22 +796,10 @@ def _write_scene_svg(path, torus: Torus, V: PointCloud, U: PointCloud, gv) -> No
 
 def run_sample(config: ExperimentConfig, out_dir) -> dict:
     """Sample the two clouds and write them out (CSV + JSON)."""
-    from .geometry import cloud_to_csv, cloud_to_json
-
     check_config(config, "sample")
-    rng_v = rng_for(config.seed, KIND_SAMPLE, STREAM_VERTICES)
-    rng_u = rng_for(config.seed, KIND_SAMPLE, STREAM_GROUPS)
-    V = sample_poisson(
-        config.torus, config.lam, rng_v, role=VERTEX,
-        seed_record=(config.seed, KIND_SAMPLE, STREAM_VERTICES),
-    )
-    U = sample_poisson(
-        config.torus, config.mu, rng_u, role=GROUP,
-        seed_record=(config.seed, KIND_SAMPLE, STREAM_GROUPS),
-    )
-    os.makedirs(out_dir, exist_ok=True)
+    V, U = _clouds(config, config.lam, config.mu, KIND_SAMPLE)
     cloud_to_csv(V, os.path.join(out_dir, "vertices.csv"))
     cloud_to_csv(U, os.path.join(out_dir, "groups.csv"))
-    _write_json(os.path.join(out_dir, "vertices.json"), cloud_to_json(V))
-    _write_json(os.path.join(out_dir, "groups.json"), cloud_to_json(U))
+    cloud_to_json(V, os.path.join(out_dir, "vertices.json"))
+    cloud_to_json(U, os.path.join(out_dir, "groups.json"))
     return {"vertices": int(V.positions.shape[0]), "groups": int(U.positions.shape[0])}

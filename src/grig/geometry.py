@@ -9,12 +9,12 @@ recorded seed.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .serialize import write_csv, write_json
 
 VERTEX = "vertex"
 GROUP = "group"
@@ -172,11 +172,8 @@ def sample_poisson(
 
 def cloud_to_csv(cloud: PointCloud, path) -> None:
     """Write one row per point: index, x1..xd."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + [f"x{i + 1}" for i in range(cloud.torus.d)])
-        for i, row in enumerate(cloud.positions):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    header = ["index"] + [f"x{i + 1}" for i in range(cloud.torus.d)]
+    write_csv(path, header, ((i, *row) for i, row in enumerate(cloud.positions)))
 
 
 def cloud_to_json(cloud: PointCloud, path=None):
@@ -190,9 +187,7 @@ def cloud_to_json(cloud: PointCloud, path=None):
         "positions": [[float(v) for v in row] for row in cloud.positions],
     }
     if path is not None:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, payload)
     return payload
 
 

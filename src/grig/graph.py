@@ -19,7 +19,9 @@ vertices splits at the radius R_s of least estimated cost within its cap
 (_split_radius).  Its near field draws one uniform per pair within R_s,
 vertex-major with groups ascending, from periodic KD-tree candidates
 (scipy's cKDTree with boxsize = side), and links the pair when the
-uniform falls below g(d), d its torus distance.  g is radial and
+uniform falls below g(d), d its torus distance as the tree returns it:
+per-axis wrap, then squares summed in axis order, the min-image
+formula's arithmetic, so the two agree bit for bit.  g is radial and
 non-increasing, so a pair beyond R_s joins with probability at most
 p = g(R_s): a Bernoulli(p) skip process over the flat pair index thins
 the far field, and a thinned pair within the cap joins when p times its
@@ -31,7 +33,6 @@ pair within the cap in the near field's order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ from scipy.spatial import cKDTree
 from .errors import ConfigError
 from .geometry import GROUP, VERTEX, PointCloud, ball_volume, min_image_distance
 from .kernels import KernelSpec, _eval_kernel_array, support_radius
+from .serialize import write_csv
 
 # expected candidate pairs per block of a scan or a near field; bounds
 # the memory of one block
@@ -51,7 +53,9 @@ _BLOCK_PAIRS = 1 << 16
 # over the groups costs more than the scan saves
 _THIN_MIN_VERTICES = 64
 # estimated cost per pair of a split build, in thinned far pairs:
-# _NEAR_COST per near pair, and the scan's cost, which a split must beat
+# _NEAR_COST per near pair, and the scan's cost, which a split must beat.
+# _SCAN_COST must stay <= 1: a split's cost is at least its far rate, so
+# this keeps the rate below 1 (_thin_far_field's log1p(-rate) raises at 1)
 _NEAR_COST = 4.0
 _SCAN_COST = 0.3
 # radii the split radius is chosen from, evenly spaced up to its bound
@@ -204,8 +208,9 @@ def _draw_memberships(V, U, spec, rng, radius, scan):
     else:
         per_vertex = n_u * min(1.0, ball_volume(torus.d, radius) / torus.volume)
         rows, cols = max(1, int(_BLOCK_PAIRS / max(per_vertex, 1.0))), n_u
-        # the tree may round distances differently: query a little wider,
-        # then keep exactly the pairs the min-image formula puts within radius
+        # the tree's periodic distances are the min-image formula's, bit for
+        # bit, but its pruning may round: query a little wider, then keep
+        # exactly the pairs within radius
         query = radius * (1.0 + 1e-9)
         groups = cKDTree(U.positions, boxsize=side)
     keys, drawn = [], 0
@@ -225,12 +230,11 @@ def _draw_memberships(V, U, spec, rng, radius, scan):
                 pairs = cKDTree(vp, boxsize=side).sparse_distance_matrix(
                     groups, query, output_type="ndarray"
                 )
+                pairs = pairs[pairs["v"] <= radius]
                 # vertex-major, groups ascending: the order the uniforms are drawn in
-                cand = np.sort(pairs["i"] * n_u + pairs["j"])
-                r, c = np.divmod(cand, n_u)
-                dist = min_image_distance(vp[r], U.positions[c], side)
-                within = dist <= radius
-                cand, dist = cand[within], dist[within]
+                cand = pairs["i"] * n_u + pairs["j"]
+                order = np.argsort(cand)
+                cand, dist = cand[order], pairs["v"][order]
             hits = rng.random(dist.size) < _eval_kernel_array(spec, dist)
             keys.append(cand[hits] + (start * n_u + lo))
             drawn += dist.size
@@ -430,8 +434,4 @@ def degree_histogram(graph: IntersectionGraph) -> DegreeHistogram:
 
 def edges_to_csv(graph: IntersectionGraph, path) -> None:
     """Edge list CSV: endpoint indices and shared-membership count."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "shared_count"])
-        for (a, b), c in zip(graph.edges, graph.shared_counts):
-            writer.writerow([int(a), int(b), int(c)])
+    write_csv(path, ["a", "b", "shared_count"], zip(*graph.edges.T, graph.shared_counts))

@@ -30,7 +30,6 @@ d = 1 its theta-axis is the two points {0, pi}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from typing import Union
@@ -40,6 +39,7 @@ from scipy import special
 
 from .errors import ConfigError, ConvergenceError
 from .geometry import ball_volume, sphere_surface
+from .serialize import write_csv
 
 _TAIL_SCALE = math.exp(-2.0)  # tail fraction defining the kernel's length scale
 # (t, s) and (t, s, theta) nodes per quadrature tile; bounds the memory of one pass
@@ -805,8 +805,4 @@ def profile_to_csv(profile: ConvolutionProfile, path, n_samples: int = 513) -> N
             top = 8.0 * profile.sigma
         radii = np.linspace(0.0, top, n_samples)
         values = eval_profile(profile, radii)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius", "f"])
-        for t, v in zip(radii, values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    write_csv(path, ["radius", "f"], zip(radii, values))

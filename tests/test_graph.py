@@ -28,6 +28,7 @@ from grig.kernels import (
     eval_kernel,
     kernel_norm,
 )
+from test_properties import _dense_distances, flat_keys, split_reference
 
 TORUS = Torus(2, 8.0)
 
@@ -207,6 +208,45 @@ def test_scan_memory_is_bounded_by_its_block(monkeypatch, mode):
     assert split.build_options == whole.build_options
     assert np.array_equal(split.indptr, whole.indptr)
     assert np.array_equal(split.indices, whole.indices)
+
+
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_scan_fallback_of_a_large_build(mode):
+    # 200 vertices, but a boolean r = 1 kernel on an area-10 torus: every
+    # split radius costs more than a scan (its ball covers too much of the
+    # torus, or its rate is 1), so the build scans every pair and draws
+    # the stream of a build with no split
+    torus = Torus(2, math.sqrt(10.0))
+    spec = BooleanKernel(r=1.0, d=2)
+    V, U = _clouds(5, lam=20.0, mu=20.0, torus=torus)
+    assert V.count >= graph_module._THIN_MIN_VERTICES
+    bi = build_bipartite(V, U, spec, np.random.default_rng(9), BuildOptions(mode=mode))
+    record = bi.build_options
+    assert "split_radius" not in record and "far_rate" not in record
+    dist = _dense_distances(V, U)
+    keys, near, far = split_reference(dist, spec, np.random.default_rng(9), record)
+    assert far == 0 and np.array_equal(flat_keys(bi), keys)
+    assert record["candidate_pairs"] == near
+
+
+def test_near_field_leaves_pairs_past_its_radius_to_the_far_field(monkeypatch):
+    # the tree is queried a little past the split radius R_s; a group just
+    # beyond R_s, inside that margin, is a far pair: it draws no near
+    # uniform, and the build still replays the reference stream
+    monkeypatch.setattr(graph_module, "_THIN_MIN_VERTICES", 1)
+    torus = Torus(1, 500.0)
+    spec = GaussianKernel(sigma=1.0, amplitude=1.0, d=1)
+    radius, rate = graph_module._split_radius(spec, torus, math.inf)
+    assert rate > 0.0
+    V = PointCloud(VERTEX, np.array([[0.0], [10.0], [20.0]]), 1.0, torus)
+    U = PointCloud(GROUP, np.array([[radius * (1.0 + 4e-10)], [10.5], [30.0]]), 1.0, torus)
+    dist = _dense_distances(V, U)
+    assert radius < dist[0, 0] <= radius * (1.0 + 1e-9)
+    bi = build_bipartite(V, U, spec, np.random.default_rng(3), BuildOptions(mode="exact"))
+    assert bi.build_options["split_radius"] == radius
+    keys, near, far = split_reference(dist, spec, np.random.default_rng(3), bi.build_options)
+    assert near == 1 and np.array_equal(flat_keys(bi), keys)
+    assert bi.build_options["candidate_pairs"] == near + far
 
 
 def test_truncated_same_seed_reproducible():

@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from grig import graph as graph_module
 from grig.experiments import (
@@ -20,6 +21,7 @@ from grig.experiments import (
     STREAM_GROUPS,
     STREAM_MEMBERSHIPS,
     STREAM_VERTICES,
+    ExperimentConfig,
     _phase_replicate,
     rng_for,
 )
@@ -145,6 +147,54 @@ def test_min_image_distance_matches_reference(case):
     into = min_image_distance(a, b, side, work[:, : shape[0]] if shape else work)
     assert np.array_equal(into, got)
     assert np.shares_memory(into, work)
+
+
+@st.composite
+def seam_clouds(draw):
+    """(a, b, side, radius): two point arrays in [0, side)^d, d in 1..5, on
+    a small or a large side, with some coordinates moved onto the seams (0,
+    side/2 and its neighbours, the last float below side), and a radius
+    that is a fraction of the half-diagonal or one of the pairs' distances."""
+    d = draw(st.integers(1, 5))
+    side = draw(st.one_of(st.floats(0.37, 10.0), st.floats(1e3, 7.1e4)))
+    torus = Torus(d, side)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = 0.5 * side
+    seams = np.array(
+        [0.0, half, np.nextafter(half, 0.0), np.nextafter(half, side), np.nextafter(side, 0.0)]
+    )
+
+    def points(n, share):
+        p = torus.wrap(rng.uniform(0.0, side, (n, d)))
+        on_seam = rng.random((n, d)) < share
+        p[on_seam] = rng.choice(seams, int(on_seam.sum()))
+        return p
+
+    share = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    a, b = points(draw(st.integers(1, 30)), share), points(draw(st.integers(1, 30)), share)
+    dist = min_image_distance(a[:, None, :], b[None, :, :], side)
+    if draw(st.booleans()) and np.any(dist > 0.0):
+        radius = float(rng.choice(dist[dist > 0.0]))
+    else:
+        radius = draw(st.floats(0.01, 1.0)) * half * math.sqrt(d)
+    return a, b, side, radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(seam_clouds())
+def test_tree_distances_are_the_min_image_distances(case):
+    # a split build's near field keeps the periodic KD-tree's distances:
+    # they must equal min_image_distance bit for bit, and its query, a
+    # little wider than the radius and then filtered at it, must give
+    # exactly the pairs the min-image formula puts within the radius
+    a, b, side, radius = case
+    pairs = cKDTree(a, boxsize=side).sparse_distance_matrix(
+        cKDTree(b, boxsize=side), radius * (1.0 + 1e-9), output_type="ndarray"
+    )
+    assert np.array_equal(pairs["v"], min_image_distance(a[pairs["i"]], b[pairs["j"]], side))
+    kept = pairs[pairs["v"] <= radius]
+    within = min_image_distance(a[:, None, :], b[None, :, :], side) <= radius
+    assert np.array_equal(np.sort(kept["i"] * b.shape[0] + kept["j"]), np.flatnonzero(within))
 
 
 def _dense_incidence(bi):
@@ -307,7 +357,10 @@ def _fraction(bi, project):
 
 def _phase_args(scene, lams, mus, k, mode):
     torus, spec, _, _, seed = scene
-    return (seed, spec, torus, np.asarray(lams), np.asarray(mus), k, mode, 1e-3)
+    config = ExperimentConfig(
+        "phase", spec, torus, lambda_values=tuple(lams), mu_values=tuple(mus), seed=seed, mode=mode
+    )
+    return config, k
 
 
 @SETTINGS

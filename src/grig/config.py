@@ -22,33 +22,17 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 
 from .errors import ConfigError
-from .experiments import ExperimentConfig
+from .experiments import CONFIG_KEYS, ExperimentConfig
 from .geometry import Torus
 from .graph import BuildOptions
 from .kernels import _finite, kernel_from_json
 
 KINDS = ("sample", "degrees", "phase", "joint_groups", "connection", "visualize", "analytics")
 
-_TOP_KEYS = {
-    "kind",
-    "kernel",
-    "torus",
-    "lambda",
-    "mu",
-    "lambda_values",
-    "mu_values",
-    "replicates",
-    "seed",
-    "mode",
-    "eps_tail",
-    "threads",
-    "probe_distances",
-    "confidence",
-    "dispersion_alpha",
-    "profile",
-}
+_TOP_KEYS = {CONFIG_KEYS.get(f.name, f.name) for f in fields(ExperimentConfig)}
 
 # profile key -> smallest allowed integer value
 _PROFILE_INTS = {"n_radii": 2, "max_refinements": 0}

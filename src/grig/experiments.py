@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -93,6 +94,10 @@ def rng_for(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=tuple(key)))
 
 
+# ExperimentConfig field -> its JSON config key, where the two differ
+CONFIG_KEYS = {"lam": "lambda", "profile_options": "profile"}
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment description (see config.load_config for JSON)."""
@@ -118,23 +123,22 @@ class ExperimentConfig:
         return BuildOptions(mode=self.mode, eps_tail=self.eps_tail)
 
     def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "kernel": kernel_to_json(self.kernel),
-            "torus": {"d": self.torus.d, "side": self.torus.side},
-            "lambda": self.lam,
-            "mu": self.mu,
-            "lambda_values": list(self.lambda_values),
-            "mu_values": list(self.mu_values),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "mode": self.mode,
-            "eps_tail": self.eps_tail,
-            "probe_distances": list(self.probe_distances),
-            "confidence": self.confidence,
-            "dispersion_alpha": self.dispersion_alpha,
-            "profile_options": self.profile_options,
-        }
+        """The config as a JSON config file spells it, keyed by CONFIG_KEYS,
+        with the torus given by its side; config_from_dict reads it back to
+        this config.  threads is left out: it changes no result."""
+        described = {}
+        for f in fields(self):
+            if f.name == "threads":
+                continue
+            value = getattr(self, f.name)
+            if f.name == "kernel":
+                value = kernel_to_json(value)
+            elif f.name == "torus":
+                value = {"d": value.d, "measure": "side", "value": value.side}
+            elif isinstance(value, tuple):
+                value = list(value)
+            described[CONFIG_KEYS.get(f.name, f.name)] = value
+        return described
 
 
 def build_profile(config: ExperimentConfig):
@@ -181,7 +185,8 @@ def check_config(config: ExperimentConfig, run: str) -> None:
     more than MAX_EXPECTED_COUNT results (one per replicate and grid cell),
     vertices, groups or memberships, summed over its replicates (at the
     grid maxima for a phase sweep)."""
-    values = {key: getattr(config, "lam" if key == "lambda" else key) for key in RUN_NEEDS[run]}
+    described = config.describe()
+    values = {key: described[key] for key in RUN_NEEDS[run]}
     missing = [key for key, value in values.items() if value is None or np.size(value) == 0]
     if missing:
         raise ConfigError(f"{run} needs config value(s): {missing}")
@@ -419,18 +424,12 @@ def _phase_replicate(args):
 
 
 def _replicate_stats(arr):
-    """Mean and stderr over the last axis, ignoring NaN: nanmean and nanstd's
-    arithmetic, with NaN left where too few replicates finished instead of
-    a RuntimeWarning."""
-    ok = ~np.isnan(arr)
-    counts = ok.sum(axis=-1)
-    dev = np.where(ok, arr, 0.0)
-    mean = np.divide(dev.sum(axis=-1), counts, out=np.full(counts.shape, np.nan), where=counts > 0)
-    dev = np.where(ok, dev - mean[..., None], 0.0)
-    var = np.divide(
-        (dev * dev).sum(axis=-1), counts - 1, out=np.full(counts.shape, np.nan), where=counts > 1
-    )
-    return mean, np.sqrt(var) / np.sqrt(np.maximum(counts, 1))
+    """Mean and stderr over the last axis, ignoring NaN; NaN where too few
+    replicates finished, without nanmean's and nanstd's RuntimeWarning."""
+    count = np.count_nonzero(~np.isnan(arr), axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmean(arr, -1), np.nanstd(arr, -1, ddof=1) / np.sqrt(np.maximum(count, 1))
 
 
 def run_phase_sweep(config: ExperimentConfig, out_dir=None) -> PhaseGrid:

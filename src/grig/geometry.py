@@ -62,27 +62,19 @@ class Torus:
         return out
 
 
-def min_image_distance(
-    a: np.ndarray, b: np.ndarray, side: float, work: np.ndarray | None = None
-) -> np.ndarray:
+def min_image_distance(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
     """Torus distances between broadcast point arrays (coordinates last).
 
     Per coordinate the shorter of |delta| and side - |delta| is taken, so
     each distance is at most side * sqrt(d) / 2.  The coordinates are
-    worked one at a time in place, and their squares summed in order:
-    the order np.add.reduce uses up to d = 7, so those distances are
-    bit-identical to ``sqrt(sum(min(delta, side - delta)**2, axis=-1))``;
-    from d = 8 on that reduce sums pairwise and may differ in the last ulp.
-
-    ``work`` is an optional float array of shape (3, *s), s the broadcast
-    shape of a and b without their coordinate axis; its contents are never
-    read, and the result is returned in ``work[2]``.  A reused work array
-    and a coordinate-major operand (``np.asfortranarray``, so each
-    coordinate is contiguous) keep large blocks free of temporaries.
+    worked one at a time in three arrays of the result's shape, and their
+    squares summed in order: the order np.add.reduce uses up to d = 7, so
+    those distances are bit-identical to
+    ``sqrt(sum(min(delta, side - delta)**2, axis=-1))``; from d = 8 on that
+    reduce sums pairwise and may differ in the last ulp.
     """
-    if work is None:
-        work = np.empty((3,) + np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    # work[i, ...] stays an array when s is (), so out= accepts it
+    # work[i, ...] stays an array when the result is a scalar, so out= accepts it
+    work = np.empty((3,) + np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     delta, other, total = work[0, ...], work[1, ...], work[2, ...]
     for k in range(a.shape[-1]):
         np.subtract(a[..., k], b[..., k], out=delta)

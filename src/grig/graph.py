@@ -27,7 +27,7 @@ p = g(R_s): a Bernoulli(p) skip process over the flat pair index thins
 the far field, and a thinned pair within the cap joins when p times its
 uniform falls below g(d).  A split at the cap or the support has no far
 field.  Smaller builds, and builds no split makes cheaper, scan every
-pair in dense blocks, in one reused work array, and draw one uniform per
+pair in dense blocks of min-image distances and draw one uniform per
 pair within the cap in the near field's order.
 """
 
@@ -53,9 +53,7 @@ _BLOCK_PAIRS = 1 << 16
 # over the groups costs more than the scan saves
 _THIN_MIN_VERTICES = 64
 # estimated cost per pair of a split build, in thinned far pairs:
-# _NEAR_COST per near pair, and the scan's cost, which a split must beat.
-# _SCAN_COST must stay <= 1: a split's cost is at least its far rate, so
-# this keeps the rate below 1 (_thin_far_field's log1p(-rate) raises at 1)
+# _NEAR_COST per near pair, and the scan's cost, which a split must beat
 _NEAR_COST = 4.0
 _SCAN_COST = 0.3
 # radii the split radius is chosen from, evenly spaced up to its bound
@@ -168,8 +166,9 @@ def _split_radius(spec, torus, cap):
 
     A near pair costs _NEAR_COST and a thinned far pair 1; per pair that
     is _NEAR_COST * min(1, ball(R) / |T|) + g(R), minimised over a grid
-    of radii up to the support of g, the cap or the torus half-diagonal.
-    At the support or the cap no pair may join beyond R_s, so the rate is 0.
+    of radii up to the support of g, the cap or the torus half-diagonal,
+    among those whose rate is below 1.  At the support or the cap no pair
+    may join beyond R_s, so the rate is 0.
     """
     limit = min(support_radius(spec, 0.0), cap)
     top = min(limit, 0.5 * torus.side * math.sqrt(torus.d))
@@ -177,7 +176,9 @@ def _split_radius(spec, torus, cap):
     rates = np.where(radii < limit, _eval_kernel_array(spec, radii), 0.0)
     rates[(rates > 0.0) & (rates < _MIN_RATE)] = _MIN_RATE
     share = np.minimum(1.0, ball_volume(torus.d, 1.0) * radii**torus.d / torus.volume)
-    cost = _NEAR_COST * share + rates
+    # a split thinning at rate 1 would visit every far pair, and its skips
+    # would be undefined (log1p(-1)): no split thins at rate >= 1
+    cost = np.where(rates < 1.0, _NEAR_COST * share + rates, np.inf)
     best = int(np.argmin(cost))
     if cost[best] >= _SCAN_COST:
         return None
@@ -201,10 +202,6 @@ def _draw_memberships(V, U, spec, rng, radius, scan):
         return np.empty(0, dtype=np.intp), 0
     if scan:
         rows, cols = max(1, _BLOCK_PAIRS // n_u), min(n_u, _BLOCK_PAIRS)
-        # one work array for every block, and U coordinate-major, so each
-        # coordinate of a block is worked on contiguous rows in place
-        columns = np.asfortranarray(U.positions)[None]
-        work = np.empty(3 * min(rows, n_v) * cols)
     else:
         per_vertex = n_u * min(1.0, ball_volume(torus.d, radius) / torus.volume)
         rows, cols = max(1, int(_BLOCK_PAIRS / max(per_vertex, 1.0))), n_u
@@ -218,11 +215,8 @@ def _draw_memberships(V, U, spec, rng, radius, scan):
         vp = V.positions[start : start + rows]
         for lo in range(0, n_u, cols):
             if scan:
-                # a short block uses the leading part of the work array
-                up = columns[:, lo : lo + cols]
-                shape = (3, vp.shape[0], up.shape[1])
-                into = work[: math.prod(shape)].reshape(shape)
-                dist = min_image_distance(vp[:, None, :], up, side, into).ravel()
+                up = U.positions[None, lo : lo + cols]
+                dist = min_image_distance(vp[:, None, :], up, side).ravel()
                 # flat within the block: whole rows (lo = 0) or one row
                 cand = np.flatnonzero(dist <= radius)
                 dist = dist[cand]

@@ -15,6 +15,7 @@ from grig.cli import main
 from grig.config import KINDS, config_from_dict, default_sweep_values, load_config, resolve_torus
 from grig.errors import ConfigError
 from grig.experiments import build_profile
+from grig.serialize import json_sanitize
 
 SRC = os.path.dirname(os.path.dirname(analytics.__file__))  # the tree grig is imported from
 GAUSS = {"family": "gaussian", "sigma": 1.0, "norm": 1.0, "d": 2}
@@ -156,6 +157,20 @@ def test_config_from_dict_returns_or_raises_config_error(payload):
             assert math.isfinite(item), config.describe()
 
 
+@settings(max_examples=100, deadline=None)
+@given(edited_configs())
+def test_described_config_reloads_to_itself(payload):
+    # a manifest's config record is a config file: it reads back to a
+    # config that describes to the same JSON
+    try:
+        config = config_from_dict(payload)
+    except ConfigError:
+        return
+    described = json.dumps(json_sanitize(config.describe()), sort_keys=True, allow_nan=False)
+    again = config_from_dict(json.loads(described))
+    assert json.dumps(json_sanitize(again.describe()), sort_keys=True) == described
+
+
 def test_config_torus_side_measure():
     torus = resolve_torus({"d": 3, "measure": "side", "value": 4.0})
     assert torus.side == 4.0
@@ -185,6 +200,19 @@ def test_cli_degrees_ok(tmp_path, capsys):
     assert manifest["error"] is None
     assert manifest["config"]["seed"] == 11
     assert manifest["outputs"] == ["histogram.csv", "report.json"]
+
+
+def test_cli_reruns_from_its_manifest_config(tmp_path):
+    # the manifest's config record alone regenerates every artifact, the
+    # manifest included, byte for byte
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["degrees", "--config", _degrees_cfg(tmp_path), "--out", str(first)]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert main(["degrees", "--config", _write(tmp_path, "again.json", config), "--out", str(second)]) == 0
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(second)) and "manifest.json" in names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_cli_config_error_writes_nothing(tmp_path, capsys):

@@ -27,6 +27,7 @@ from grig.kernels import (
     TabulatedKernel,
     eval_kernel,
     kernel_norm,
+    support_radius,
 )
 from test_properties import _dense_distances, flat_keys, split_reference
 
@@ -227,6 +228,46 @@ def test_scan_fallback_of_a_large_build(mode):
     keys, near, far = split_reference(dist, spec, np.random.default_rng(9), record)
     assert far == 0 and np.array_equal(flat_keys(bi), keys)
     assert record["candidate_pairs"] == near
+
+
+@pytest.mark.parametrize("scan_cost", [2.0, math.inf])
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_split_never_thins_at_rate_one(monkeypatch, scan_cost, mode):
+    # the clouds of the scan fallback, at scan costs a rate-1 split would
+    # beat: below the support the boolean kernel's rate is 1, a far field
+    # that keeps every pair, so the build splits at the support instead
+    monkeypatch.setattr(graph_module, "_SCAN_COST", scan_cost)
+    torus = Torus(2, math.sqrt(10.0))
+    spec = BooleanKernel(r=1.0, d=2)
+    V, U = _clouds(5, lam=20.0, mu=20.0, torus=torus)
+    assert V.count >= graph_module._THIN_MIN_VERTICES
+    bi = build_bipartite(V, U, spec, np.random.default_rng(9), BuildOptions(mode=mode))
+    record = bi.build_options
+    assert record["split_radius"] == support_radius(spec) and record["far_rate"] == 0.0
+    keys, near, far = split_reference(_dense_distances(V, U), spec, np.random.default_rng(9), record)
+    assert far == 0 and np.array_equal(flat_keys(bi), keys)
+    assert record["candidate_pairs"] == near
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_one_vertex_scan_copies_no_group_cloud(d):
+    # a planted-pair trial scans one vertex against its whole group cloud
+    # in one block: three distance arrays and the candidates take about
+    # 40 bytes per group whatever d, and a copy of the cloud would add 8 d
+    n_u = 1 << 15
+    torus = Torus(d, 10.0)
+    rng = np.random.default_rng(d)
+    V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (1, d)), 1.0, torus)
+    U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (n_u, d)), 1.0, torus)
+    spec = GaussianKernel(sigma=1.0, amplitude=1.0, d=d)
+    tracemalloc.start()
+    try:
+        bi = build_bipartite(V, U, spec, np.random.default_rng(0), BuildOptions(mode="exact"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bi.build_options["candidate_pairs"] == n_u
+    assert peak < 48 * n_u, peak / n_u
 
 
 def test_near_field_leaves_pairs_past_its_radius_to_the_far_field(monkeypatch):

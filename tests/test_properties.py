@@ -102,9 +102,8 @@ def _dense_distances(V, U):
 
 @st.composite
 def point_pairs(draw):
-    """(a, b, side, spare): broadcast point arrays in [0, side) in one of the
-    layouts the library passes, and the rows a caller's work array has
-    beyond the result (a dense build's short last block)."""
+    """(a, b, side): broadcast point arrays in [0, side) in one of the
+    layouts the library passes."""
     d = draw(st.integers(1, 10))
     side = draw(st.floats(0.5, 100.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -124,7 +123,7 @@ def point_pairs(draw):
         a, b = points(n), points()
     else:  # torus_distance
         a, b = points(), points()
-    return a, b, side, draw(st.integers(0, 3)) if a.ndim == 3 else 0
+    return a, b, side
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,7 +131,7 @@ def point_pairs(draw):
 def test_min_image_distance_matches_reference(case):
     # bit-identical to the reference for d <= 7, where np.sum adds the
     # coordinates in order; from d = 8 on np.sum adds pairwise
-    a, b, side, spare = case
+    a, b, side = case
     expected = _reference_distance(a, b, side)
     got = min_image_distance(a, b, side)
     assert got.shape == expected.shape and got.dtype == expected.dtype
@@ -140,13 +139,6 @@ def test_min_image_distance_matches_reference(case):
         assert np.array_equal(got, expected)
     else:
         np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
-    # a caller's work array is only written: NaN contents and spare rows
-    # (the leading rows serve a short last block) leave the result alone
-    shape = expected.shape
-    work = np.full((3, shape[0] + spare, *shape[1:]) if shape else (3,), np.nan)
-    into = min_image_distance(a, b, side, work[:, : shape[0]] if shape else work)
-    assert np.array_equal(into, got)
-    assert np.shares_memory(into, work)
 
 
 @st.composite

@@ -64,6 +64,7 @@ from .graph import (
 )
 from .kernels import (
     ConvolutionGrid,
+    GaussianKernel,
     KernelSpec,
     TabulatedKernel,
     _eval_kernel_array,
@@ -627,11 +628,15 @@ _BATCH_PAIRS = 1 << 17
 
 def _offsets(n: int, spec: KernelSpec, rng: np.random.Generator) -> tuple:
     """n draws from the density g / ||g||, as a coordinate-major (d, n)
-    array with their radii: a uniform direction and a radius of the radial
+    array with their radii.  A gaussian's density is that of sigma N(0, I_d),
+    drawn as such.  Otherwise a uniform direction and a radius of the radial
     law, by its inverse at a uniform tail fraction or, for a table, with no
     inverse: a uniform picks each radius's segment by the node masses, and
     a radius of density r^(d-1) on it is kept with probability g(r) / g(lo),
     else redrawn on the same segment (picking it again would bias the law)."""
+    if isinstance(spec, GaussianKernel):
+        offset = spec.sigma * rng.standard_normal((spec.d, n))
+        return offset, np.sqrt(np.square(offset).sum(axis=0))
     direction = rng.standard_normal((spec.d, n))
     direction /= np.sqrt(np.square(direction).sum(axis=0))
     u = rng.random(n)

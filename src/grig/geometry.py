@@ -165,7 +165,7 @@ def sample_poisson(
 def cloud_to_csv(cloud: PointCloud, path) -> None:
     """Write one row per point: index, x1..xd."""
     header = ["index"] + [f"x{i + 1}" for i in range(cloud.torus.d)]
-    write_csv(path, header, ((i, *row) for i, row in enumerate(cloud.positions)))
+    write_csv(path, header, ((i, *row) for i, row in enumerate(cloud.positions.tolist())))
 
 
 def cloud_to_json(cloud: PointCloud, path=None):

@@ -29,6 +29,10 @@ uniform falls below g(d).  A split at the cap or the support has no far
 field.  Smaller builds, and builds no split makes cheaper, scan every
 pair in dense blocks of min-image distances and draw one uniform per
 pair within the cap in the near field's order.
+
+scipy is imported by the functions that use it (scipy.sparse and csgraph
+for matrices and components, cKDTree for the near field), so importing
+grig, and any run that builds no matrix and no near field, loads none.
 """
 
 from __future__ import annotations
@@ -37,9 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError
 from .geometry import GROUP, VERTEX, PointCloud, ball_volume, min_image_distance
@@ -106,6 +107,8 @@ class BipartiteGraph:
 
     def incidence(self) -> sparse.csr_matrix:
         """B as a scipy matrix with unit entries."""
+        from scipy import sparse
+
         return sparse.csr_matrix(
             (np.ones(self.indices.size, dtype=np.int64), self.indices, self.indptr),
             shape=(self.vertex_count, self.group_count),
@@ -203,6 +206,8 @@ def _draw_memberships(V, U, spec, rng, radius, scan):
     if scan:
         rows, cols = max(1, _BLOCK_PAIRS // n_u), min(n_u, _BLOCK_PAIRS)
     else:
+        from scipy.spatial import cKDTree
+
         per_vertex = n_u * min(1.0, ball_volume(torus.d, radius) / torus.volume)
         rows, cols = max(1, int(_BLOCK_PAIRS / max(per_vertex, 1.0))), n_u
         # the tree's periodic distances are the min-image formula's, bit for
@@ -294,12 +299,16 @@ class IntersectionGraph:
     @property
     def edges(self) -> np.ndarray:
         """(m, 2) with edges[:, 0] < edges[:, 1], lexicographically sorted."""
+        from scipy import sparse
+
         upper = sparse.triu(self.shared, k=1, format="coo")
         return np.stack([upper.row, upper.col], axis=1)
 
     @property
     def shared_counts(self) -> np.ndarray:
         """(m,) common-membership multiplicity of each edge, >= 1."""
+        from scipy import sparse
+
         return sparse.triu(self.shared, k=1, format="coo").data
 
     def neighbors(self, node: int) -> np.ndarray:
@@ -363,6 +372,8 @@ def _canonical_partition(labels: np.ndarray) -> ComponentPartition:
 
 def components(graph: IntersectionGraph) -> ComponentPartition:
     """Connected components with ids ordered by smallest contained node."""
+    from scipy.sparse import csgraph
+
     _, labels = csgraph.connected_components(graph.shared, directed=False)
     return _canonical_partition(labels.astype(np.int64))
 
@@ -377,6 +388,9 @@ def bipartite_labels(incidence: sparse.csr_matrix) -> np.ndarray:
     stored, since an undirected component search reads each stored entry
     in both directions.
     """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     n_v, n_u = incidence.shape
     indptr = np.concatenate([incidence.indptr, np.full(n_u, incidence.nnz)])
     mat = sparse.csr_matrix(
@@ -408,6 +422,8 @@ def largest_component_fraction(graph: IntersectionGraph) -> float:
     """Size of the largest component as a fraction of all nodes."""
     if graph.node_count == 0:
         raise ValueError("fraction undefined on an empty graph")
+    from scipy.sparse import csgraph
+
     return _largest_share(csgraph.connected_components(graph.shared, directed=False)[1])
 
 

@@ -14,9 +14,12 @@ powerlaw    a * min(1, t^(-d*alpha)),  alpha > 1           unbounded
 tabulated   monotone linear interpolation of (radii, v)    bounded
 ==========  =============================================  ==============
 
-Each family's radial mass (the integral of g inside a radius) and its
-inverse have closed forms; the tabulated mass is a polynomial on each
-segment, inverted by bisection inside the one segment found.
+Each family's radial mass (the integral of g inside a radius) has a
+closed form.  The boolean and powerlaw inverses do too.  The gaussian
+tail is ||g|| times a chi-square tail with d degrees of freedom, a finite
+sum (stats.chi2_sf), and the tabulated mass is a polynomial on each
+segment; both are inverted by bisection, the table's inside the one
+segment found.
 
 The self-convolution ``f = g * g`` drives every analytic quantity: the
 number of groups shared by two vertices at distance t is Poisson with
@@ -35,11 +38,11 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, ConvergenceError
 from .geometry import ball_volume, sphere_surface
 from .serialize import write_csv
+from .stats import _bisect, chi2_sf
 
 _TAIL_SCALE = math.exp(-2.0)  # tail fraction defining the kernel's length scale
 # (t, s) and (t, s, theta) nodes per quadrature tile; bounds the memory of one pass
@@ -244,19 +247,6 @@ def _tabulated_mass(spec: TabulatedKernel, r) -> np.ndarray:
     return cum[i] + _shells(coef[i], r - radii[i])
 
 
-def _bisect(below, lo, hi):
-    """The least float in (lo, hi] where the monotone predicate below turns
-    false, element-wise, for non-negative brackets with below(lo) true and
-    below(hi) false.  Non-negative floats order as their int64 bit patterns,
-    and 64 halvings close any gap between two patterns to one."""
-    lo, hi = (np.asarray(x, dtype=float).view(np.int64) for x in (lo, hi))
-    for _ in range(64):
-        mid = lo + (hi - lo) // 2
-        true = below(mid.view(float))
-        lo, hi = np.where(true, mid, lo), np.where(true, hi, mid)
-    return hi.view(float)
-
-
 def tail_mass(spec: KernelSpec, radius: float) -> float:
     """Integral of g outside the ball of the given radius."""
     if radius < 0:
@@ -265,9 +255,7 @@ def tail_mass(spec: KernelSpec, radius: float) -> float:
     if isinstance(spec, BooleanKernel):
         return norm - ball_volume(spec.d, min(radius, spec.r))
     if isinstance(spec, GaussianKernel):
-        return norm * float(
-            special.gammaincc(spec.d / 2.0, radius**2 / (2.0 * spec.sigma**2))
-        )
+        return float(_gaussian_tail(spec, radius))
     if isinstance(spec, PowerLawKernel):
         a, d, alpha = spec.amplitude, spec.d, spec.alpha
         if radius <= 1.0:
@@ -284,10 +272,11 @@ def support_radius(spec: KernelSpec, eps_tail=0.0):
     With eps_tail = 0 this is the exact supremum of the support (infinite
     for gaussian and powerlaw kernels).  With eps_tail > 0 it is the
     smallest R whose exterior carries at most eps_tail * ||g|| of mass,
-    which is the truncation radius used by grid-indexed graph builds.
-    eps_tail may be an array; a scalar gives a float.  At uniform eps_tail
-    the radii follow the radial law of the density g / ||g||:
-    P(R > r) = tail_mass(r) / ||g||.
+    which is the truncation radius used by grid-indexed graph builds; for
+    gaussian and tabulated kernels, the least float whose tail is within
+    it in tail_mass's own arithmetic.  eps_tail may be an array; a scalar
+    gives a float.  At uniform eps_tail the radii follow the radial law of
+    the density g / ||g||: P(R > r) = tail_mass(r) / ||g||.
     """
     # [()] keeps a scalar a numpy scalar, whose ** is Python's pow; a 0-d
     # array's ** may differ from it in the last bit
@@ -297,7 +286,7 @@ def support_radius(spec: KernelSpec, eps_tail=0.0):
     if isinstance(spec, BooleanKernel):
         radius = spec.r * (1.0 - eps) ** (1.0 / spec.d)
     elif isinstance(spec, GaussianKernel):
-        radius = spec.sigma * np.sqrt(2.0 * special.gammainccinv(spec.d / 2.0, eps))
+        radius = _gaussian_radius(spec, eps)
     elif isinstance(spec, PowerLawKernel):
         d, alpha = spec.d, spec.alpha
         # inf at eps_tail = 0 and past the float range; from eps_tail =
@@ -311,6 +300,29 @@ def support_radius(spec: KernelSpec, eps_tail=0.0):
     else:
         raise TypeError(f"unknown kernel spec {spec!r}")
     return float(radius) if np.ndim(radius) == 0 else radius
+
+
+def _gaussian_tail(spec: GaussianKernel, radius):
+    """tail_mass of a gaussian, element-wise: |X| of X ~ N(0, sigma^2 I_d)
+    has the radial law of g / ||g||, so the tail is ||g|| P(chi2_d > (r / sigma)^2)."""
+    x = np.asarray(radius, dtype=float) / spec.sigma
+    return kernel_norm(spec) * chi2_sf(x * x, spec.d)
+
+
+def _gaussian_radius(spec: GaussianKernel, eps):
+    """support_radius of a gaussian: inf at eps = 0, else the least R whose
+    tail, in _gaussian_tail's own arithmetic, is within eps ||g||.  The
+    bracket's top R^2 = sigma^2 (d + 2 sqrt(d L) + 2 L), L = 1 - log(eps),
+    has a tail of at most e^-1 eps ||g|| (Laurent and Massart)."""
+    positive = eps > 0
+    if not np.any(positive):
+        return np.full(np.shape(eps), math.inf)
+    eps = np.where(positive, eps, 0.5)
+    bound = 1.0 - np.log(eps)
+    top = spec.sigma * np.sqrt(spec.d + 2.0 * np.sqrt(spec.d * bound) + 2.0 * bound)
+    target = eps * kernel_norm(spec)
+    radius = _bisect(lambda r: _gaussian_tail(spec, r) > target, 0.0, top)
+    return np.where(positive, radius, math.inf)
 
 
 def _tabulated_radius(spec: TabulatedKernel, eps):

@@ -20,6 +20,10 @@ import numpy as np
 
 def json_sanitize(obj):
     """Recursively convert a payload into strict-JSON-safe values."""
+    # the common cells first; a bool or a numpy scalar is neither type
+    kind = type(obj)
+    if kind is int or (kind is float and math.isfinite(obj)):
+        return obj
     if isinstance(obj, dict):
         return {k: json_sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -782,18 +782,65 @@ def test_cli_analytics_norm_quantities_build_no_profile(
     capsys.readouterr()
 
 
-def test_import_surface_leaves_out_optimize_and_integrate():
-    # each CLI process pays for every scipy module grig imports
+def _fresh_cli(*argv):
+    """Exit status of main(argv) in a fresh interpreter, and the scipy
+    modules loaded by then; with no argv, those of importing grig.cli."""
     probe = (
-        "import sys, grig.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        "import json, sys; from grig.cli import main; "
+        "argv = json.loads(sys.argv[1]); status = main(argv) if argv else None; "
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     run = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe, json.dumps(list(argv))],
+        capture_output=True, text=True, env=env, check=True,
     )
-    assert run.stdout.strip() == "[]"
+    return json.loads(run.stdout.strip().splitlines()[-1])
+
+
+def test_import_surface_leaves_out_optimize_and_integrate():
+    # each CLI process pays for every scipy module grig imports: importing
+    # grig.cli loads none, scipy.optimize and scipy.integrate included
+    assert _fresh_cli() == [None, []]
+
+
+PLANTED_GAUSS = dict(PLANTED, kernel=GAUSS, seed=5)
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload, extra, status",
+    [
+        pytest.param("analytics", dict(SAMPLED, kind="analytics"), ["--quantity", "profile"], 0, id="profile"),
+        pytest.param(
+            "analytics", dict(SAMPLED, kind="analytics"), ["--quantity", "expected-degree"], 0,
+            id="expected-degree",
+        ),
+        pytest.param(
+            "validate", dict(PLANTED_GAUSS, kind="joint_groups"), ["--replicates", "30"], 0, id="joint_groups"
+        ),
+        pytest.param(
+            "validate", dict(PLANTED_GAUSS, kind="connection"), ["--replicates", "5"], 0, id="connection"
+        ),
+        pytest.param("sample", dict(SAMPLED, kind="sample"), [], 0, id="sample"),
+        pytest.param("degrees", _without(dict(SAMPLED, kind="degrees"), "lambda"), [], 2, id="refused"),
+    ],
+)
+def test_cli_runs_that_build_no_matrix_load_no_scipy(tmp_path, subcommand, payload, extra, status):
+    # scipy.sparse, csgraph and cKDTree load at the first build that needs
+    # them; analytics, the planted-pair scans, a sample and a refused config
+    # need none
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert _fresh_cli(subcommand, "--config", cfg, "--out", str(tmp_path / "o"), *extra) == [status, []]
+
+
+def test_cli_degrees_loads_scipy_at_its_builds(tmp_path):
+    # the probe sees a load where there is one; one thread keeps the builds
+    # in the probed process
+    cfg = _write(tmp_path, "cfg.json", dict(SAMPLED, kind="degrees"))
+    status, modules = _fresh_cli("degrees", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1")
+    assert status == 0
+    assert "scipy.sparse" in modules
 
 
 # ---------------------------------------------------------------------------

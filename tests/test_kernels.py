@@ -320,9 +320,13 @@ def test_support_radius_scalar_closed_forms_unchanged(d):
         r, sigma = 1.3, 0.8
         boolean = BooleanKernel(r=r, d=d)
         assert support_radius(boolean, eps) == r * (1.0 - eps) ** (1.0 / d)
+        # the gaussian radius is the least float whose tail, in tail_mass's
+        # own arithmetic, is within eps ||g||; scipy's inverse rounds its own way
         gauss = GaussianKernel.with_norm(sigma, 1.0, d)
+        radius, target = support_radius(gauss, eps), eps * kernel_norm(gauss)
+        assert tail_mass(gauss, radius) <= target < tail_mass(gauss, math.nextafter(radius, 0.0))
         expected = sigma * math.sqrt(2.0 * float(special.gammainccinv(d / 2.0, eps)))
-        assert support_radius(gauss, eps) == expected
+        assert radius == pytest.approx(expected, rel=1e-12)
         for alpha in (1.5, 2.0, 3.5):
             power = PowerLawKernel.with_norm(alpha, 1.0, d)
             if eps >= 1.0 / alpha:

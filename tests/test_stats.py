@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 from grig.stats import (
     chi2_quantile,
+    chi2_sf,
     mean_stderr,
     normal_quantile,
     poisson_dispersion_test,
@@ -24,6 +26,37 @@ def test_normal_quantile_reference_values():
 def test_chi2_quantile_matches_scipy_distribution():
     for p, dof in [(0.005, 29), (0.995, 29), (0.5, 100)]:
         assert chi2_quantile(p, dof) == pytest.approx(sps.chi2.ppf(p, dof), rel=1e-10)
+
+
+@pytest.mark.parametrize("dof", range(1, 13))
+def test_chi2_sf_matches_the_regularized_gamma_tail(dof):
+    # Q(dof / 2, q / 2) from 1e-6 into the far tail, where it reaches ~1e-64
+    q = np.concatenate([[0.0], np.logspace(-6, math.log10(300.0), 240)])
+    expected = special.gammaincc(dof / 2.0, q / 2.0)
+    tail = chi2_sf(q, dof)
+    np.testing.assert_allclose(tail, expected, rtol=1e-13, atol=0.0)
+    # element-wise: an array gives the bits of scalar calls
+    assert np.array_equal(tail, [chi2_sf(float(x), dof) for x in q])
+    assert isinstance(chi2_sf(1.0, dof), float)
+    assert chi2_sf(0.0, dof) == 1.0 and chi2_sf(math.inf, dof) == 0.0
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 0)
+
+
+# from 1e-6 to 1 - 1e-6; the lower levels are summed as the lower tail
+CHI2_LEVELS = (1e-6, 1e-4, 0.005, 0.1, 0.4999, 0.5, 0.7, 0.995, 0.9999, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 4, 5, 7, 10, 29, 100, 999, 1000, 10**4, 10**5 - 1, 10**5])
+def test_chi2_quantile_matches_scipy_over_the_grid(dof):
+    for p in CHI2_LEVELS:
+        assert chi2_quantile(p, dof) == pytest.approx(sps.chi2.ppf(p, dof), rel=1e-11), p
+
+
+def test_normal_quantile_matches_ndtri():
+    tails = np.logspace(-12, math.log10(0.499), 400)
+    for p in np.concatenate([tails, 1.0 - tails, [0.975, 0.995]]):
+        assert normal_quantile(p) == pytest.approx(special.ndtri(p), rel=1e-14, abs=0.0), p
 
 
 def test_wilson_interval_reference():

@@ -168,8 +168,8 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
     seed = _int_at_least(payload.get("seed", 0), "seed", 0)
     eps_tail = _finite(payload.get("eps_tail", 1e-3), "eps_tail")
     build = BuildOptions(payload.get("mode", "auto"), eps_tail)
-    if build.mode == "truncated":
-        build.truncation_radius(kernel)  # refuses eps_tail 0 for unbounded support
+    if build.mode == "truncated" and build.eps_tail == 0.0:
+        build.truncation_radius(kernel)  # refuses unbounded support; builds resolve the radius
     threads = _int_at_least(payload.get("threads", os.cpu_count() or 1), "threads", 1)
     confidence = _unit_interval(payload, "confidence", 0.99)
     dispersion_alpha = _unit_interval(payload, "dispersion_alpha", 0.01)

@@ -38,6 +38,7 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -121,7 +122,13 @@ class ExperimentConfig:
     profile_options: dict = field(default_factory=dict)
 
     def build_options(self) -> BuildOptions:
-        return BuildOptions(mode=self.mode, eps_tail=self.eps_tail)
+        """The builds' options, their truncation radius resolved at the
+        first call and reused by every later one."""
+        return self._build_options
+
+    @cached_property
+    def _build_options(self) -> BuildOptions:
+        return BuildOptions(mode=self.mode, eps_tail=self.eps_tail).resolved(self.kernel)
 
     def describe(self) -> dict:
         """The config as a JSON config file spells it, keyed by CONFIG_KEYS,
@@ -185,7 +192,8 @@ def check_config(config: ExperimentConfig, run: str) -> None:
     dispersion test needs, a scene is not 2-d, or a sampling run expects
     more than MAX_EXPECTED_COUNT results (one per replicate and grid cell),
     vertices, groups or memberships, summed over its replicates (at the
-    grid maxima for a phase sweep)."""
+    grid maxima for a phase sweep).  A sampling run's truncation radius is
+    resolved last (ExperimentConfig.build_options)."""
     described = config.describe()
     values = {key: described[key] for key in RUN_NEEDS[run]}
     missing = [key for key, value in values.items() if value is None or np.size(value) == 0]
@@ -223,6 +231,9 @@ def check_config(config: ExperimentConfig, run: str) -> None:
             raise ConfigError(
                 f"{run} expects {count:.4g} {name}, over the limit of {MAX_EXPECTED_COUNT}"
             )
+    # the truncation radius, resolved once here, travels with the config to
+    # every replicate, in this process or in a pool's
+    config.build_options()
 
 
 def _map_tasks(fn, tasks, threads: int):

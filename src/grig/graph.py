@@ -38,31 +38,41 @@ grig, and any run that builds no matrix and no near field, loads none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .geometry import GROUP, VERTEX, PointCloud, ball_volume, min_image_distance
-from .kernels import KernelSpec, _eval_kernel_array, support_radius
+from .kernels import KernelSpec, _eval_kernel_array, kernel_norm, support_radius
 from .serialize import write_csv
 
-# expected candidate pairs per block of a scan or a near field; bounds
-# the memory of one block
+# expected candidate pairs per block of a scan or a near field, and cell
+# pairs per table of the far field; bounds the memory of one block
 _BLOCK_PAIRS = 1 << 16
 # a build of fewer vertices scans every pair: below it, the tree
 # over the groups costs more than the scan saves
 _THIN_MIN_VERTICES = 64
 # estimated cost per pair of a split build, in thinned far pairs:
-# _NEAR_COST per near pair, and the scan's cost, which a split must beat
-_NEAR_COST = 4.0
-_SCAN_COST = 0.3
+# _NEAR_COST per near pair, and the scan's cost, which a split must beat.
+# On gaussian and boolean builds of 4000-16000 points a near candidate
+# took 1.1-1.5 thinned far pairs' time, and a scanned pair 0.065-0.1; the
+# ratio of the two stays 0.075, so a boolean build splits where it did
+# when a far pair cost a quarter of a near one
+_NEAR_COST = 1.2
+_SCAN_COST = 0.09
 # radii the split radius is chosen from, evenly spaced up to its bound
 _SPLIT_GRID = 256
 # thinning at any rate >= g(R_s) is exact; this floor keeps the skips finite
 _MIN_RATE = 1e-300
 # thinned pairs per far-field chunk
 _SKIP_CHUNK = 1 << 12
+# the far field's grid has at most this many cells
+_MAX_CELLS = 1 << 12
+# relative slack on distance bounds computed in floats: the tree is queried
+# this much past R_s, and a cell offset's least distance is shrunk and its
+# greatest widened by it
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,8 @@ class BuildOptions:
 
     mode: str = "auto"  # auto | exact | truncated
     eps_tail: float = 1e-3
+    # the truncation radius, once resolved for the kernel the builds use
+    radius: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "truncated"):
@@ -80,9 +92,20 @@ class BuildOptions:
         if not 0 <= self.eps_tail < 1:
             raise ConfigError(f"eps_tail must lie in [0, 1), got {self.eps_tail}")
 
+    def resolved(self, spec: KernelSpec) -> BuildOptions:
+        """These options with a truncated build's radius for `spec` resolved,
+        so that the builds of spec reuse it."""
+        if self.mode != "truncated":
+            return self
+        return replace(self, radius=self.truncation_radius(spec))
+
     def truncation_radius(self, spec: KernelSpec) -> float:
-        """Radius a truncated build considers pairs within: the support of a
-        bounded kernel, else the eps_tail radius, which needs eps_tail > 0."""
+        """Radius a truncated build considers pairs within: the resolved
+        radius, the support of a bounded kernel, else the eps_tail radius,
+        which needs eps_tail > 0.  At eps_tail = 0 it computes
+        support_radius(spec, 0.0) alone."""
+        if self.radius is not None:
+            return self.radius
         radius = support_radius(spec, 0.0)
         if math.isfinite(radius):
             return radius
@@ -151,7 +174,8 @@ def build_bipartite(
         record.update(split_radius=radius, far_rate=rate)
         keys, drawn = _draw_memberships(V, U, spec, rng, radius, scan=False)
         if rate > 0.0:
-            far, far_drawn = _thin_far_field(V, U, spec, rng, radius, rate, cap)
+            cells = record["cells_per_axis"] = _cells_per_axis(spec, V.torus)
+            far, far_drawn = _thin_far_field(V, U, spec, rng, radius, rate, cap, cells)
             keys, drawn = np.sort(np.concatenate((keys, far))), drawn + far_drawn
     record["candidate_pairs"] = drawn
     return BipartiteGraph(
@@ -167,25 +191,109 @@ def _split_radius(spec, torus, cap):
     """(R_s, p) of the cheapest split of a build capped at `cap`, or None
     when scanning every pair is estimated to cost less.
 
-    A near pair costs _NEAR_COST and a thinned far pair 1; per pair that
-    is _NEAR_COST * min(1, ball(R) / |T|) + g(R), minimised over a grid
-    of radii up to the support of g, the cap or the torus half-diagonal,
-    among those whose rate is below 1.  At the support or the cap no pair
-    may join beyond R_s, so the rate is 0.
+    A near pair costs _NEAR_COST and a thinned far pair 1.  The far field
+    thins the pairs of cell offset o at g(max(gap_o, R_s)) and skips an
+    offset whose pairs all lie within R_s (_thin_far_field).  Taking every
+    offset to hold an equal share of the pairs, a split at R costs per pair
+    _NEAR_COST * min(1, ball(R) / |T|) plus the mean rate over the offsets,
+    minimised over R = 0 and a grid of radii up to the support of g, the
+    cap or the torus half-diagonal, among those where p = g(R) < 1: p is
+    the largest rate.  At the support or the cap no pair may join beyond
+    R_s, so p = 0.  A gaussian-like kernel splits at R_s = 0, which leaves
+    no near field.
     """
     limit = min(support_radius(spec, 0.0), cap)
     top = min(limit, 0.5 * torus.side * math.sqrt(torus.d))
-    radii = top * np.arange(1, _SPLIT_GRID + 1) / _SPLIT_GRID
+    radii = top * np.arange(_SPLIT_GRID + 1) / _SPLIT_GRID
     rates = np.where(radii < limit, _eval_kernel_array(spec, radii), 0.0)
     rates[(rates > 0.0) & (rates < _MIN_RATE)] = _MIN_RATE
+    least, most = _offset_bounds(torus, _cells_per_axis(spec, torus))
+    # per offset, the rate at R = 0; no pair past the cap may join, and g
+    # does not increase, so an offset at least R away thins at its own rate
+    # and one that reaches past R at g(R)
+    order = np.argsort(least)
+    least, own = least[order], np.where(least <= cap, _eval_kernel_array(spec, least), 0.0)[order]
+    closer = np.searchsorted(least, radii, side="right")
+    within = np.searchsorted(np.sort(most), radii, side="right")
+    beyond = np.concatenate((np.cumsum(own[::-1])[::-1], [0.0]))[closer]
+    far = (rates * (closer - within) + beyond) / least.size
     share = np.minimum(1.0, ball_volume(torus.d, 1.0) * radii**torus.d / torus.volume)
     # a split thinning at rate 1 would visit every far pair, and its skips
     # would be undefined (log1p(-1)): no split thins at rate >= 1
-    cost = np.where(rates < 1.0, _NEAR_COST * share + rates, np.inf)
+    cost = np.where(rates < 1.0, _NEAR_COST * share + far, np.inf)
     best = int(np.argmin(cost))
     if cost[best] >= _SCAN_COST:
         return None
     return float(radii[best]), float(rates[best])
+
+
+def _cells_per_axis(spec, torus):
+    """Cells per axis of the far field's grid: cells about as wide as the
+    ball over which g at its peak g(0) would carry ||g||, and at most
+    _MAX_CELLS of them."""
+    peak = float(_eval_kernel_array(spec, np.zeros(1))[0])
+    if not peak > 0.0:
+        return 1
+    width = (kernel_norm(spec) / (peak * ball_volume(torus.d, 1.0))) ** (1.0 / torus.d)
+    most = int(_MAX_CELLS ** (1.0 / torus.d) + 1e-9)
+    return max(1, int(min(torus.side / width, most)))
+
+
+def _offset_bounds(torus, k):
+    """(least, most): for every cell offset o of a grid of k cells per axis,
+    flat in C order, the least and the greatest torus distance between a
+    point of a cell A and one of cell A + o, the least shrunk and the
+    greatest widened by _MARGIN, so that a point a rounding puts in a
+    neighbouring cell stays within them.  Per axis an offset steps
+    s = min(o, k - o) cells around the circle: its points lie at least
+    max(0, s - 1) cells apart, and at most min(s + 1 cells, side / 2)."""
+    width = torus.side / k
+    steps = np.minimum(np.arange(k), k - np.arange(k))
+    bounds = []
+    for axis in (np.maximum(steps - 1, 0) * width, np.minimum((steps + 1) * width, 0.5 * torus.side)):
+        total = axis * axis
+        for _ in range(torus.d - 1):
+            total = np.add.outer(total, axis * axis)
+        bounds.append(np.sqrt(total.ravel()))
+    return bounds[0] * (1.0 - _MARGIN), bounds[1] * (1.0 + _MARGIN)
+
+
+def _cells(positions, side, k):
+    """Flat C-order cell of each point on a grid of k cells per axis, and
+    the points' indices sorted by cell, stably.  Per axis the cell is
+    floor(x * (k / side)), the last one taking a product that rounds up to k."""
+    axes = np.minimum((positions * (k / side)).astype(np.intp), k - 1)
+    cell = np.ravel_multi_index(tuple(axes.T), (k,) * positions.shape[1])
+    # at most _MAX_CELLS < 2^15 cells: a 16-bit key sorts by radix
+    return cell, np.argsort(cell.astype(np.int16), kind="stable")
+
+
+def _partner_cells(offsets, cells, k, d):
+    """(len(offsets), len(cells)) flat cells A + o, mod k per axis, of each
+    cell A of `cells` (columns) at each offset o (rows)."""
+    shape = (k,) * d
+    coords, steps = np.unravel_index(cells, shape), np.unravel_index(offsets, shape)
+    flat = np.zeros((len(offsets), len(cells)), dtype=np.intp)
+    for axis in range(d):
+        flat = flat * k + (coords[axis] + steps[axis][:, None]) % k
+    return flat
+
+
+def _offset_pair_counts(count_v, count_u, k, d):
+    """N_o = sum_A count_v[A] count_u[A + o] for every offset o: a cyclic
+    correlation of the two count grids, by FFT and rounded, or summed
+    exactly, in blocks of about _BLOCK_PAIRS cell pairs, when the rounded
+    counts are in doubt."""
+    shape = (k,) * d
+    spectrum = np.conj(np.fft.rfftn(count_v.reshape(shape))) * np.fft.rfftn(count_u.reshape(shape))
+    corr = np.fft.irfftn(spectrum, s=shape, axes=range(d)).ravel()
+    pairs = np.rint(corr).astype(np.int64)
+    if pairs.sum() == count_v.sum() * count_u.sum() and np.all(np.abs(corr - pairs) < 0.25):
+        return pairs
+    cells = np.arange(corr.size)
+    rows = max(1, _BLOCK_PAIRS // corr.size)
+    blocks = (cells[lo : lo + rows] for lo in range(0, corr.size, rows))
+    return np.concatenate([(count_u[_partner_cells(o, cells, k, d)] * count_v).sum(axis=1) for o in blocks])
 
 
 def _draw_memberships(V, U, spec, rng, radius, scan):
@@ -213,7 +321,7 @@ def _draw_memberships(V, U, spec, rng, radius, scan):
         # the tree's periodic distances are the min-image formula's, bit for
         # bit, but its pruning may round: query a little wider, then keep
         # exactly the pairs within radius
-        query = radius * (1.0 + 1e-9)
+        query = radius * (1.0 + _MARGIN)
         groups = cKDTree(U.positions, boxsize=side)
     keys, drawn = [], 0
     for start in range(0, n_v, rows):
@@ -240,37 +348,89 @@ def _draw_memberships(V, U, spec, rng, radius, scan):
     return (keys[0] if len(keys) == 1 else np.concatenate(keys)), drawn
 
 
-def _thin_far_field(V, U, spec, rng, radius, rate, cap):
-    """Sorted flat keys of the memberships among the pairs farther apart
-    than `radius` and within `cap`, where g <= rate, and the number of
+def _thin_far_field(V, U, spec, rng, radius, rate, cap, k):
+    """Flat keys of the memberships among the pairs farther apart than
+    `radius` (every pair when it is 0) and within `cap`, and the number of
     such pairs thinned.
 
-    A Bernoulli(rate) skip process over the flat pair index v * n_u + u
-    thins the pairs; a thinned pair beyond `radius` and within `cap` joins
-    when rate times its uniform falls below g(d), so it joins with
-    probability g(d).  Each thinned pair takes one row of uniforms, its
-    skip then its acceptance uniform, so the result does not depend on
+    A grid of k cells per axis (_cells) sorts the pairs by cell offset: a
+    pair (v, u) is at offset o when u's cell is v's plus o, mod k per axis.
+    Its distance is at least gap_o (_offset_bounds), so g(d) is at most
+    p_o = g(max(gap_o, radius)) = min(g(gap_o), rate), raised to _MIN_RATE
+    when below it.  The offsets with p_o > 0 and N_o > 0 pairs
+    (_offset_pair_counts) whose pairs may lie beyond `radius` and within
+    `cap` are laid end to end in ascending p_o, ties in offset order; within
+    an offset, pairs go by v's cell, then v, then u, ascending.
+
+    A unit-rate Poisson process on the cumulative hazard, -log1p(-p_o) per
+    pair of offset o, thins each pair with probability p_o.  Each point
+    takes one row of uniforms, its exponential gap by inversion then its
+    acceptance uniform.  A pair that several points land on is thinned
+    once, with its first point's acceptance uniform, and it joins when p_o
+    times that uniform falls below g(d): with probability g(d).  Points and
+    pairs are in the same order, so the result does not depend on
     _SKIP_CHUNK; the generator's state afterwards does, as the last chunk
-    runs past the last pair.  Flat indices are exact in float64 below 2^53.
+    runs past the last point.  Ascending rates keep each point's place
+    within its offset exact to n_v * n_u ulps of a pair.  Per chunk the
+    memory is bounded: the pairs of its offsets are found in tables of
+    about _BLOCK_PAIRS cell pairs at a time.
     """
-    side, n_u = V.torus.side, U.positions.shape[0]
-    total = V.positions.shape[0] * n_u
-    log_keep = math.log1p(-rate)
-    keys, drawn, last = [], 0, -1.0
+    d, side, n_u = V.torus.d, V.torus.side, U.positions.shape[0]
+    (cell_v, order_v), (cell_u, order_u) = _cells(V.positions, side, k), _cells(U.positions, side, k)
+    count_v, count_u = np.bincount(cell_v, minlength=k**d), np.bincount(cell_u, minlength=k**d)
+    start_v, start_u = np.cumsum(count_v) - count_v, np.cumsum(count_u) - count_u
+    least, most = _offset_bounds(V.torus, k)
+    bound = np.minimum(_eval_kernel_array(spec, least), rate)
+    bound[(bound > 0.0) & (bound < _MIN_RATE)] = _MIN_RATE
+    pairs = _offset_pair_counts(count_v, count_u, k, d)
+    live = np.flatnonzero((bound > 0.0) & (pairs > 0) & (most > radius) & (least <= cap))
+    live = live[np.argsort(bound[live], kind="stable")]
+    if live.size == 0:
+        return np.empty(0, dtype=np.int64), 0
+    rates, counts = bound[live], pairs[live]
+    hazard = -np.log1p(-rates)
+    ends = np.cumsum(counts * hazard)
+    first = np.cumsum(counts) - counts  # of each offset's pairs, end to end
+    # a table holds the cell pairs of a block of offsets, one row each, over
+    # the cells that hold a vertex
+    occupied = np.flatnonzero(count_v)
+    width = occupied.size
+    rows = max(1, _BLOCK_PAIRS // width)
+    keys, drawn, t, last = [], 0, 0.0, -1
     while True:
         draws = rng.random((_SKIP_CHUNK, 2))
-        # geometric skips >= 1 by inversion
-        pos = last + np.cumsum(np.floor(np.log1p(-draws[:, 0]) / log_keep) + 1.0)
-        n = int(np.searchsorted(pos, total))
-        flat = pos[:n].astype(np.int64)
-        v, u = np.divmod(flat, n_u)
+        # sequential sums, so a point's place does not depend on the chunks
+        pos = np.cumsum(np.concatenate(([t], -np.log1p(-draws[:, 0]))))[1:]
+        n = int(np.searchsorted(pos, ends[-1]))
+        seg = np.searchsorted(ends, pos[:n], side="right")
+        begin = np.where(seg > 0, ends[seg - 1], 0.0)
+        j = np.minimum(((pos[:n] - begin) / hazard[seg]).astype(np.int64), counts[seg] - 1)
+        index = first[seg] + j
+        fresh = np.flatnonzero(index != np.concatenate(([last], index[:-1])))
+        seg, j = seg[fresh], j[fresh]
+        v, u = np.empty_like(j), np.empty_like(j)
+        runs = np.flatnonzero(np.diff(seg, prepend=-1))  # each offset's first point
+        for lo in range(0, runs.size, rows):
+            p0, p1 = runs[lo], (runs[lo + rows] if lo + rows < runs.size else seg.size)
+            partner = _partner_cells(live[seg[runs[lo : lo + rows]]], occupied, k, d)
+            table = (count_u[partner] * count_v[occupied]).ravel()
+            partner = partner.ravel()
+            cum = np.cumsum(table)  # the block's offsets end to end
+            row = np.searchsorted(runs[lo : lo + rows], np.arange(p0, p1), side="right") - 1
+            target = np.concatenate(([0], cum[width - 1 :: width]))[row] + j[p0:p1]
+            at = np.searchsorted(cum, target, side="right")
+            cell, ahead = occupied[at % width], target - (cum[at] - table[at])
+            dv, du = np.divmod(ahead, count_u[partner[at]])
+            v[p0:p1], u[p0:p1] = order_v[start_v[cell] + dv], order_u[start_u[partner[at]] + du]
         dist = min_image_distance(V.positions[v], U.positions[u], side)
-        far = (dist > radius) & (dist <= cap)
+        far = dist <= cap
+        if radius > 0.0:
+            far &= dist > radius
         drawn += int(np.count_nonzero(far))
-        keys.append(flat[far & (rate * draws[:n, 1] < _eval_kernel_array(spec, dist))])
+        keys.append((v * n_u + u)[far & (rates[seg] * draws[fresh, 1] < _eval_kernel_array(spec, dist))])
         if n < _SKIP_CHUNK:
             return np.concatenate(keys), drawn
-        last = pos[-1]
+        t, last = pos[-1], index[-1]
 
 
 # ---------------------------------------------------------------------------

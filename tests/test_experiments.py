@@ -149,7 +149,7 @@ def test_degree_report_build_totals(tmp_path, mode):
             expected["truncation_radius"] = cap
         split = expected["split_radius"] = record["split_radius"]
         rng_m = rng_for(cfg.seed, KIND_DEGREE, k, STREAM_MEMBERSHIPS)
-        keys, near, far = split_reference(dist, cfg.kernel, rng_m, record)
+        keys, near, far = split_reference(V, U, cfg.kernel, rng_m, record)
         assert near == int(np.count_nonzero(dist <= split))
         assert 0 < far < np.count_nonzero((dist > split) & (dist <= cap))
         assert np.array_equal(flat_keys(bi), keys)
@@ -354,6 +354,9 @@ def test_phase_regimes_by_finite_size_scaling():
         # does not percolate below lam = 4.51 / (4 pi) ~ 0.359 at any mu
         # (continuum percolation; Mertens & Moore 2012)
         "bool": dict(kernel=BOOL_R1, lambda_values=(0.25,), mu_values=(16.0, 64.0)),
+        # an unbounded g has f > 0 everywhere, so 1 - exp(-mu f) -> 1 as mu
+        # grows: at the same lam a giant component, however large the torus
+        "gauss": dict(kernel=GAUSS_N1, lambda_values=(0.25,), mu_values=(64.0,)),
     }
     grids = {name: [] for name in sweeps}
     for area in (500.0, 2000.0, 8000.0):
@@ -368,6 +371,9 @@ def test_phase_regimes_by_finite_size_scaling():
     assert np.all(np.diff(means, axis=0) < 0)
     mid, large = grids["bool"][1:]
     assert np.all(mid.mean_v - large.mean_v > 3.0 * np.hypot(mid.stderr_v, large.stderr_v))
+    # the dichotomy at lam = 0.25, mu = 64: bounded support falls, unbounded holds
+    for gauss, boolean in zip(grids["gauss"], grids["bool"]):
+        assert gauss.mean_v[0, 0] > 0.99 > boolean.mean_v[0, 1]
 
 
 def test_phase_sweep_threads_equivalent():

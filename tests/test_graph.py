@@ -127,13 +127,14 @@ def test_build_modes_agree_for_bounded_kernel():
 
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
 def test_powerlaw_far_pairs_join_with_probability_g(mode):
-    # the heavy tail on the split path: every pair binned by distance, the
-    # bins past the split radius included; each bin's membership count
-    # against its summed g, with variance the summed g(1 - g), over 8
-    # builds of 1000 x 1000 pairs (z-scores, Bonferroni over bins at
-    # family level 1e-3).  A truncated build at eps_tail 0.05 caps the far
-    # field at R ~ 3.16 > R_s: a pair joins with probability g 1[d <= R],
-    # and no pair beyond R joins
+    # the heavy tail on the split path: every pair binned by distance, with
+    # bin edges at the least distances of the cell offsets w, sqrt(2) w and
+    # 2 w (w the cell side), where the far field's rate steps down; each
+    # bin's membership count against its summed g, with variance the
+    # summed g(1 - g), over 8 builds of 1000 x 1000 pairs (z-scores,
+    # Bonferroni over bins at family level 1e-3).  A truncated build at
+    # eps_tail 0.05 caps the far field at R ~ 3.16: a pair joins with
+    # probability g 1[d <= R], and no pair beyond R joins
     spec = PowerLawKernel.with_norm(2.0, 1.0, 2)
     torus = Torus(2, math.sqrt(1000.0))
     options = BuildOptions(mode=mode, eps_tail=0.05)
@@ -148,8 +149,9 @@ def test_powerlaw_far_pairs_join_with_probability_g(mode):
         record = bi.build_options
         assert record["far_rate"] > 0.0
         if split is None:
-            split = record["split_radius"]
-            edges = np.array([0.0, 1.0, 1.5, split, 2.5, 3.0, cap, 4.0, 6.0, 10.0, np.inf])
+            split, width = record["split_radius"], torus.side / record["cells_per_axis"]
+            gaps = width * np.array([1.0, math.sqrt(2.0), 2.0])
+            edges = np.array([0.0, 1.0, 1.5, *gaps, 2.5, 3.0, cap, 4.0, 6.0, 10.0, np.inf])
             edges = np.unique(edges)
         assert record["split_radius"] == split
         delta = np.abs(V.positions[:, None, :] - U.positions[None, :, :])
@@ -162,7 +164,9 @@ def test_powerlaw_far_pairs_join_with_probability_g(mode):
         counts = counts + np.bincount(bins[joined.ravel()], minlength=edges.size - 1)
         means = means + np.bincount(bins, g, minlength=edges.size - 1)
         variances = variances + np.bincount(bins, g * (1.0 - g), minlength=edges.size - 1)
-    assert 1.5 < split < 2.5
+    # the split of the cell grid: no near field, cells a little wider than
+    # the radius sqrt(2) of the ball over which g(0) carries ||g||
+    assert split == 0.0 and 1.4 < width < 1.5
     if mode == "truncated":
         assert 3.0 < cap < 4.0
     inside = edges[:-1] < cap
@@ -224,8 +228,7 @@ def test_scan_fallback_of_a_large_build(mode):
     bi = build_bipartite(V, U, spec, np.random.default_rng(9), BuildOptions(mode=mode))
     record = bi.build_options
     assert "split_radius" not in record and "far_rate" not in record
-    dist = _dense_distances(V, U)
-    keys, near, far = split_reference(dist, spec, np.random.default_rng(9), record)
+    keys, near, far = split_reference(V, U, spec, np.random.default_rng(9), record)
     assert far == 0 and np.array_equal(flat_keys(bi), keys)
     assert record["candidate_pairs"] == near
 
@@ -244,7 +247,7 @@ def test_split_never_thins_at_rate_one(monkeypatch, scan_cost, mode):
     bi = build_bipartite(V, U, spec, np.random.default_rng(9), BuildOptions(mode=mode))
     record = bi.build_options
     assert record["split_radius"] == support_radius(spec) and record["far_rate"] == 0.0
-    keys, near, far = split_reference(_dense_distances(V, U), spec, np.random.default_rng(9), record)
+    keys, near, far = split_reference(V, U, spec, np.random.default_rng(9), record)
     assert far == 0 and np.array_equal(flat_keys(bi), keys)
     assert record["candidate_pairs"] == near
 
@@ -285,7 +288,7 @@ def test_near_field_leaves_pairs_past_its_radius_to_the_far_field(monkeypatch):
     assert radius < dist[0, 0] <= radius * (1.0 + 1e-9)
     bi = build_bipartite(V, U, spec, np.random.default_rng(3), BuildOptions(mode="exact"))
     assert bi.build_options["split_radius"] == radius
-    keys, near, far = split_reference(dist, spec, np.random.default_rng(3), bi.build_options)
+    keys, near, far = split_reference(V, U, spec, np.random.default_rng(3), bi.build_options)
     assert near == 1 and np.array_equal(flat_keys(bi), keys)
     assert bi.build_options["candidate_pairs"] == near + far
 

@@ -227,37 +227,81 @@ def test_truncated_build_matches_brute_force(scene, mode, block_pairs):
         assert np.array_equal(row, cand[hits])
 
 
-def split_reference(dist, spec, rng, record):
+def split_reference(V, U, spec, rng, record):
     """Flat keys v * n_u + u of a build's memberships, and its near and
-    far candidate counts, from the dense distances of its pairs.
+    far candidate counts, replayed pair by pair from the dense distances.
 
     The cap is the truncation radius of a truncated build, and infinite
     otherwise.  One uniform per pair within ``split_radius`` (within the
-    cap when the build did not split), vertex-major with groups ascending;
-    then one row of two uniforms per pair the skip process thins, its
-    geometric skip by inversion and its acceptance uniform, drawn a row at
-    a time.  A thinned pair is a far candidate when it lies beyond the
-    split radius and within the cap.
+    cap when the build did not split, and none at a radius of 0),
+    vertex-major with groups ascending.  Then, at a positive ``far_rate``
+    p, the far field on a grid of k = ``cells_per_axis`` cells per axis: a
+    point's cell is floor(x * (k / side)) per axis (k - 1 at most), and a
+    pair's offset is u's cell less v's, mod k.  Per axis an offset steps
+    s = min(o, k - o) cells, so its pairs lie at least gap = |max(s - 1, 0)
+    side / k| (1 - 1e-9) apart and at most |min((s + 1) side / k, side /
+    2)| (1 + 1e-9); it thins at min(g(gap), p), raised to 1e-300 when
+    below it.  The offsets with a positive rate, a gap within the cap and
+    a greatest distance beyond the split radius go in ascending rate, ties
+    by flat offset; their pairs by v's flat cell, v and u.  A row of two
+    uniforms at a time, a gap then an acceptance uniform, moves a point t
+    along the cumulative hazard, -log1p(-rate) per pair, until it passes
+    the end; a point lands on pair floor((t - start of its offset) /
+    hazard), and one that lands where the last one did is dropped.  A
+    thinned pair is a far candidate when it lies beyond the split radius
+    (when positive) and within the cap, and it joins when its rate times
+    its acceptance uniform falls below g(d).
     """
-    flat = dist.ravel()
+    torus, n_u = V.torus, U.positions.shape[0]
+    flat = _dense_distances(V, U).ravel()
     cap = record.get("truncation_radius", math.inf)
     radius = record.get("split_radius", cap)
     rate = record.get("far_rate", 0.0)
-    near = np.flatnonzero(flat <= radius)
+    near = np.flatnonzero(flat <= radius) if radius > 0.0 else np.empty(0, dtype=np.int64)
     near_hits = near[rng.random(near.size) < eval_kernel(spec, flat[near])]
-    thinned, accept, pos = [], [], -1
-    while rate > 0.0:
-        skip_u, accept_u = rng.random((1, 2))[0]
-        pos += math.floor(math.log1p(-skip_u) / math.log1p(-rate)) + 1
-        if pos >= flat.size:
-            break
-        thinned.append(pos)
-        accept.append(accept_u)
-    thinned, accept = np.array(thinned, dtype=np.int64), np.array(accept)
-    beyond = (flat[thinned] > radius) & (flat[thinned] <= cap)
-    far, accept = thinned[beyond], accept[beyond]
-    far_hits = far[rate * accept < eval_kernel(spec, flat[far])]
-    return np.sort(np.concatenate((near_hits, far_hits))), near.size, far.size
+    far, far_hits = [], []
+    if rate > 0.0:
+        k, width = record["cells_per_axis"], torus.side / record["cells_per_axis"]
+        cell_v, cell_u = (np.minimum((c.positions * (k / torus.side)).astype(int), k - 1) for c in (V, U))
+        offset = ((cell_u[None, :, :] - cell_v[:, None, :]) % k).reshape(-1, torus.d)
+        steps = np.minimum(offset, k - offset)
+        gap = np.sqrt(np.sum((np.maximum(steps - 1, 0) * width) ** 2, axis=-1)) * (1.0 - 1e-9)
+        most = np.minimum((steps + 1) * width, 0.5 * torus.side)
+        most = np.sqrt(np.sum(most**2, axis=-1)) * (1.0 + 1e-9)
+        rates = np.minimum(eval_kernel(spec, gap), rate)
+        rates[(rates > 0.0) & (rates < 1e-300)] = 1e-300
+        offset_id = np.ravel_multi_index(tuple(offset.T), (k,) * torus.d)
+        cell_id = np.repeat(np.ravel_multi_index(tuple(cell_v.T), (k,) * torus.d), n_u)
+        pair = np.flatnonzero((rates > 0.0) & (gap <= cap) & (most > radius))
+        v, u = np.divmod(pair, n_u)
+        pair = pair[np.lexsort((u, v, cell_id[pair], offset_id[pair], rates[pair]))]
+        _, first, counts = np.unique(offset_id[pair], return_index=True, return_counts=True)
+        order = np.argsort(first)
+        first, counts = first[order], counts[order]
+        hazard = -np.log1p(-rates[pair[first]])
+        ends, end = [], 0.0
+        for count, h in zip(counts, hazard):
+            end += count * h
+            ends.append(end)
+        t, last = 0.0, -1
+        while pair.size:
+            skip_u, accept_u = rng.random((1, 2))[0]
+            t += -np.log1p(-np.array([skip_u]))[0]
+            if t >= end:
+                break
+            o = int(np.searchsorted(ends, t, side="right"))
+            begin = ends[o - 1] if o > 0 else 0.0
+            key = first[o] + min(int((t - begin) / hazard[o]), counts[o] - 1)
+            if key == last:
+                continue
+            last = key
+            dist = flat[pair[key]]
+            if dist <= cap and (radius == 0.0 or dist > radius):
+                far.append(pair[key])
+                if rates[pair[key]] * accept_u < eval_kernel(spec, dist):
+                    far_hits.append(pair[key])
+    keys = np.concatenate((near_hits, np.array(far_hits, dtype=np.int64)))
+    return np.sort(keys), near.size, len(far)
 
 
 def flat_keys(bi):
@@ -290,7 +334,7 @@ def test_split_exact_build_matches_reference(scene, mode, block_pairs, chunk):
         assert 0.0 <= record["far_rate"] < 1.0
         assert record["split_radius"] <= record.get("truncation_radius", math.inf)
         assert np.all(eval_kernel(spec, dist[dist > record["split_radius"]]) <= record["far_rate"])
-    keys, near, far = split_reference(dist, spec, np.random.default_rng(7), record)
+    keys, near, far = split_reference(V, U, spec, np.random.default_rng(7), record)
     assert np.array_equal(flat_keys(bi), keys)
     assert record["candidate_pairs"] == near + far
 

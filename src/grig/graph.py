@@ -16,19 +16,24 @@ R = support_radius(spec, eps_tail), skipping at most an eps_tail
 fraction of membership mass (none for a bounded kernel, whose R is its
 support), an exact build nowhere.  A build of at least _THIN_MIN_VERTICES
 vertices splits at the radius R_s of least estimated cost within its cap
-(_split_radius).  Its near field draws one uniform per pair within R_s,
-vertex-major with groups ascending, from periodic KD-tree candidates
-(scipy's cKDTree with boxsize = side), and links the pair when the
-uniform falls below g(d), d its torus distance as the tree returns it:
-per-axis wrap, then squares summed in axis order, the min-image
-formula's arithmetic, so the two agree bit for bit.  g is radial and
-non-increasing, so a pair beyond R_s joins with probability at most
-p = g(R_s): a Bernoulli(p) skip process over the flat pair index thins
-the far field, and a thinned pair within the cap joins when p times its
-uniform falls below g(d).  A split at the cap or the support has no far
-field.  Smaller builds, and builds no split makes cheaper, scan every
-pair in dense blocks of min-image distances and draw one uniform per
-pair within the cap in the near field's order.
+(_split_radius).  Its near field, when R_s > 0, draws one uniform per pair
+within R_s, vertex-major with groups ascending, from periodic KD-tree
+candidates (scipy's cKDTree with boxsize = side), and links the pair when
+the uniform falls below g(d), d its torus distance as the tree returns
+it: per-axis wrap, then squares summed in axis order, the min-image
+formula's arithmetic, so the two agree bit for bit.  Its far field holds
+the pairs beyond R_s, every pair when R_s = 0.  On a grid of k cells per
+axis the pairs whose cells lie at offset o are at least gap_o apart, and
+g is radial and non-increasing, so such a pair joins with probability at
+most p_o = g(max(gap_o, R_s)) <= p = g(R_s).  One Poisson process over the
+pairs of every offset thins each pair at its offset's rate, and a thinned
+pair within the cap joins when p_o times its uniform falls below g(d)
+(_thin_far_field).  So the far field's work grows with the memberships,
+not with n_v n_u g(R_s), and a gaussian-like kernel splits at R_s = 0,
+with no tree.  A split at the cap or the support has no far field.
+Smaller builds, and builds no split makes cheaper, scan every pair in
+dense blocks of min-image distances and draw one uniform per pair within
+the cap in the near field's order.
 
 scipy is imported by the functions that use it (scipy.sparse and csgraph
 for matrices and components, cKDTree for the near field), so importing
@@ -149,8 +154,8 @@ def build_bipartite(
 
     Its ``build_options`` record the resolved mode (with eps_tail and the
     truncation radius when truncated), ``split_radius`` and ``far_rate``
-    when the build splits, and ``candidate_pairs``, the number of
-    uniforms compared with g.
+    when the build splits, ``cells_per_axis`` when it has a far field, and
+    ``candidate_pairs``, the number of uniforms compared with g.
     """
     if V.role != VERTEX or U.role != GROUP:
         raise ValueError("build_bipartite needs a vertex cloud and a group cloud")
@@ -293,7 +298,8 @@ def _offset_pair_counts(count_v, count_u, k, d):
     cells = np.arange(corr.size)
     rows = max(1, _BLOCK_PAIRS // corr.size)
     blocks = (cells[lo : lo + rows] for lo in range(0, corr.size, rows))
-    return np.concatenate([(count_u[_partner_cells(o, cells, k, d)] * count_v).sum(axis=1) for o in blocks])
+    sums = [(count_u[_partner_cells(o, cells, k, d)] * count_v).sum(axis=1) for o in blocks]
+    return np.concatenate(sums)
 
 
 def _draw_memberships(V, U, spec, rng, radius, scan):
@@ -376,7 +382,8 @@ def _thin_far_field(V, U, spec, rng, radius, rate, cap, k):
     about _BLOCK_PAIRS cell pairs at a time.
     """
     d, side, n_u = V.torus.d, V.torus.side, U.positions.shape[0]
-    (cell_v, order_v), (cell_u, order_u) = _cells(V.positions, side, k), _cells(U.positions, side, k)
+    cell_v, order_v = _cells(V.positions, side, k)
+    cell_u, order_u = _cells(U.positions, side, k)
     count_v, count_u = np.bincount(cell_v, minlength=k**d), np.bincount(cell_u, minlength=k**d)
     start_v, start_u = np.cumsum(count_v) - count_v, np.cumsum(count_u) - count_u
     least, most = _offset_bounds(V.torus, k)
@@ -409,6 +416,8 @@ def _thin_far_field(V, U, spec, rng, radius, rate, cap, k):
         fresh = np.flatnonzero(index != np.concatenate(([last], index[:-1])))
         seg, j = seg[fresh], j[fresh]
         v, u = np.empty_like(j), np.empty_like(j)
+        # pair j of offset o: cell A where the running count of o's pairs
+        # passes j, then v within A and u within A + o
         runs = np.flatnonzero(np.diff(seg, prepend=-1))  # each offset's first point
         for lo in range(0, runs.size, rows):
             p0, p1 = runs[lo], (runs[lo + rows] if lo + rows < runs.size else seg.size)
@@ -427,7 +436,8 @@ def _thin_far_field(V, U, spec, rng, radius, rate, cap, k):
         if radius > 0.0:
             far &= dist > radius
         drawn += int(np.count_nonzero(far))
-        keys.append((v * n_u + u)[far & (rates[seg] * draws[fresh, 1] < _eval_kernel_array(spec, dist))])
+        joined = far & (rates[seg] * draws[fresh, 1] < _eval_kernel_array(spec, dist))
+        keys.append((v * n_u + u)[joined])
         if n < _SKIP_CHUNK:
             return np.concatenate(keys), drawn
         t, last = pos[-1], index[-1]

@@ -9,6 +9,8 @@ from scipy import stats as sps
 from test_properties import flat_keys, split_reference
 
 from grig import experiments
+from grig import graph as graph_module
+from grig.config import config_from_dict
 from grig.analytics import expected_degree, sample_dominating_degree
 from grig.errors import ConfigError, ConvergenceError
 from grig.experiments import (
@@ -40,6 +42,7 @@ from grig.kernels import (
     TabulatedKernel,
     kernel_norm,
     self_convolve,
+    support_radius,
 )
 
 GAUSS_N1 = GaussianKernel.with_norm(1.0, 1.0, 2)
@@ -374,6 +377,37 @@ def test_phase_regimes_by_finite_size_scaling():
     # the dichotomy at lam = 0.25, mu = 64: bounded support falls, unbounded holds
     for gauss, boolean in zip(grids["gauss"], grids["bool"]):
         assert gauss.mean_v[0, 0] > 0.99 > boolean.mean_v[0, 1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_truncation_radius_is_resolved_once_per_run(monkeypatch, threads):
+    # config_from_dict refuses eps_tail 0 from the support alone, and every
+    # build of a run, in this process or a pool's (which inherits the list
+    # below and raises through the pool), reuses the one radius its config
+    # resolved: the 64-step bisection of a gaussian runs once
+    calls = []
+
+    def counting(spec, eps_tail=0.0):
+        if eps_tail > 0.0:
+            assert not calls, "the truncation radius was resolved again"
+            calls.append(eps_tail)
+        return support_radius(spec, eps_tail)
+
+    monkeypatch.setattr(graph_module, "support_radius", counting)
+    payload = {
+        "kernel": {"family": "gaussian", "sigma": 1.0, "norm": 1.0, "d": 2},
+        "torus": {"d": 2, "measure": "side", "value": 10.0},
+        "lambda_values": [0.5, 1.0],
+        "mu_values": [1.0],
+        "mode": "truncated",
+        "replicates": 3,
+        "threads": threads,
+    }
+    config = config_from_dict(payload, kind="phase")
+    assert calls == []
+    grid = run_phase_sweep(config)
+    assert calls == [1e-3]
+    assert {b["truncation_radius"] for b in grid.builds} == {support_radius(config.kernel, 1e-3)}
 
 
 def test_phase_sweep_threads_equivalent():

@@ -262,7 +262,9 @@ def split_reference(V, U, spec, rng, record):
     far, far_hits = [], []
     if rate > 0.0:
         k, width = record["cells_per_axis"], torus.side / record["cells_per_axis"]
-        cell_v, cell_u = (np.minimum((c.positions * (k / torus.side)).astype(int), k - 1) for c in (V, U))
+        cell_v, cell_u = (
+            np.minimum((c.positions * (k / torus.side)).astype(int), k - 1) for c in (V, U)
+        )
         offset = ((cell_u[None, :, :] - cell_v[:, None, :]) % k).reshape(-1, torus.d)
         steps = np.minimum(offset, k - offset)
         gap = np.sqrt(np.sum((np.maximum(steps - 1, 0) * width) ** 2, axis=-1)) * (1.0 - 1e-9)
@@ -337,6 +339,105 @@ def test_split_exact_build_matches_reference(scene, mode, block_pairs, chunk):
     keys, near, far = split_reference(V, U, spec, np.random.default_rng(7), record)
     assert np.array_equal(flat_keys(bi), keys)
     assert record["candidate_pairs"] == near + far
+
+
+@st.composite
+def grid_clouds(draw):
+    """(V, U, k): vertex and group clouds of 1-30 points on a torus of
+    small or large side in d in {1, 2, 3}, and k cells per axis, with some
+    coordinates moved onto the cell seams: the multiples of side / k, the
+    floats on either side of them, and the last float below side."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    side = draw(st.one_of(st.floats(0.37, 10.0), st.floats(1e3, 7.1e4)))
+    torus = Torus(d, side)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seams = np.arange(k) * (side / k)
+    seams = np.concatenate((seams, np.nextafter(seams[1:], 0.0), np.nextafter(seams, side)))
+    share = draw(st.sampled_from([0.0, 0.3, 0.8]))
+
+    def cloud(role):
+        p = torus.wrap(rng.uniform(0.0, side, (draw(st.integers(1, 30)), d)))
+        on_seam = rng.random(p.shape) < share
+        p[on_seam] = rng.choice(np.append(seams, np.nextafter(side, 0.0)), int(on_seam.sum()))
+        return PointCloud(role, p, 1.0, torus)
+
+    return cloud(VERTEX), cloud(GROUP), k
+
+
+def _pair_offsets(V, U, k):
+    """Flat cell offset of every (vertex, group) pair, from the cells of
+    graph._cells: u's cell less v's, mod k per axis."""
+    shape = (k,) * V.torus.d
+    cell_v, cell_u = (
+        np.unravel_index(graph_module._cells(c.positions, c.torus.side, k)[0], shape) for c in (V, U)
+    )
+    axes = [(b[None, :] - a[:, None]) % k for a, b in zip(cell_v, cell_u)]
+    return np.ravel_multi_index(tuple(axes), shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_clouds(), st.floats(0.05, 3.0))
+def test_cell_offsets_bound_their_pairs(case, sigma):
+    # every pair at cell offset o lies within the offset's bounds, seams
+    # included, so g(d) is at most g at the offset's least distance: the
+    # rate the far field thins the offset at bounds g of every pair it thins
+    V, U, k = case
+    least, most = graph_module._offset_bounds(V.torus, k)
+    offset, dist = _pair_offsets(V, U, k), _dense_distances(V, U)
+    assert np.all(least[offset] <= dist) and np.all(dist <= most[offset])
+    spec = GaussianKernel(sigma=sigma, amplitude=0.5, d=V.torus.d)
+    assert np.all(eval_kernel(spec, dist) <= eval_kernel(spec, least[offset]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_clouds())
+def test_offset_pair_counts_are_direct_counts(case):
+    # N_o by FFT, and by the exact sum taken when the rounded FFT is in
+    # doubt (here an FFT off by 0.6), equals the number of pairs at offset o
+    V, U, k = case
+    d = V.torus.d
+    direct = np.bincount(_pair_offsets(V, U, k).ravel(), minlength=k**d)
+    count_v, count_u = (
+        np.bincount(graph_module._cells(c.positions, c.torus.side, k)[0], minlength=k**d)
+        for c in (V, U)
+    )
+    assert np.array_equal(graph_module._offset_pair_counts(count_v, count_u, k, d), direct)
+    inverse = np.fft.irfftn
+    with mock.patch("numpy.fft.irfftn", lambda *a, **kw: inverse(*a, **kw) + 0.6):
+        assert np.array_equal(graph_module._offset_pair_counts(count_v, count_u, k, d), direct)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    grid_clouds(),
+    st.floats(0.3, 0.99),
+    st.floats(0.05, 2.0),
+    st.floats(0.0, 0.5),
+    st.floats(0.2, 2.0),
+    st.data(),
+)
+def test_far_field_rows_are_free_of_duplicates_and_chunks(case, peak, sigma, near, cap, data):
+    # at rates near 1 a pair draws several points, often in different
+    # chunks, and a chunk may end on a duplicate or hold no new pair; the
+    # thinned pairs are the same whatever _SKIP_CHUNK, each once, beyond the
+    # split radius and within the cap
+    V, U, k = case
+    spec = GaussianKernel(sigma=sigma, amplitude=peak, d=V.torus.d)
+    scale = 0.5 * V.torus.side * math.sqrt(V.torus.d)
+    radius, cap = near * scale, data.draw(st.sampled_from([math.inf, cap * scale]))
+    rate = eval_kernel(spec, radius)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    results = []
+    for chunk in (1, 3, 4096):
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(graph_module, "_SKIP_CHUNK", chunk):
+            results.append(graph_module._thin_far_field(V, U, spec, rng, radius, rate, cap, k))
+    keys, drawn = results[0]
+    for other, n in results[1:]:
+        assert np.array_equal(np.sort(other), np.sort(keys)) and n == drawn
+    assert np.unique(keys).size == keys.size <= drawn
+    dist = _dense_distances(V, U).ravel()[keys]
+    assert np.all(dist <= cap) and (radius == 0.0 or np.all(dist > radius))
 
 
 @SETTINGS

@@ -404,9 +404,12 @@ def test_truncation_radius_is_resolved_once_per_run(monkeypatch, threads):
         "threads": threads,
     }
     config = config_from_dict(payload, kind="phase")
+    described = config.describe()
     assert calls == []
     grid = run_phase_sweep(config)
     assert calls == [1e-3]
+    # the resolved radius reaches no field of the config's record
+    assert config.describe() == described and "radius" not in json.dumps(described)
     assert {b["truncation_radius"] for b in grid.builds} == {support_radius(config.kernel, 1e-3)}
 
 

@@ -3,7 +3,8 @@ projections and the phase replicate on random small clouds: d in
 {1, 2, 3}, boolean, gaussian and tabulated kernels, empty clouds, and
 tori smaller than twice the truncation radius; for the split build, exact
 and truncated, against a brute-force reference of its stream, with
-powerlaw kernels too; and for the tabulated self-convolution of short
+powerlaw kernels too; for the far field's cell offsets on clouds with
+points on the cell seams; and for the tabulated self-convolution of short
 tables and boolean kernels in d in {1, 2, 3}."""
 
 import math

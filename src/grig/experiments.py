@@ -121,13 +121,11 @@ class ExperimentConfig:
     dispersion_alpha: float = 0.01
     profile_options: dict = field(default_factory=dict)
 
+    @cached_property
     def build_options(self) -> BuildOptions:
         """The builds' options, their truncation radius resolved at the
-        first call and reused by every later one."""
-        return self._build_options
-
-    @cached_property
-    def _build_options(self) -> BuildOptions:
+        first read and reused by every later one: mode, eps_tail and kernel
+        must not be assigned after it."""
         return BuildOptions(mode=self.mode, eps_tail=self.eps_tail).resolved(self.kernel)
 
     def describe(self) -> dict:
@@ -233,7 +231,7 @@ def check_config(config: ExperimentConfig, run: str) -> None:
             )
     # the truncation radius, resolved once here, travels with the config to
     # every replicate, in this process or in a pool's
-    config.build_options()
+    config.build_options
 
 
 def _map_tasks(fn, tasks, threads: int):
@@ -304,7 +302,7 @@ def _degree_replicate(args):
     config, k = args
     V, U = _clouds(config, config.lam, config.mu, KIND_DEGREE, k)
     rng_m = rng_for(config.seed, KIND_DEGREE, k, STREAM_MEMBERSHIPS)
-    bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options())
+    bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options)
     hist = degree_histogram(project_onto_vertices(bi))
     record = dict(
         bi.build_options,
@@ -415,7 +413,7 @@ def _phase_replicate(args):
     try:
         V, U = _clouds(config, lam_max, mu_max, KIND_PHASE, k)
         rng_m = rng_for(config.seed, KIND_PHASE, k, STREAM_MEMBERSHIPS)
-        bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options())
+        bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options)
     except GrigError as exc:  # the replicate's cells are recorded as failed, the sweep goes on
         return fractions, kept, None, f"{type(exc).__name__}: {exc}"
     rng_aux = rng_for(config.seed, KIND_PHASE, k, STREAM_AUX)
@@ -533,7 +531,7 @@ def _planted_trials(config: ExperimentConfig, kind: int, p: int, t: float) -> np
         positions = torus.wrap(rng_u.uniform(0.0, torus.side, (batch.sum(), torus.d)))
         U = PointCloud(GROUP, positions, config.mu, torus)
         first, second = (
-            build_bipartite(V, U, config.kernel, rng, config.build_options()).indices
+            build_bipartite(V, U, config.kernel, rng, config.build_options).indices
             for V, rng in zip(planted, rng_m)
         )
         trial_of_group = np.repeat(np.arange(batch.size), batch)
@@ -748,7 +746,7 @@ def export_visualization(config: ExperimentConfig, out_dir) -> dict:
     check_config(config, "visualize")
     V, U = _clouds(config, config.lam, config.mu, KIND_VISUALIZE)
     rng_m = rng_for(config.seed, KIND_VISUALIZE, STREAM_MEMBERSHIPS)
-    bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options())
+    bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options)
     gv = project_onto_vertices(bi)
 
     rows = ((cloud.role, i, *pos) for cloud in (V, U) for i, pos in enumerate(cloud.positions))

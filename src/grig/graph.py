@@ -29,11 +29,11 @@ most p_o = g(max(gap_o, R_s)) <= p = g(R_s).  One Poisson process over the
 pairs of every offset thins each pair at its offset's rate, and a thinned
 pair within the cap joins when p_o times its uniform falls below g(d)
 (_thin_far_field).  So the far field's work grows with the memberships,
-not with n_v n_u g(R_s), and a gaussian-like kernel splits at R_s = 0,
-with no tree.  A split at the cap or the support has no far field.
-Smaller builds, and builds no split makes cheaper, scan every pair in
-dense blocks of min-image distances and draw one uniform per pair within
-the cap in the near field's order.
+not with n_v n_u g(R_s), and a gaussian-like kernel's build large enough
+to pay for the grid splits at R_s = 0, with no tree.  A split at the cap
+or the support has no far field.  Smaller builds, and builds no split
+makes cheaper, scan every pair in dense blocks of min-image distances and
+draw one uniform per pair within the cap in the near field's order.
 
 scipy is imported by the functions that use it (scipy.sparse and csgraph
 for matrices and components, cKDTree for the near field), so importing
@@ -66,6 +66,13 @@ _THIN_MIN_VERTICES = 64
 # when a far pair cost a quarter of a near one
 _NEAR_COST = 1.2
 _SCAN_COST = 0.09
+# a far field's cost per build, in thinned far pairs: _FAR_SETUP_COST, and
+# _CELL_COST per cell of its grid (the cell sort, the FFT, the offset bounds
+# and tables).  Split builds of 8 x 8 points at R_s = 0 took 1000-1300 far
+# pairs' time more than their scans with 1-500 cells in d = 1 and 2, and
+# 1600-2100 with 2000-4096 cells
+_FAR_SETUP_COST = 1100.0
+_CELL_COST = 0.25
 # radii the split radius is chosen from, evenly spaced up to its bound
 _SPLIT_GRID = 256
 # thinning at any rate >= g(R_s) is exact; this floor keeps the skips finite
@@ -88,8 +95,9 @@ class BuildOptions:
 
     mode: str = "auto"  # auto | exact | truncated
     eps_tail: float = 1e-3
-    # the truncation radius, once resolved for the kernel the builds use
-    radius: float | None = None
+    # (spec, radius): the truncation radius resolved for spec, reused for
+    # that spec alone; set by resolved(), not by the constructor
+    _resolved: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "truncated"):
@@ -102,15 +110,17 @@ class BuildOptions:
         so that the builds of spec reuse it."""
         if self.mode != "truncated":
             return self
-        return replace(self, radius=self.truncation_radius(spec))
+        options = replace(self)
+        object.__setattr__(options, "_resolved", (spec, self.truncation_radius(spec)))
+        return options
 
     def truncation_radius(self, spec: KernelSpec) -> float:
-        """Radius a truncated build considers pairs within: the resolved
-        radius, the support of a bounded kernel, else the eps_tail radius,
-        which needs eps_tail > 0.  At eps_tail = 0 it computes
-        support_radius(spec, 0.0) alone."""
-        if self.radius is not None:
-            return self.radius
+        """Radius a truncated build considers pairs within: the radius
+        resolved for this very spec, the support of a bounded kernel, else
+        the eps_tail radius, which needs eps_tail > 0.  At eps_tail = 0 it
+        computes support_radius(spec, 0.0) alone."""
+        if self._resolved is not None and self._resolved[0] is spec:
+            return self._resolved[1]
         radius = support_radius(spec, 0.0)
         if math.isfinite(radius):
             return radius
@@ -171,16 +181,16 @@ def build_bipartite(
         record = {"mode": "truncated", "eps_tail": opts.eps_tail, "truncation_radius": cap}
     else:
         cap, record = math.inf, {"mode": "exact"}
-    split = _split_radius(spec, V.torus, cap) if n_v >= _THIN_MIN_VERTICES else None
+    split = _split_radius(spec, V.torus, cap, n_v * n_u) if n_v >= _THIN_MIN_VERTICES else None
     if split is None:
         keys, drawn = _draw_memberships(V, U, spec, rng, cap, scan=True)
     else:
-        radius, rate = split
+        radius, rate, grid = split
         record.update(split_radius=radius, far_rate=rate)
         keys, drawn = _draw_memberships(V, U, spec, rng, radius, scan=False)
         if rate > 0.0:
-            cells = record["cells_per_axis"] = _cells_per_axis(spec, V.torus)
-            far, far_drawn = _thin_far_field(V, U, spec, rng, radius, rate, cap, cells)
+            record["cells_per_axis"] = grid[0]
+            far, far_drawn = _thin_far_field(V, U, spec, rng, radius, rate, cap, grid)
             keys, drawn = np.sort(np.concatenate((keys, far))), drawn + far_drawn
     record["candidate_pairs"] = drawn
     return BipartiteGraph(
@@ -192,19 +202,23 @@ def build_bipartite(
     )
 
 
-def _split_radius(spec, torus, cap):
-    """(R_s, p) of the cheapest split of a build capped at `cap`, or None
-    when scanning every pair is estimated to cost less.
+def _split_radius(spec, torus, cap, pairs):
+    """(R_s, p, grid) of the cheapest split of a build of `pairs` pairs
+    capped at `cap`, or None when scanning every pair is estimated to cost
+    less.  grid = (k, least, most): the far field's cells per axis and its
+    offsets' distance bounds (_offset_bounds).
 
     A near pair costs _NEAR_COST and a thinned far pair 1.  The far field
     thins the pairs of cell offset o at g(max(gap_o, R_s)) and skips an
     offset whose pairs all lie within R_s (_thin_far_field).  Taking every
     offset to hold an equal share of the pairs, a split at R costs per pair
     _NEAR_COST * min(1, ball(R) / |T|) plus the mean rate over the offsets,
-    minimised over R = 0 and a grid of radii up to the support of g, the
-    cap or the torus half-diagonal, among those where p = g(R) < 1: p is
-    the largest rate.  At the support or the cap no pair may join beyond
-    R_s, so p = 0.  A gaussian-like kernel splits at R_s = 0, which leaves
+    and per build, when p > 0, the far field's _FAR_SETUP_COST plus
+    _CELL_COST per cell.  It is minimised over R = 0 and a grid of radii up
+    to the support of g, the cap or the torus half-diagonal, among those
+    where p = g(R) < 1: p is the largest rate.  At the support or the cap no
+    pair may join beyond R_s, so p = 0 and there is no far field.  A large
+    enough build of a gaussian-like kernel splits at R_s = 0, which leaves
     no near field.
     """
     limit = min(support_radius(spec, 0.0), cap)
@@ -212,24 +226,27 @@ def _split_radius(spec, torus, cap):
     radii = top * np.arange(_SPLIT_GRID + 1) / _SPLIT_GRID
     rates = np.where(radii < limit, _eval_kernel_array(spec, radii), 0.0)
     rates[(rates > 0.0) & (rates < _MIN_RATE)] = _MIN_RATE
-    least, most = _offset_bounds(torus, _cells_per_axis(spec, torus))
+    k = _cells_per_axis(spec, torus)
+    least, most = _offset_bounds(torus, k)
     # per offset, the rate at R = 0; no pair past the cap may join, and g
     # does not increase, so an offset at least R away thins at its own rate
     # and one that reaches past R at g(R)
-    order = np.argsort(least)
-    least, own = least[order], np.where(least <= cap, _eval_kernel_array(spec, least), 0.0)[order]
-    closer = np.searchsorted(least, radii, side="right")
+    gaps = np.sort(least)
+    own = np.where(gaps <= cap, _eval_kernel_array(spec, gaps), 0.0)
+    closer = np.searchsorted(gaps, radii, side="right")
     within = np.searchsorted(np.sort(most), radii, side="right")
     beyond = np.concatenate((np.cumsum(own[::-1])[::-1], [0.0]))[closer]
-    far = (rates * (closer - within) + beyond) / least.size
+    far = (rates * (closer - within) + beyond) / gaps.size
     share = np.minimum(1.0, ball_volume(torus.d, 1.0) * radii**torus.d / torus.volume)
+    # a split at p = 0 has no far field to set up
+    setup = np.where(rates > 0.0, _FAR_SETUP_COST + _CELL_COST * gaps.size, 0.0) / max(pairs, 1)
     # a split thinning at rate 1 would visit every far pair, and its skips
     # would be undefined (log1p(-1)): no split thins at rate >= 1
-    cost = np.where(rates < 1.0, _NEAR_COST * share + far, np.inf)
+    cost = np.where(rates < 1.0, _NEAR_COST * share + far + setup, np.inf)
     best = int(np.argmin(cost))
     if cost[best] >= _SCAN_COST:
         return None
-    return float(radii[best]), float(rates[best])
+    return float(radii[best]), float(rates[best]), (k, least, most)
 
 
 def _cells_per_axis(spec, torus):
@@ -354,14 +371,15 @@ def _draw_memberships(V, U, spec, rng, radius, scan):
     return (keys[0] if len(keys) == 1 else np.concatenate(keys)), drawn
 
 
-def _thin_far_field(V, U, spec, rng, radius, rate, cap, k):
+def _thin_far_field(V, U, spec, rng, radius, rate, cap, grid):
     """Flat keys of the memberships among the pairs farther apart than
     `radius` (every pair when it is 0) and within `cap`, and the number of
     such pairs thinned.
 
-    A grid of k cells per axis (_cells) sorts the pairs by cell offset: a
-    pair (v, u) is at offset o when u's cell is v's plus o, mod k per axis.
-    Its distance is at least gap_o (_offset_bounds), so g(d) is at most
+    grid = (k, least, most), as _split_radius chose it: k cells per axis
+    (_cells) sort the pairs by cell offset, a pair (v, u) being at offset o
+    when u's cell is v's plus o, mod k per axis.  Its distance lies within
+    the offset's bounds, least[o] = gap_o and most[o], so g(d) is at most
     p_o = g(max(gap_o, radius)) = min(g(gap_o), rate), raised to _MIN_RATE
     when below it.  The offsets with p_o > 0 and N_o > 0 pairs
     (_offset_pair_counts) whose pairs may lie beyond `radius` and within
@@ -382,11 +400,11 @@ def _thin_far_field(V, U, spec, rng, radius, rate, cap, k):
     about _BLOCK_PAIRS cell pairs at a time.
     """
     d, side, n_u = V.torus.d, V.torus.side, U.positions.shape[0]
+    k, least, most = grid
     cell_v, order_v = _cells(V.positions, side, k)
     cell_u, order_u = _cells(U.positions, side, k)
     count_v, count_u = np.bincount(cell_v, minlength=k**d), np.bincount(cell_u, minlength=k**d)
     start_v, start_u = np.cumsum(count_v) - count_v, np.cumsum(count_u) - count_u
-    least, most = _offset_bounds(V.torus, k)
     bound = np.minimum(_eval_kernel_array(spec, least), rate)
     bound[(bound > 0.0) & (bound < _MIN_RATE)] = _MIN_RATE
     pairs = _offset_pair_counts(count_v, count_u, k, d)

@@ -130,7 +130,7 @@ def _replayed_build(cfg, kind, k, lam, mu):
     V = sample_poisson(cfg.torus, lam, rng_for(cfg.seed, kind, k, STREAM_VERTICES), role=VERTEX)
     U = sample_poisson(cfg.torus, mu, rng_for(cfg.seed, kind, k, STREAM_GROUPS), role=GROUP)
     rng_m = rng_for(cfg.seed, kind, k, STREAM_MEMBERSHIPS)
-    return V, U, build_bipartite(V, U, cfg.kernel, rng_m, cfg.build_options())
+    return V, U, build_bipartite(V, U, cfg.kernel, rng_m, cfg.build_options)
 
 
 @pytest.mark.parametrize("mode", ["exact", "truncated"])

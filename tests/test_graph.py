@@ -175,15 +175,21 @@ def test_powerlaw_far_pairs_join_with_probability_g(mode):
     assert np.all(np.abs(z) < sps.norm.isf(1e-3 / (2 * z.size))), z
 
 
-def test_split_rate_floor_keeps_far_skips_finite():
+def test_split_rate_floor_keeps_far_skips_finite(monkeypatch):
     # sigma = 0.01 puts g(R_s) near 5e-306 at the first grid radius; skips
     # at that rate would overflow their running sum, so the rate is raised
-    # to the floor, which still bounds g beyond R_s
+    # to the floor, which still bounds g beyond R_s.  The far field's setup
+    # outweighs a near field up to the next grid radius, where g is 0, so
+    # the split goes there unless the estimate leaves the setup out
     spec = GaussianKernel(sigma=0.01, amplitude=1.0, d=2)
     torus = Torus(2, 192.0 / math.sqrt(2.0))
     rng = np.random.default_rng(0)
     V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
     U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
+    bi = build_bipartite(V, U, spec, rng, BuildOptions(mode="exact"))
+    assert bi.build_options["split_radius"] == 0.75 and bi.build_options["far_rate"] == 0.0
+    monkeypatch.setattr(graph_module, "_FAR_SETUP_COST", 0.0)
+    monkeypatch.setattr(graph_module, "_CELL_COST", 0.0)
     bi = build_bipartite(V, U, spec, rng, BuildOptions(mode="exact"))
     assert bi.build_options["split_radius"] == 0.375
     assert bi.build_options["far_rate"] == graph_module._MIN_RATE
@@ -277,10 +283,11 @@ def test_near_field_leaves_pairs_past_its_radius_to_the_far_field(monkeypatch):
     # the tree is queried a little past the split radius R_s; a group just
     # beyond R_s, inside that margin, is a far pair: it draws no near
     # uniform, and the build still replays the reference stream
-    monkeypatch.setattr(graph_module, "_THIN_MIN_VERTICES", 1)
+    for name in ("_THIN_MIN_VERTICES", "_FAR_SETUP_COST", "_CELL_COST"):
+        monkeypatch.setattr(graph_module, name, 1 if name == "_THIN_MIN_VERTICES" else 0.0)
     torus = Torus(1, 500.0)
     spec = GaussianKernel(sigma=1.0, amplitude=1.0, d=1)
-    radius, rate = graph_module._split_radius(spec, torus, math.inf)
+    radius, rate, _ = graph_module._split_radius(spec, torus, math.inf, 9)
     assert rate > 0.0
     V = PointCloud(VERTEX, np.array([[0.0], [10.0], [20.0]]), 1.0, torus)
     U = PointCloud(GROUP, np.array([[radius * (1.0 + 4e-10)], [10.5], [30.0]]), 1.0, torus)
@@ -321,18 +328,57 @@ def test_build_role_validation():
         build_bipartite(V2, U, spec, np.random.default_rng(0), BuildOptions())
 
 
+def test_resolved_radius_serves_its_own_kernel_alone():
+    # the resolved radius is no constructor argument, and options resolved
+    # for one kernel give another kernel that kernel's own radius
+    with pytest.raises(TypeError):
+        BuildOptions(mode="truncated", _resolved=(None, 1.0))
+    narrow, wide = GaussianKernel.with_norm(1.0, 1.0, 2), GaussianKernel.with_norm(2.0, 1.0, 2)
+    options = BuildOptions(mode="truncated").resolved(narrow)
+    plain = BuildOptions(mode="truncated")
+    assert options == plain and repr(options) == repr(plain)
+    assert options.truncation_radius(narrow) == support_radius(narrow, 1e-3)
+    assert options.truncation_radius(wide) == support_radius(wide, 1e-3)
+    assert support_radius(wide, 1e-3) > support_radius(narrow, 1e-3)
+    V, U = _clouds(4, lam=0.5, mu=0.5)
+    record = build_bipartite(V, U, wide, np.random.default_rng(0), options).build_options
+    assert record["truncation_radius"] == support_radius(wide, 1e-3)
+    assert BuildOptions(mode="exact").resolved(narrow) == BuildOptions(mode="exact")
+
+
+def test_far_field_setup_is_priced_once_per_build():
+    # a gaussian build of 122 x 137 points on a side-8 torus scans, as its
+    # far field's setup would cost more than the scan; a thousand times as
+    # many pairs split at R_s = 0, and a build records the grid the split
+    # was priced on
+    spec = GaussianKernel.with_norm(1.0, 1.0, 2)
+    assert graph_module._split_radius(spec, TORUS, math.inf, 122 * 137) is None
+    split = graph_module._split_radius(spec, TORUS, math.inf, 122 * 137 * 1000)
+    radius, rate, (k, least, most) = split
+    assert radius == 0.0 and rate == eval_kernel(spec, 0.0)
+    assert k == graph_module._cells_per_axis(spec, TORUS) == 5 and least.size == most.size == k**2
+    V, U = _clouds(8, lam=2.0, mu=2.0)
+    assert (V.count, U.count) == (122, 137)
+    assert "split_radius" not in build_bipartite(V, U, spec, np.random.default_rng(0)).build_options
+    torus = Torus(2, 16.0)
+    V, U = _clouds(8, lam=2.0, mu=2.0, torus=torus)
+    record = build_bipartite(V, U, spec, np.random.default_rng(0)).build_options
+    split = graph_module._split_radius(spec, torus, math.inf, V.count * U.count)
+    assert record["split_radius"] == split[0] == 0.0 and record["cells_per_axis"] == split[2][0]
+
+
 def test_auto_mode_is_exact():
     # auto spells exact: the same record and memberships at the same seed,
     # on a build that splits and on one that scans
     spec = GaussianKernel.with_norm(1.0, 1.0, 2)
-    for lam in (2.0, 0.25):
-        V, U = _clouds(8, lam=lam, mu=2.0)
+    for lam, splits in ((2.0, True), (0.125, False)):
+        V, U = _clouds(8, lam=lam, mu=2.0, torus=Torus(2, 16.0))
         auto, exact = (
             build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode=mode))
             for mode in ("auto", "exact")
         )
         assert auto.build_options == exact.build_options
-        assert ("split_radius" in auto.build_options) == (V.count >= 64)
+        assert ("split_radius" in auto.build_options) == splits
         assert np.array_equal(auto.indptr, exact.indptr)
         assert np.array_equal(auto.indices, exact.indices)
 

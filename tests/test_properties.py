@@ -56,6 +56,9 @@ from grig.kernels import (
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
+# a build of any size splits wherever its estimate per pair is below one
+# thinned pair, its far field's setup left out of the estimate
+FORCE_SPLIT = dict(_THIN_MIN_VERTICES=1, _SCAN_COST=1.0, _FAR_SETUP_COST=0.0, _CELL_COST=0.0)
 
 
 @st.composite
@@ -320,7 +323,7 @@ def flat_keys(bi):
     st.sampled_from([1, 3, 1 << 12]),
 )
 def test_split_exact_build_matches_reference(scene, mode, block_pairs, chunk):
-    # at a scan cost of 1.0 a build splits whenever its estimate is below
+    # forced (FORCE_SPLIT), a build splits whenever its estimate is below
     # one thinned pair per pair, which keeps its rate below 1; g stays
     # within the rate past the split radius, and the memberships and the
     # candidate count equal the reference's, whatever the blocks and the
@@ -328,7 +331,7 @@ def test_split_exact_build_matches_reference(scene, mode, block_pairs, chunk):
     # and joins no pair beyond it
     V, U = _sample(scene)
     spec = scene[1]
-    patch = dict(_THIN_MIN_VERTICES=1, _SCAN_COST=1.0, _BLOCK_PAIRS=block_pairs, _SKIP_CHUNK=chunk)
+    patch = dict(FORCE_SPLIT, _BLOCK_PAIRS=block_pairs, _SKIP_CHUNK=chunk)
     with mock.patch.multiple(graph_module, **patch):
         bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode=mode))
     record = bi.build_options
@@ -428,11 +431,12 @@ def test_far_field_rows_are_free_of_duplicates_and_chunks(case, peak, sigma, nea
     radius, cap = near * scale, data.draw(st.sampled_from([math.inf, cap * scale]))
     rate = eval_kernel(spec, radius)
     seed = data.draw(st.integers(0, 2**32 - 1))
+    grid = (k, *graph_module._offset_bounds(V.torus, k))
     results = []
     for chunk in (1, 3, 4096):
         rng = np.random.default_rng(seed)
         with mock.patch.object(graph_module, "_SKIP_CHUNK", chunk):
-            results.append(graph_module._thin_far_field(V, U, spec, rng, radius, rate, cap, k))
+            results.append(graph_module._thin_far_field(V, U, spec, rng, radius, rate, cap, grid))
     keys, drawn = results[0]
     for other, n in results[1:]:
         assert np.array_equal(np.sort(other), np.sort(keys)) and n == drawn
@@ -598,7 +602,7 @@ def test_split_at_the_support_is_the_truncated_build(spec, factor, n_v, n_u, see
     rng = np.random.default_rng(seed)
     V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (n_v, spec.d)), 1.0, torus)
     U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (n_u, spec.d)), 1.0, torus)
-    with mock.patch.multiple(graph_module, _THIN_MIN_VERTICES=1, _SCAN_COST=1.0):
+    with mock.patch.multiple(graph_module, **FORCE_SPLIT):
         split = build_bipartite(V, U, spec, np.random.default_rng(seed), BuildOptions(mode="exact"))
     truncated = build_bipartite(
         V, U, spec, np.random.default_rng(seed), BuildOptions(mode="truncated")

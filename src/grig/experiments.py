@@ -286,14 +286,14 @@ BUILD_TOTALS = ("vertices", "groups", "candidate_pairs", "memberships")
 
 
 def _build_totals(records) -> dict:
-    """Mode of the replicates' builds, their truncation radius and split
-    radius when some build has one, and the BUILD_TOTALS summed over
-    replicates: candidate pairs are the uniforms compared with g."""
+    """Mode of the replicates' builds, their truncation radius and the cells
+    per axis of their split when some build has one, and the BUILD_TOTALS
+    summed over replicates: candidate pairs are the uniforms compared with g."""
     block = {"mode": records[0]["mode"]}
-    for key in ("truncation_radius", "split_radius"):
-        radii = [r[key] for r in records if key in r]
-        if radii:
-            block[key] = radii[0]
+    for key in ("truncation_radius", "cells_per_axis"):
+        values = [r[key] for r in records if key in r]
+        if values:
+            block[key] = values[0]
     block.update((key, sum(r[key] for r in records)) for key in BUILD_TOTALS)
     return block
 

@@ -15,29 +15,26 @@ The mode only caps the pairs a build may join: a truncated build at
 R = support_radius(spec, eps_tail), skipping at most an eps_tail
 fraction of membership mass (none for a bounded kernel, whose R is its
 support), an exact build nowhere.  A build of at least _THIN_MIN_VERTICES
-vertices splits at the radius R_s of least estimated cost within its cap
-(_split_radius).  Its near field, when R_s > 0, draws one uniform per pair
-within R_s, vertex-major with groups ascending, from periodic KD-tree
-candidates (scipy's cKDTree with boxsize = side), and links the pair when
-the uniform falls below g(d), d its torus distance as the tree returns
-it: per-axis wrap, then squares summed in axis order, the min-image
-formula's arithmetic, so the two agree bit for bit.  Its far field holds
-the pairs beyond R_s, every pair when R_s = 0.  On a grid of k cells per
-axis the pairs whose cells lie at offset o are at least gap_o apart, and
-g is radial and non-increasing, so such a pair joins with probability at
-most p_o = g(max(gap_o, R_s)) <= p = g(R_s).  One Poisson process over the
-pairs of every offset thins each pair at its offset's rate, and a thinned
-pair within the cap joins when p_o times its uniform falls below g(d)
-(_thin_far_field).  So the far field's work grows with the memberships,
-not with n_v n_u g(R_s), and a gaussian-like kernel's build large enough
-to pay for the grid splits at R_s = 0, with no tree.  A split at the cap
-or the support has no far field.  Smaller builds, and builds no split
-makes cheaper, scan every pair in dense blocks of min-image distances and
-draw one uniform per pair within the cap in the near field's order.
+vertices splits on a grid of k cells per axis (_cells_per_axis) when that
+is estimated to cost less than a scan (_grid).  The pairs whose cells lie
+at offset o are at least gap_o apart, and g is radial and non-increasing,
+so such a pair joins with probability at most p_o = g(gap_o).  An offset
+with p_o above _WHOLE_COST is scanned whole: one uniform per pair within
+the cap, ordered by v's cell, v, offset and u, compared with g(d)
+(_scan_whole_offsets).  The others are thinned: one Poisson process over
+their pairs thins each at its offset's p_o, and a thinned pair within the
+cap joins when p_o times its uniform falls below g(d) (_thin_offsets).
+So the work on thinned offsets grows with the memberships, not with the
+pairs, and a kernel with g(0) at or near 1 takes its nearest offsets
+whole.  No pair beyond the support of g joins, so a split draws no
+uniform past it.  Smaller builds, and builds a split makes no cheaper,
+scan every pair in dense blocks of min-image distances and draw one
+uniform per pair within the cap, vertex-major with groups ascending: the
+order of a one-cell grid taken whole.
 
 scipy is imported by the functions that use it (scipy.sparse and csgraph
-for matrices and components, cKDTree for the near field), so importing
-grig, and any run that builds no matrix and no near field, loads none.
+for matrices and components), so importing grig, and any run that builds
+no matrix, loads none; no build loads scipy.spatial.
 """
 
 from __future__ import annotations
@@ -49,41 +46,48 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import GROUP, VERTEX, PointCloud, ball_volume, min_image_distance
-from .kernels import KernelSpec, _eval_kernel_array, kernel_norm, support_radius
+from .kernels import (
+    BooleanKernel,
+    GaussianKernel,
+    KernelSpec,
+    PowerLawKernel,
+    TabulatedKernel,
+    _eval_kernel_array,
+    kernel_norm,
+    support_radius,
+)
 from .serialize import write_csv
 
-# expected candidate pairs per block of a scan or a near field, and cell
-# pairs per table of the far field; bounds the memory of one block
+# expected pairs per block of a scan or of the whole offsets, and cell pairs
+# per table of the thinned offsets; bounds the memory of one block
 _BLOCK_PAIRS = 1 << 16
-# a build of fewer vertices scans every pair: below it, the tree
-# over the groups costs more than the scan saves
+# a build of fewer vertices scans every pair: for the one-vertex planted
+# builds the grid's enumeration costs more than the broadcast scan
 _THIN_MIN_VERTICES = 64
-# estimated cost per pair of a split build, in thinned far pairs:
-# _NEAR_COST per near pair, and the scan's cost, which a split must beat.
-# On gaussian and boolean builds of 4000-16000 points a near candidate
-# took 1.1-1.5 thinned far pairs' time, and a scanned pair 0.065-0.1; the
-# ratio of the two stays 0.075, so a boolean build splits where it did
-# when a far pair cost a quarter of a near one
-_NEAR_COST = 1.2
-_SCAN_COST = 0.09
-# a far field's cost per build, in thinned far pairs: _FAR_SETUP_COST, and
+# estimated costs of a split, in thinned pairs: _WHOLE_COST per pair of an
+# offset scanned whole, which an offset of bound p_o above it is, and p_o
+# per pair of one thinned.  On gaussian and powerlaw builds of 2000-4000
+# points a whole pair took 0.18-0.23 of a thinned pair's time.  A scan costs
+# _SCAN_COST per pair, by kernel family, which a split must beat: a powerlaw
+# scan took 1.08-1.13 times a gaussian one, a tabulated one 1.2-1.4 times
+# and a boolean one 0.93-0.97 times
+_WHOLE_COST = 0.2
+_SCAN_COST = {BooleanKernel: 0.085, GaussianKernel: 0.09, PowerLawKernel: 0.1, TabulatedKernel: 0.115}
+# a split's cost per build, in thinned pairs: _GRID_SETUP_COST, and
 # _CELL_COST per cell of its grid (the cell sort, the FFT, the offset bounds
-# and tables).  Split builds of 8 x 8 points at R_s = 0 took 1000-1300 far
-# pairs' time more than their scans with 1-500 cells in d = 1 and 2, and
-# 1600-2100 with 2000-4096 cells
-_FAR_SETUP_COST = 1100.0
+# and tables).  Split builds of 8 x 8 points with every offset thinned took
+# 1000-1300 thinned pairs' time more than their scans with 1-500 cells in
+# d = 1 and 2, and 1600-2100 with 2000-4096 cells
+_GRID_SETUP_COST = 1100.0
 _CELL_COST = 0.25
-# radii the split radius is chosen from, evenly spaced up to its bound
-_SPLIT_GRID = 256
-# thinning at any rate >= g(R_s) is exact; this floor keeps the skips finite
+# thinning at any rate >= g(gap_o) is exact; this floor keeps the skips finite
 _MIN_RATE = 1e-300
-# thinned pairs per far-field chunk
+# thinned pairs per chunk
 _SKIP_CHUNK = 1 << 12
-# the far field's grid has at most this many cells
+# the grid has at most this many cells
 _MAX_CELLS = 1 << 12
-# relative slack on distance bounds computed in floats: the tree is queried
-# this much past R_s, and a cell offset's least distance is shrunk and its
-# greatest widened by it
+# relative slack on distance bounds computed in floats: a cell offset's
+# least distance is shrunk by it
 _MARGIN = 1e-9
 
 
@@ -163,9 +167,9 @@ def build_bipartite(
     """Sample the membership graph between a vertex and a group cloud.
 
     Its ``build_options`` record the resolved mode (with eps_tail and the
-    truncation radius when truncated), ``split_radius`` and ``far_rate``
-    when the build splits, ``cells_per_axis`` when it has a far field, and
-    ``candidate_pairs``, the number of uniforms compared with g.
+    truncation radius when truncated), ``cells_per_axis`` and
+    ``whole_offsets`` (the offsets scanned whole) when the build splits,
+    and ``candidate_pairs``, the number of uniforms compared with g.
     """
     if V.role != VERTEX or U.role != GROUP:
         raise ValueError("build_bipartite needs a vertex cloud and a group cloud")
@@ -181,17 +185,16 @@ def build_bipartite(
         record = {"mode": "truncated", "eps_tail": opts.eps_tail, "truncation_radius": cap}
     else:
         cap, record = math.inf, {"mode": "exact"}
-    split = _split_radius(spec, V.torus, cap, n_v * n_u) if n_v >= _THIN_MIN_VERTICES else None
-    if split is None:
-        keys, drawn = _draw_memberships(V, U, spec, rng, cap, scan=True)
+    grid = None
+    if n_v >= _THIN_MIN_VERTICES:
+        # no pair beyond the support joins: a split draws no uniform past it
+        reach = min(cap, support_radius(spec, 0.0))
+        grid = _grid(spec, V.torus, reach, n_v * n_u)
+    if grid is None:
+        keys, drawn = _scan(V, U, spec, rng, cap)
     else:
-        radius, rate, grid = split
-        record.update(split_radius=radius, far_rate=rate)
-        keys, drawn = _draw_memberships(V, U, spec, rng, radius, scan=False)
-        if rate > 0.0:
-            record["cells_per_axis"] = grid[0]
-            far, far_drawn = _thin_far_field(V, U, spec, rng, radius, rate, cap, grid)
-            keys, drawn = np.sort(np.concatenate((keys, far))), drawn + far_drawn
+        keys, drawn, whole = _split(V, U, spec, rng, reach, *grid)
+        record.update(cells_per_axis=grid[0], whole_offsets=whole)
     record["candidate_pairs"] = drawn
     return BipartiteGraph(
         vertex_count=n_v,
@@ -202,56 +205,33 @@ def build_bipartite(
     )
 
 
-def _split_radius(spec, torus, cap, pairs):
-    """(R_s, p, grid) of the cheapest split of a build of `pairs` pairs
-    capped at `cap`, or None when scanning every pair is estimated to cost
-    less.  grid = (k, least, most): the far field's cells per axis and its
-    offsets' distance bounds (_offset_bounds).
+def _grid(spec, torus, cap, pairs):
+    """(k, p) of the split of a build of `pairs` pairs capped at `cap`, or
+    None when scanning every pair is estimated to cost less: k cells per
+    axis (_cells_per_axis) and, per cell offset o, the bound p_o = g(gap_o)
+    (_offset_gaps), 0 when gap_o lies beyond the cap and raised to
+    _MIN_RATE when below it.
 
-    A near pair costs _NEAR_COST and a thinned far pair 1.  The far field
-    thins the pairs of cell offset o at g(max(gap_o, R_s)) and skips an
-    offset whose pairs all lie within R_s (_thin_far_field).  Taking every
-    offset to hold an equal share of the pairs, a split at R costs per pair
-    _NEAR_COST * min(1, ball(R) / |T|) plus the mean rate over the offsets,
-    and per build, when p > 0, the far field's _FAR_SETUP_COST plus
-    _CELL_COST per cell.  It is minimised over R = 0 and a grid of radii up
-    to the support of g, the cap or the torus half-diagonal, among those
-    where p = g(R) < 1: p is the largest rate.  At the support or the cap no
-    pair may join beyond R_s, so p = 0 and there is no far field.  A large
-    enough build of a gaussian-like kernel splits at R_s = 0, which leaves
-    no near field.
+    An offset costs _WHOLE_COST per pair when p_o is above it and taken
+    whole, else p_o per pair, thinned.  Taking every offset to hold an
+    equal share of the pairs, a split costs per pair the mean of
+    min(p_o, _WHOLE_COST) over the offsets, plus per build
+    _GRID_SETUP_COST and _CELL_COST per cell; a scan costs its kernel
+    family's _SCAN_COST per pair.
     """
-    limit = min(support_radius(spec, 0.0), cap)
-    top = min(limit, 0.5 * torus.side * math.sqrt(torus.d))
-    radii = top * np.arange(_SPLIT_GRID + 1) / _SPLIT_GRID
-    rates = np.where(radii < limit, _eval_kernel_array(spec, radii), 0.0)
-    rates[(rates > 0.0) & (rates < _MIN_RATE)] = _MIN_RATE
     k = _cells_per_axis(spec, torus)
-    least, most = _offset_bounds(torus, k)
-    # per offset, the rate at R = 0; no pair past the cap may join, and g
-    # does not increase, so an offset at least R away thins at its own rate
-    # and one that reaches past R at g(R)
-    gaps = np.sort(least)
-    own = np.where(gaps <= cap, _eval_kernel_array(spec, gaps), 0.0)
-    closer = np.searchsorted(gaps, radii, side="right")
-    within = np.searchsorted(np.sort(most), radii, side="right")
-    beyond = np.concatenate((np.cumsum(own[::-1])[::-1], [0.0]))[closer]
-    far = (rates * (closer - within) + beyond) / gaps.size
-    share = np.minimum(1.0, ball_volume(torus.d, 1.0) * radii**torus.d / torus.volume)
-    # a split at p = 0 has no far field to set up
-    setup = np.where(rates > 0.0, _FAR_SETUP_COST + _CELL_COST * gaps.size, 0.0) / max(pairs, 1)
-    # a split thinning at rate 1 would visit every far pair, and its skips
-    # would be undefined (log1p(-1)): no split thins at rate >= 1
-    cost = np.where(rates < 1.0, _NEAR_COST * share + far + setup, np.inf)
-    best = int(np.argmin(cost))
-    if cost[best] >= _SCAN_COST:
+    gaps = _offset_gaps(torus, k)
+    bound = np.where(gaps <= cap, _eval_kernel_array(spec, gaps), 0.0)
+    bound[(bound > 0.0) & (bound < _MIN_RATE)] = _MIN_RATE
+    setup = (_GRID_SETUP_COST + _CELL_COST * gaps.size) / max(pairs, 1)
+    if np.minimum(bound, _WHOLE_COST).mean() + setup >= _SCAN_COST[type(spec)]:
         return None
-    return float(radii[best]), float(rates[best]), (k, least, most)
+    return k, bound
 
 
 def _cells_per_axis(spec, torus):
-    """Cells per axis of the far field's grid: cells about as wide as the
-    ball over which g at its peak g(0) would carry ||g||, and at most
+    """Cells per axis of a split's grid: cells about as wide as the ball
+    over which g at its peak g(0) would carry ||g||, and at most
     _MAX_CELLS of them."""
     peak = float(_eval_kernel_array(spec, np.zeros(1))[0])
     if not peak > 0.0:
@@ -261,33 +241,33 @@ def _cells_per_axis(spec, torus):
     return max(1, int(min(torus.side / width, most)))
 
 
-def _offset_bounds(torus, k):
-    """(least, most): for every cell offset o of a grid of k cells per axis,
-    flat in C order, the least and the greatest torus distance between a
-    point of a cell A and one of cell A + o, the least shrunk and the
-    greatest widened by _MARGIN, so that a point a rounding puts in a
-    neighbouring cell stays within them.  Per axis an offset steps
-    s = min(o, k - o) cells around the circle: its points lie at least
-    max(0, s - 1) cells apart, and at most min(s + 1 cells, side / 2)."""
-    width = torus.side / k
+def _offset_gaps(torus, k):
+    """For every cell offset o of a grid of k cells per axis, flat in C
+    order, the least torus distance gap_o between a point of a cell A and
+    one of cell A + o, shrunk by _MARGIN, so that a point a rounding puts
+    in a neighbouring cell stays beyond it.  Per axis an offset steps
+    s = min(o, k - o) cells around the circle, and its points lie at least
+    max(0, s - 1) cells apart."""
     steps = np.minimum(np.arange(k), k - np.arange(k))
-    bounds = []
-    for axis in (np.maximum(steps - 1, 0) * width, np.minimum((steps + 1) * width, 0.5 * torus.side)):
-        total = axis * axis
-        for _ in range(torus.d - 1):
-            total = np.add.outer(total, axis * axis)
-        bounds.append(np.sqrt(total.ravel()))
-    return bounds[0] * (1.0 - _MARGIN), bounds[1] * (1.0 + _MARGIN)
+    axis = np.maximum(steps - 1, 0) * (torus.side / k)
+    total = axis * axis
+    for _ in range(torus.d - 1):
+        total = np.add.outer(total, axis * axis)
+    return np.sqrt(total.ravel()) * (1.0 - _MARGIN)
 
 
 def _cells(positions, side, k):
-    """Flat C-order cell of each point on a grid of k cells per axis, and
-    the points' indices sorted by cell, stably.  Per axis the cell is
-    floor(x * (k / side)), the last one taking a product that rounds up to k."""
+    """(cell, order, count, start): the flat C-order cell of each point on
+    a grid of k cells per axis, the points' indices sorted by cell, stably,
+    and per cell its number of points and its first place in that order.
+    Per axis the cell is floor(x * (k / side)), the last one taking a
+    product that rounds up to k."""
     axes = np.minimum((positions * (k / side)).astype(np.intp), k - 1)
     cell = np.ravel_multi_index(tuple(axes.T), (k,) * positions.shape[1])
+    count = np.bincount(cell, minlength=k ** positions.shape[1])
     # at most _MAX_CELLS < 2^15 cells: a 16-bit key sorts by radix
-    return cell, np.argsort(cell.astype(np.int16), kind="stable")
+    order = np.argsort(cell.astype(np.int16), kind="stable")
+    return cell, order, count, np.cumsum(count) - count
 
 
 def _partner_cells(offsets, cells, k, d):
@@ -319,72 +299,100 @@ def _offset_pair_counts(count_v, count_u, k, d):
     return np.concatenate(sums)
 
 
-def _draw_memberships(V, U, spec, rng, radius, scan):
+def _scan(V, U, spec, rng, cap):
     """Sorted flat keys v * n_u + u of the memberships among the pairs
-    within `radius`, drawing one uniform per such pair, vertex-major with
-    groups ascending; returned with the number of those pairs.
-
-    A scan computes every pair's distance, in blocks of whole rows of
-    about _BLOCK_PAIRS pairs, or of one ascending range of a longer row's
-    groups.  Otherwise candidates come from a periodic KD-tree, in vertex
-    blocks of about _BLOCK_PAIRS candidates.
+    within `cap`, drawing one uniform per such pair, vertex-major with
+    groups ascending; returned with the number of those pairs.  Every
+    pair's distance is computed, in blocks of whole rows of about
+    _BLOCK_PAIRS pairs, or of one ascending range of a longer row's groups.
     """
-    torus, side = V.torus, V.torus.side
+    side = V.torus.side
     n_v, n_u = V.positions.shape[0], U.positions.shape[0]
-    if radius <= 0.0 or n_v == 0 or n_u == 0:
+    if cap <= 0.0 or n_v == 0 or n_u == 0:
         # zero-support kernel or an empty cloud: nothing can ever connect
         return np.empty(0, dtype=np.intp), 0
-    if scan:
-        rows, cols = max(1, _BLOCK_PAIRS // n_u), min(n_u, _BLOCK_PAIRS)
-    else:
-        from scipy.spatial import cKDTree
-
-        per_vertex = n_u * min(1.0, ball_volume(torus.d, radius) / torus.volume)
-        rows, cols = max(1, int(_BLOCK_PAIRS / max(per_vertex, 1.0))), n_u
-        # the tree's periodic distances are the min-image formula's, bit for
-        # bit, but its pruning may round: query a little wider, then keep
-        # exactly the pairs within radius
-        query = radius * (1.0 + _MARGIN)
-        groups = cKDTree(U.positions, boxsize=side)
+    rows, cols = max(1, _BLOCK_PAIRS // n_u), min(n_u, _BLOCK_PAIRS)
     keys, drawn = [], 0
     for start in range(0, n_v, rows):
-        vp = V.positions[start : start + rows]
+        vp = V.positions[start : start + rows, None, :]
         for lo in range(0, n_u, cols):
-            if scan:
-                up = U.positions[None, lo : lo + cols]
-                dist = min_image_distance(vp[:, None, :], up, side).ravel()
-                # flat within the block: whole rows (lo = 0) or one row
-                cand = np.flatnonzero(dist <= radius)
-                dist = dist[cand]
-            else:
-                pairs = cKDTree(vp, boxsize=side).sparse_distance_matrix(
-                    groups, query, output_type="ndarray"
-                )
-                pairs = pairs[pairs["v"] <= radius]
-                # vertex-major, groups ascending: the order the uniforms are drawn in
-                cand = pairs["i"] * n_u + pairs["j"]
-                order = np.argsort(cand)
-                cand, dist = cand[order], pairs["v"][order]
+            dist = min_image_distance(vp, U.positions[None, lo : lo + cols], side).ravel()
+            # flat within the block: whole rows (lo = 0) or one row
+            cand = np.flatnonzero(dist <= cap)
+            dist = dist[cand]
             hits = rng.random(dist.size) < _eval_kernel_array(spec, dist)
             keys.append(cand[hits] + (start * n_u + lo))
-            drawn += dist.size
+            drawn += cand.size
     return (keys[0] if len(keys) == 1 else np.concatenate(keys)), drawn
 
 
-def _thin_far_field(V, U, spec, rng, radius, rate, cap, grid):
-    """Flat keys of the memberships among the pairs farther apart than
-    `radius` (every pair when it is 0) and within `cap`, and the number of
-    such pairs thinned.
+def _split(V, U, spec, rng, cap, k, bound):
+    """Sorted flat keys of a split build's memberships on its grid of k
+    cells per axis, the number of uniforms compared with g, and the number
+    of offsets scanned whole: those holding pairs with p_o = bound[o] above
+    _WHOLE_COST.  The offsets holding pairs with 0 < p_o <= _WHOLE_COST are
+    thinned after them."""
+    d, side = V.torus.d, V.torus.side
+    cells = _cells(V.positions, side, k), _cells(U.positions, side, k)
+    pairs = _offset_pair_counts(cells[0][2], cells[1][2], k, d)
+    live = (bound > 0.0) & (pairs > 0)
+    whole = np.flatnonzero(live & (bound > _WHOLE_COST))
+    thin = np.flatnonzero(live & (bound <= _WHOLE_COST))
+    keys, drawn = _scan_whole_offsets(V, U, spec, rng, cap, k, whole, cells)
+    far, thinned = _thin_offsets(V, U, spec, rng, cap, k, thin, bound[thin], pairs[thin], cells)
+    return np.sort(np.concatenate((keys, far))), drawn + thinned, whole.size
 
-    grid = (k, least, most), as _split_radius chose it: k cells per axis
-    (_cells) sort the pairs by cell offset, a pair (v, u) being at offset o
-    when u's cell is v's plus o, mod k per axis.  Its distance lies within
-    the offset's bounds, least[o] = gap_o and most[o], so g(d) is at most
-    p_o = g(max(gap_o, radius)) = min(g(gap_o), rate), raised to _MIN_RATE
-    when below it.  The offsets with p_o > 0 and N_o > 0 pairs
-    (_offset_pair_counts) whose pairs may lie beyond `radius` and within
-    `cap` are laid end to end in ascending p_o, ties in offset order; within
-    an offset, pairs go by v's cell, then v, then u, ascending.
+
+def _scan_whole_offsets(V, U, spec, rng, cap, k, offsets, cells):
+    """Flat keys of the memberships among the pairs within `cap` at the
+    cell `offsets`, ascending, drawing one uniform per such pair ordered by
+    v's cell, v, offset and u; returned with the number of those pairs.
+
+    `cells` are both clouds' _cells.  Every vertex of a cell A meets the
+    same groups: those of the cells A + o, offset by offset, each cell's a
+    run of the groups in cell order.  Blocks of vertices in cell order hold
+    about _BLOCK_PAIRS pairs, or one vertex's pairs when they are more.
+    """
+    (_, order_v, count_v, _), (_, order_u, count_u, start_u) = cells
+    if offsets.size == 0:
+        return np.empty(0, dtype=np.int64), 0
+    occupied = np.flatnonzero(count_v)
+    partner = _partner_cells(offsets, occupied, k, V.torus.d).T  # (cells, offsets)
+    lengths = count_u[partner]
+    # each vertex in cell order: its cell's row in partner, and its pairs
+    row = np.repeat(np.arange(occupied.size), count_v[occupied])
+    per_vertex = lengths.sum(axis=1)[row]
+    ends = np.cumsum(per_vertex)
+    # the points in cell order; np.take gathers rows far faster than indexing
+    vs, us = np.take(V.positions, order_v, axis=0), np.take(U.positions, order_u, axis=0)
+    keys, drawn, lo = [], 0, 0
+    while lo < row.size:
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK_PAIRS, side="right")))
+        seg = lengths[row[lo:hi]].ravel()
+        first = start_u[partner[row[lo:hi]]].ravel() - (np.cumsum(seg) - seg)
+        a = np.repeat(vs[lo:hi], per_vertex[lo:hi], axis=0)
+        u = np.arange(a.shape[0]) + np.repeat(first, seg)
+        dist = min_image_distance(a, np.take(us, u, axis=0), V.torus.side)
+        cand = np.flatnonzero(dist <= cap)
+        hits = cand[rng.random(cand.size) < _eval_kernel_array(spec, dist[cand])]
+        v = order_v[lo + np.searchsorted(ends[lo:hi] - done, hits, side="right")]
+        keys.append(v * U.positions.shape[0] + order_u[u[hits]])
+        drawn += cand.size
+        lo = hi
+    return np.concatenate(keys), drawn
+
+
+def _thin_offsets(V, U, spec, rng, cap, k, offsets, rates, counts, cells):
+    """Flat keys of the memberships among the pairs within `cap` at the
+    cell `offsets`, thinned at `rates` < 1 (each bounding g over its
+    offset's pairs), and the number of such pairs thinned.
+
+    `cells` are both clouds' _cells, and counts[i] is the number of pairs
+    at offsets[i] (_offset_pair_counts): a pair (v, u) is at offset o when
+    u's cell is v's plus o, mod k per axis.  The offsets are laid end to
+    end in ascending rate, ties in the given order; within an offset, pairs
+    go by v's cell, then v, then u, ascending.
 
     A unit-rate Poisson process on the cumulative hazard, -log1p(-p_o) per
     pair of offset o, thins each pair with probability p_o.  Each point
@@ -399,20 +407,12 @@ def _thin_far_field(V, U, spec, rng, radius, rate, cap, grid):
     memory is bounded: the pairs of its offsets are found in tables of
     about _BLOCK_PAIRS cell pairs at a time.
     """
+    (_, order_v, count_v, start_v), (_, order_u, count_u, start_u) = cells
     d, side, n_u = V.torus.d, V.torus.side, U.positions.shape[0]
-    k, least, most = grid
-    cell_v, order_v = _cells(V.positions, side, k)
-    cell_u, order_u = _cells(U.positions, side, k)
-    count_v, count_u = np.bincount(cell_v, minlength=k**d), np.bincount(cell_u, minlength=k**d)
-    start_v, start_u = np.cumsum(count_v) - count_v, np.cumsum(count_u) - count_u
-    bound = np.minimum(_eval_kernel_array(spec, least), rate)
-    bound[(bound > 0.0) & (bound < _MIN_RATE)] = _MIN_RATE
-    pairs = _offset_pair_counts(count_v, count_u, k, d)
-    live = np.flatnonzero((bound > 0.0) & (pairs > 0) & (most > radius) & (least <= cap))
-    live = live[np.argsort(bound[live], kind="stable")]
-    if live.size == 0:
+    if offsets.size == 0:
         return np.empty(0, dtype=np.int64), 0
-    rates, counts = bound[live], pairs[live]
+    order = np.argsort(rates, kind="stable")
+    live, rates, counts = offsets[order], rates[order], counts[order]
     hazard = -np.log1p(-rates)
     ends = np.cumsum(counts * hazard)
     first = np.cumsum(counts) - counts  # of each offset's pairs, end to end
@@ -449,12 +449,10 @@ def _thin_far_field(V, U, spec, rng, radius, rate, cap, grid):
             cell, ahead = occupied[at % width], target - (cum[at] - table[at])
             dv, du = np.divmod(ahead, count_u[partner[at]])
             v[p0:p1], u[p0:p1] = order_v[start_v[cell] + dv], order_u[start_u[partner[at]] + du]
-        dist = min_image_distance(V.positions[v], U.positions[u], side)
-        far = dist <= cap
-        if radius > 0.0:
-            far &= dist > radius
-        drawn += int(np.count_nonzero(far))
-        joined = far & (rates[seg] * draws[fresh, 1] < _eval_kernel_array(spec, dist))
+        dist = min_image_distance(np.take(V.positions, v, axis=0), np.take(U.positions, u, axis=0), side)
+        within = dist <= cap
+        drawn += int(np.count_nonzero(within))
+        joined = within & (rates[seg] * draws[fresh, 1] < _eval_kernel_array(spec, dist))
         keys.append((v * n_u + u)[joined])
         if n < _SKIP_CHUNK:
             return np.concatenate(keys), drawn

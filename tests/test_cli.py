@@ -827,9 +827,9 @@ PLANTED_GAUSS = dict(PLANTED, kernel=GAUSS, seed=5)
     ],
 )
 def test_cli_runs_that_build_no_matrix_load_no_scipy(tmp_path, subcommand, payload, extra, status):
-    # scipy.sparse, csgraph and cKDTree load at the first build that needs
-    # them; analytics, the planted-pair scans, a sample and a refused config
-    # need none
+    # scipy.sparse and csgraph load at the first build that needs them;
+    # analytics, the planted-pair scans, a sample and a refused config need
+    # none
     cfg = _write(tmp_path, "cfg.json", payload)
     assert _fresh_cli(subcommand, "--config", cfg, "--out", str(tmp_path / "o"), *extra) == [status, []]
 
@@ -841,6 +841,17 @@ def test_cli_degrees_loads_scipy_at_its_builds(tmp_path):
     status, modules = _fresh_cli("degrees", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1")
     assert status == 0
     assert "scipy.sparse" in modules
+
+
+def test_cli_boolean_phase_loads_no_scipy_spatial(tmp_path):
+    # a boolean sweep's master builds (288 x 288 points) split on their
+    # grid of cells, scanning the nearest offsets whole: the components load
+    # scipy.sparse, and no build loads a KD-tree from scipy.spatial
+    payload = dict(kind="phase", kernel=BOOL, torus=TORUS_12, replicates=2)
+    cfg = _write(tmp_path, "cfg.json", dict(payload, lambda_values=[1.0, 2.0], mu_values=[1.0, 2.0]))
+    status, modules = _fresh_cli("phase", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1")
+    assert status == 0
+    assert "scipy.sparse" in modules and "scipy.spatial" not in modules
 
 
 # ---------------------------------------------------------------------------

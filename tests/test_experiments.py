@@ -136,11 +136,10 @@ def _replayed_build(cfg, kind, k, lam, mu):
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
 def test_degree_report_build_totals(tmp_path, mode):
     # the build block sums the replicates' builds, replayed from their
-    # streams.  The builds here split: their near candidates are the pairs
-    # within the split radius by the min-image formula, and their far
-    # candidates the thinned pairs beyond it (and, when truncated, within
-    # the truncation radius), as the brute-force reference of the stream
-    # draws them
+    # streams.  The builds here split, and g(0) < _WHOLE_COST thins every
+    # offset: their candidates are the thinned pairs (and, when truncated,
+    # within the truncation radius), as the brute-force reference of the
+    # stream draws them
     cfg = _cfg(replicates=3, seed=4, mode=mode)
     res = run_degree_experiment(cfg, out_dir=tmp_path)
     expected = {"mode": mode, "vertices": 0, "groups": 0, "candidate_pairs": 0, "memberships": 0}
@@ -150,13 +149,13 @@ def test_degree_report_build_totals(tmp_path, mode):
         cap = record.get("truncation_radius", math.inf)
         if mode == "truncated":
             expected["truncation_radius"] = cap
-        split = expected["split_radius"] = record["split_radius"]
+        expected["cells_per_axis"] = record["cells_per_axis"]
         rng_m = rng_for(cfg.seed, KIND_DEGREE, k, STREAM_MEMBERSHIPS)
-        keys, near, far = split_reference(V, U, cfg.kernel, rng_m, record)
-        assert near == int(np.count_nonzero(dist <= split))
-        assert 0 < far < np.count_nonzero((dist > split) & (dist <= cap))
+        keys, whole, thinned = split_reference(V, U, cfg.kernel, rng_m, record)
+        assert whole == record["whole_offsets"] == 0
+        assert 0 < thinned < np.count_nonzero(dist <= cap)
         assert np.array_equal(flat_keys(bi), keys)
-        expected["candidate_pairs"] += near + far
+        expected["candidate_pairs"] += thinned
         expected["vertices"] += V.count
         expected["groups"] += U.count
         expected["memberships"] += int(bi.membership_counts().sum())
@@ -168,21 +167,22 @@ def test_degree_report_build_totals(tmp_path, mode):
 
 
 def test_build_totals_radii():
-    # a radius is reported when some build has one; the totals are summed
+    # a radius, or a split's cells per axis, is reported when some build
+    # has one; the totals are summed
     exact = {"mode": "exact", "vertices": 2, "groups": 3, "candidate_pairs": 6, "memberships": 1}
-    split = dict(exact, split_radius=1.5, far_rate=0.02)
+    split = dict(exact, cells_per_axis=7, whole_offsets=9)
     assert _build_totals([exact, split]) == {
         "mode": "exact",
-        "split_radius": 1.5,
+        "cells_per_axis": 7,
         "vertices": 4,
         "groups": 6,
         "candidate_pairs": 12,
         "memberships": 2,
     }
-    # a truncated build reports its truncation radius, and its split
-    # radius the same way
+    # a truncated build reports its truncation radius, and its split's
+    # cells per axis the same way
     truncated = dict(exact, mode="truncated", eps_tail=1e-3, truncation_radius=2.5, candidate_pairs=4)
-    capped = dict(truncated, split_radius=1.5, far_rate=0.02)
+    capped = dict(truncated, cells_per_axis=7, whole_offsets=0)
     assert _build_totals([truncated]) == {
         "mode": "truncated",
         "truncation_radius": 2.5,
@@ -194,7 +194,7 @@ def test_build_totals_radii():
     assert _build_totals([truncated, capped, truncated]) == {
         "mode": "truncated",
         "truncation_radius": 2.5,
-        "split_radius": 1.5,
+        "cells_per_axis": 7,
         "vertices": 6,
         "groups": 9,
         "candidate_pairs": 12,

@@ -29,7 +29,7 @@ from grig.kernels import (
     kernel_norm,
     support_radius,
 )
-from test_properties import _dense_distances, flat_keys, split_reference
+from test_properties import FORCE_SPLIT, flat_keys, split_reference
 
 TORUS = Torus(2, 8.0)
 
@@ -129,31 +129,32 @@ def test_build_modes_agree_for_bounded_kernel():
 def test_powerlaw_far_pairs_join_with_probability_g(mode):
     # the heavy tail on the split path: every pair binned by distance, with
     # bin edges at the least distances of the cell offsets w, sqrt(2) w and
-    # 2 w (w the cell side), where the far field's rate steps down; each
+    # 2 w (w the cell side), where the thinning rate steps down; each
     # bin's membership count against its summed g, with variance the
     # summed g(1 - g), over 8 builds of 1000 x 1000 pairs (z-scores,
     # Bonferroni over bins at family level 1e-3).  A truncated build at
-    # eps_tail 0.05 caps the far field at R ~ 3.16: a pair joins with
+    # eps_tail 0.05 caps the split at R ~ 3.16: a pair joins with
     # probability g 1[d <= R], and no pair beyond R joins
     spec = PowerLawKernel.with_norm(2.0, 1.0, 2)
     torus = Torus(2, math.sqrt(1000.0))
     options = BuildOptions(mode=mode, eps_tail=0.05)
     cap = options.truncation_radius(spec) if mode == "truncated" else math.inf
     n = 1000
-    split, counts, means, variances = None, 0.0, 0.0, 0.0
+    width, counts, means, variances = None, 0.0, 0.0, 0.0
     for seed in range(8):
         rng = np.random.default_rng(seed)
         V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (n, 2)), 1.0, torus)
         U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (n, 2)), 1.0, torus)
         bi = build_bipartite(V, U, spec, rng, options)
         record = bi.build_options
-        assert record["far_rate"] > 0.0
-        if split is None:
-            split, width = record["split_radius"], torus.side / record["cells_per_axis"]
+        # g(0) < _WHOLE_COST: every offset is thinned
+        assert record["whole_offsets"] == 0
+        if width is None:
+            width = torus.side / record["cells_per_axis"]
             gaps = width * np.array([1.0, math.sqrt(2.0), 2.0])
             edges = np.array([0.0, 1.0, 1.5, *gaps, 2.5, 3.0, cap, 4.0, 6.0, 10.0, np.inf])
             edges = np.unique(edges)
-        assert record["split_radius"] == split
+        assert record["cells_per_axis"] == torus.side / width
         delta = np.abs(V.positions[:, None, :] - U.positions[None, :, :])
         dist = np.sqrt(np.sum(np.minimum(delta, torus.side - delta) ** 2, axis=-1))
         g = np.where(dist <= cap, eval_kernel(spec, dist), 0.0).ravel()
@@ -164,9 +165,9 @@ def test_powerlaw_far_pairs_join_with_probability_g(mode):
         counts = counts + np.bincount(bins[joined.ravel()], minlength=edges.size - 1)
         means = means + np.bincount(bins, g, minlength=edges.size - 1)
         variances = variances + np.bincount(bins, g * (1.0 - g), minlength=edges.size - 1)
-    # the split of the cell grid: no near field, cells a little wider than
-    # the radius sqrt(2) of the ball over which g(0) carries ||g||
-    assert split == 0.0 and 1.4 < width < 1.5
+    # cells a little wider than the radius sqrt(2) of the ball over which
+    # g(0) carries ||g||
+    assert 1.4 < width < 1.5
     if mode == "truncated":
         assert 3.0 < cap < 4.0
     inside = edges[:-1] < cap
@@ -176,24 +177,31 @@ def test_powerlaw_far_pairs_join_with_probability_g(mode):
 
 
 def test_split_rate_floor_keeps_far_skips_finite(monkeypatch):
-    # sigma = 0.01 puts g(R_s) near 5e-306 at the first grid radius; skips
-    # at that rate would overflow their running sum, so the rate is raised
-    # to the floor, which still bounds g beyond R_s.  The far field's setup
-    # outweighs a near field up to the next grid radius, where g is 0, so
-    # the split goes there unless the estimate leaves the setup out
+    # sigma = 0.01 on 64 cells per axis of side 0.38 puts g near 3e-314 at
+    # the offsets one cell past the nearest; skips at that rate could
+    # overflow their running sum, so the rate is raised to the floor, which
+    # still bounds g there.  The grid's setup outweighs a split of these
+    # 100 x 100 points, so the build scans unless the estimate leaves the
+    # setup out
     spec = GaussianKernel(sigma=0.01, amplitude=1.0, d=2)
-    torus = Torus(2, 192.0 / math.sqrt(2.0))
+    torus = Torus(2, 24.32)
     rng = np.random.default_rng(0)
     V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
     U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
     bi = build_bipartite(V, U, spec, rng, BuildOptions(mode="exact"))
-    assert bi.build_options["split_radius"] == 0.75 and bi.build_options["far_rate"] == 0.0
-    monkeypatch.setattr(graph_module, "_FAR_SETUP_COST", 0.0)
+    assert "cells_per_axis" not in bi.build_options
+    monkeypatch.setattr(graph_module, "_GRID_SETUP_COST", 0.0)
     monkeypatch.setattr(graph_module, "_CELL_COST", 0.0)
-    bi = build_bipartite(V, U, spec, rng, BuildOptions(mode="exact"))
-    assert bi.build_options["split_radius"] == 0.375
-    assert bi.build_options["far_rate"] == graph_module._MIN_RATE
-    assert 0.0 < eval_kernel(spec, 0.375) < graph_module._MIN_RATE
+    k, bound = graph_module._grid(spec, torus, math.inf, 100 * 100)
+    floored = bound == graph_module._MIN_RATE
+    g = eval_kernel(spec, graph_module._offset_gaps(torus, k)[floored])
+    assert k == 64 and floored.any() and np.all((0.0 < g) & (g < graph_module._MIN_RATE))
+    bi = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode="exact"))
+    record = bi.build_options
+    assert record["cells_per_axis"] == 64 and 0 < record["whole_offsets"] <= 9
+    keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(1), record)
+    assert np.array_equal(flat_keys(bi), keys)
+    assert record["candidate_pairs"] == whole + thinned
 
 
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
@@ -223,39 +231,39 @@ def test_scan_memory_is_bounded_by_its_block(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
 def test_scan_fallback_of_a_large_build(mode):
-    # 200 vertices, but a boolean r = 1 kernel on an area-10 torus: every
-    # split radius costs more than a scan (its ball covers too much of the
-    # torus, or its rate is 1), so the build scans every pair and draws
-    # the stream of a build with no split
+    # 200 vertices, but a boolean r = 1 kernel on an area-10 torus: its
+    # grid of 3 x 3 cells takes every offset whole, which costs more than a
+    # scan, so the build scans every pair and draws the stream of a build
+    # with no split
     torus = Torus(2, math.sqrt(10.0))
     spec = BooleanKernel(r=1.0, d=2)
     V, U = _clouds(5, lam=20.0, mu=20.0, torus=torus)
     assert V.count >= graph_module._THIN_MIN_VERTICES
     bi = build_bipartite(V, U, spec, np.random.default_rng(9), BuildOptions(mode=mode))
     record = bi.build_options
-    assert "split_radius" not in record and "far_rate" not in record
-    keys, near, far = split_reference(V, U, spec, np.random.default_rng(9), record)
-    assert far == 0 and np.array_equal(flat_keys(bi), keys)
-    assert record["candidate_pairs"] == near
+    assert "cells_per_axis" not in record and "whole_offsets" not in record
+    keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(9), record)
+    assert thinned == 0 and np.array_equal(flat_keys(bi), keys)
+    assert record["candidate_pairs"] == whole
 
 
 @pytest.mark.parametrize("scan_cost", [2.0, math.inf])
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
 def test_split_never_thins_at_rate_one(monkeypatch, scan_cost, mode):
-    # the clouds of the scan fallback, at scan costs a rate-1 split would
-    # beat: below the support the boolean kernel's rate is 1, a far field
-    # that keeps every pair, so the build splits at the support instead
-    monkeypatch.setattr(graph_module, "_SCAN_COST", scan_cost)
+    # the clouds of the scan fallback, at scan costs a split beats: every
+    # offset's rate is the boolean kernel's 1, which would thin every pair,
+    # so the split scans every offset whole instead
+    monkeypatch.setattr(graph_module, "_SCAN_COST", dict.fromkeys(graph_module._SCAN_COST, scan_cost))
     torus = Torus(2, math.sqrt(10.0))
     spec = BooleanKernel(r=1.0, d=2)
     V, U = _clouds(5, lam=20.0, mu=20.0, torus=torus)
     assert V.count >= graph_module._THIN_MIN_VERTICES
     bi = build_bipartite(V, U, spec, np.random.default_rng(9), BuildOptions(mode=mode))
     record = bi.build_options
-    assert record["split_radius"] == support_radius(spec) and record["far_rate"] == 0.0
-    keys, near, far = split_reference(V, U, spec, np.random.default_rng(9), record)
-    assert far == 0 and np.array_equal(flat_keys(bi), keys)
-    assert record["candidate_pairs"] == near
+    assert record["cells_per_axis"] == 3 and record["whole_offsets"] == 9
+    keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(9), record)
+    assert thinned == 0 and np.array_equal(flat_keys(bi), keys)
+    assert record["candidate_pairs"] == whole
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -280,24 +288,33 @@ def test_one_vertex_scan_copies_no_group_cloud(d):
 
 
 def test_near_field_leaves_pairs_past_its_radius_to_the_far_field(monkeypatch):
-    # the tree is queried a little past the split radius R_s; a group just
-    # beyond R_s, inside that margin, is a far pair: it draws no near
-    # uniform, and the build still replays the reference stream
-    for name in ("_THIN_MIN_VERTICES", "_FAR_SETUP_COST", "_CELL_COST"):
-        monkeypatch.setattr(graph_module, name, 1 if name == "_THIN_MIN_VERTICES" else 0.0)
+    # the offsets scanned whole end at a cell seam: of two groups a float
+    # apart on either side of the seam 3 cells from a vertex, the nearer is
+    # scanned with its offset 2 and the farther left to the thinned offset
+    # 3, and the build replays the reference stream
+    for name, value in FORCE_SPLIT.items():
+        monkeypatch.setattr(graph_module, name, value)
     torus = Torus(1, 500.0)
     spec = GaussianKernel(sigma=1.0, amplitude=1.0, d=1)
-    radius, rate, _ = graph_module._split_radius(spec, torus, math.inf, 9)
-    assert rate > 0.0
+    k, bound = graph_module._grid(spec, torus, math.inf, 9)
+    assert bound[2] > graph_module._WHOLE_COST >= bound[3] > 0.0
+
+    def cell(x):
+        return graph_module._cells(np.array([[x]]), torus.side, k)[0][0]
+
+    # the last float of cell 2, then the first of cell 3
+    below = 3.0 * torus.side / k
+    while cell(below) > 2:
+        below = np.nextafter(below, 0.0)
+    seam = np.nextafter(below, np.inf)
+    assert cell(below) == 2 and cell(seam) == 3
     V = PointCloud(VERTEX, np.array([[0.0], [10.0], [20.0]]), 1.0, torus)
-    U = PointCloud(GROUP, np.array([[radius * (1.0 + 4e-10)], [10.5], [30.0]]), 1.0, torus)
-    dist = _dense_distances(V, U)
-    assert radius < dist[0, 0] <= radius * (1.0 + 1e-9)
+    U = PointCloud(GROUP, np.array([[below], [seam], [30.0]]), 1.0, torus)
     bi = build_bipartite(V, U, spec, np.random.default_rng(3), BuildOptions(mode="exact"))
-    assert bi.build_options["split_radius"] == radius
-    keys, near, far = split_reference(V, U, spec, np.random.default_rng(3), bi.build_options)
-    assert near == 1 and np.array_equal(flat_keys(bi), keys)
-    assert bi.build_options["candidate_pairs"] == near + far
+    assert bi.build_options["cells_per_axis"] == k
+    keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(3), bi.build_options)
+    assert whole == 1 and np.array_equal(flat_keys(bi), keys)
+    assert bi.build_options["candidate_pairs"] == whole + thinned
 
 
 def test_truncated_same_seed_reproducible():
@@ -348,23 +365,40 @@ def test_resolved_radius_serves_its_own_kernel_alone():
 
 def test_far_field_setup_is_priced_once_per_build():
     # a gaussian build of 122 x 137 points on a side-8 torus scans, as its
-    # far field's setup would cost more than the scan; a thousand times as
-    # many pairs split at R_s = 0, and a build records the grid the split
-    # was priced on
+    # grid's setup would cost more than the scan; a thousand times as many
+    # pairs split, every offset thinned at g of its gap, and a build
+    # records the grid the split was priced on
     spec = GaussianKernel.with_norm(1.0, 1.0, 2)
-    assert graph_module._split_radius(spec, TORUS, math.inf, 122 * 137) is None
-    split = graph_module._split_radius(spec, TORUS, math.inf, 122 * 137 * 1000)
-    radius, rate, (k, least, most) = split
-    assert radius == 0.0 and rate == eval_kernel(spec, 0.0)
-    assert k == graph_module._cells_per_axis(spec, TORUS) == 5 and least.size == most.size == k**2
+    assert graph_module._grid(spec, TORUS, math.inf, 122 * 137) is None
+    k, bound = graph_module._grid(spec, TORUS, math.inf, 122 * 137 * 1000)
+    assert k == graph_module._cells_per_axis(spec, TORUS) == 5
+    assert np.array_equal(bound, eval_kernel(spec, graph_module._offset_gaps(TORUS, k)))
     V, U = _clouds(8, lam=2.0, mu=2.0)
     assert (V.count, U.count) == (122, 137)
-    assert "split_radius" not in build_bipartite(V, U, spec, np.random.default_rng(0)).build_options
+    assert "cells_per_axis" not in build_bipartite(V, U, spec, np.random.default_rng(0)).build_options
     torus = Torus(2, 16.0)
     V, U = _clouds(8, lam=2.0, mu=2.0, torus=torus)
     record = build_bipartite(V, U, spec, np.random.default_rng(0)).build_options
-    split = graph_module._split_radius(spec, torus, math.inf, V.count * U.count)
-    assert record["split_radius"] == split[0] == 0.0 and record["cells_per_axis"] == split[2][0]
+    k, _ = graph_module._grid(spec, torus, math.inf, V.count * U.count)
+    assert record["cells_per_axis"] == k and record["whole_offsets"] == 0
+
+
+def test_scan_cost_is_priced_by_kernel_family(monkeypatch):
+    # a powerlaw evaluation (np.power) costs more than a gaussian one
+    # (np.exp), and so does a powerlaw scan per pair: the powerlaw build of
+    # 247 x 136 points on a side-8 torus splits, where priced as a
+    # gaussian scan it would scan, while the gaussian build of 122 x 137
+    # points still scans
+    plaw = PowerLawKernel.with_norm(1.5, 1.0, 2)
+    V, U = _clouds(8, lam=4.0, mu=2.0)
+    assert (V.count, U.count) == (247, 136)
+    assert "cells_per_axis" in build_bipartite(V, U, plaw, np.random.default_rng(0)).build_options
+    gaussian = GaussianKernel.with_norm(1.0, 1.0, 2)
+    V2, U2 = _clouds(8, lam=2.0, mu=2.0)
+    assert "cells_per_axis" not in build_bipartite(V2, U2, gaussian, np.random.default_rng(0)).build_options
+    priced = graph_module._SCAN_COST[GaussianKernel]
+    monkeypatch.setattr(graph_module, "_SCAN_COST", dict.fromkeys(graph_module._SCAN_COST, priced))
+    assert "cells_per_axis" not in build_bipartite(V, U, plaw, np.random.default_rng(0)).build_options
 
 
 def test_auto_mode_is_exact():
@@ -378,7 +412,7 @@ def test_auto_mode_is_exact():
             for mode in ("auto", "exact")
         )
         assert auto.build_options == exact.build_options
-        assert ("split_radius" in auto.build_options) == splits
+        assert ("cells_per_axis" in auto.build_options) == splits
         assert np.array_equal(auto.indptr, exact.indptr)
         assert np.array_equal(auto.indices, exact.indices)
 

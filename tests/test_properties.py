@@ -3,9 +3,9 @@ projections and the phase replicate on random small clouds: d in
 {1, 2, 3}, boolean, gaussian and tabulated kernels, empty clouds, and
 tori smaller than twice the truncation radius; for the split build, exact
 and truncated, against a brute-force reference of its stream, with
-powerlaw kernels too; for the far field's cell offsets on clouds with
-points on the cell seams; and for the tabulated self-convolution of short
-tables and boolean kernels in d in {1, 2, 3}."""
+powerlaw kernels and gaussians of g(0) = 1 too; for the cell offsets on
+clouds with points on the cell seams; and for the tabulated
+self-convolution of short tables and boolean kernels in d in {1, 2, 3}."""
 
 import math
 from unittest import mock
@@ -13,7 +13,6 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from grig import graph as graph_module
 from grig.experiments import (
@@ -56,9 +55,14 @@ from grig.kernels import (
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
-# a build of any size splits wherever its estimate per pair is below one
-# thinned pair, its far field's setup left out of the estimate
-FORCE_SPLIT = dict(_THIN_MIN_VERTICES=1, _SCAN_COST=1.0, _FAR_SETUP_COST=0.0, _CELL_COST=0.0)
+# a build of any size splits: its estimate per pair, at most _WHOLE_COST,
+# is below a scan's of one thinned pair, its grid's setup left out
+FORCE_SPLIT = dict(
+    _THIN_MIN_VERTICES=1,
+    _SCAN_COST=dict.fromkeys(graph_module._SCAN_COST, 1.0),
+    _GRID_SETUP_COST=0.0,
+    _CELL_COST=0.0,
+)
 
 
 @st.composite
@@ -73,6 +77,8 @@ def scenes(draw, families=("boolean", "gaussian", "tabulated")):
         spec = BooleanKernel(r=scale, d=d)
     elif family == "gaussian":
         spec = GaussianKernel(sigma=0.5 * scale, amplitude=draw(st.floats(0.1, 1.0)), d=d)
+    elif family == "unit-gaussian":
+        spec = GaussianKernel(sigma=0.5 * scale, amplitude=1.0, d=d)
     elif family == "powerlaw":
         alpha, amplitude = draw(st.floats(1.5, 4.0)), draw(st.floats(0.1, 1.0))
         spec = PowerLawKernel(alpha=alpha, amplitude=amplitude, d=d)
@@ -145,54 +151,6 @@ def test_min_image_distance_matches_reference(case):
         np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
 
 
-@st.composite
-def seam_clouds(draw):
-    """(a, b, side, radius): two point arrays in [0, side)^d, d in 1..5, on
-    a small or a large side, with some coordinates moved onto the seams (0,
-    side/2 and its neighbours, the last float below side), and a radius
-    that is a fraction of the half-diagonal or one of the pairs' distances."""
-    d = draw(st.integers(1, 5))
-    side = draw(st.one_of(st.floats(0.37, 10.0), st.floats(1e3, 7.1e4)))
-    torus = Torus(d, side)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    half = 0.5 * side
-    seams = np.array(
-        [0.0, half, np.nextafter(half, 0.0), np.nextafter(half, side), np.nextafter(side, 0.0)]
-    )
-
-    def points(n, share):
-        p = torus.wrap(rng.uniform(0.0, side, (n, d)))
-        on_seam = rng.random((n, d)) < share
-        p[on_seam] = rng.choice(seams, int(on_seam.sum()))
-        return p
-
-    share = draw(st.sampled_from([0.0, 0.3, 0.8]))
-    a, b = points(draw(st.integers(1, 30)), share), points(draw(st.integers(1, 30)), share)
-    dist = min_image_distance(a[:, None, :], b[None, :, :], side)
-    if draw(st.booleans()) and np.any(dist > 0.0):
-        radius = float(rng.choice(dist[dist > 0.0]))
-    else:
-        radius = draw(st.floats(0.01, 1.0)) * half * math.sqrt(d)
-    return a, b, side, radius
-
-
-@settings(max_examples=200, deadline=None)
-@given(seam_clouds())
-def test_tree_distances_are_the_min_image_distances(case):
-    # a split build's near field keeps the periodic KD-tree's distances:
-    # they must equal min_image_distance bit for bit, and its query, a
-    # little wider than the radius and then filtered at it, must give
-    # exactly the pairs the min-image formula puts within the radius
-    a, b, side, radius = case
-    pairs = cKDTree(a, boxsize=side).sparse_distance_matrix(
-        cKDTree(b, boxsize=side), radius * (1.0 + 1e-9), output_type="ndarray"
-    )
-    assert np.array_equal(pairs["v"], min_image_distance(a[pairs["i"]], b[pairs["j"]], side))
-    kept = pairs[pairs["v"] <= radius]
-    within = min_image_distance(a[:, None, :], b[None, :, :], side) <= radius
-    assert np.array_equal(np.sort(kept["i"] * b.shape[0] + kept["j"]), np.flatnonzero(within))
-
-
 def _dense_incidence(bi):
     B = np.zeros((bi.vertex_count, bi.group_count), dtype=np.int64)
     B[np.repeat(np.arange(bi.vertex_count), bi.membership_counts()), bi.indices] = 1
@@ -232,39 +190,35 @@ def test_truncated_build_matches_brute_force(scene, mode, block_pairs):
 
 
 def split_reference(V, U, spec, rng, record):
-    """Flat keys v * n_u + u of a build's memberships, and its near and
-    far candidate counts, replayed pair by pair from the dense distances.
+    """Flat keys v * n_u + u of a build's memberships, and the numbers of
+    uniforms it drew at whole and at thinned cell offsets, replayed pair by
+    pair from the dense distances; checks the record's ``whole_offsets``.
 
     The cap is the truncation radius of a truncated build, and infinite
-    otherwise.  One uniform per pair within ``split_radius`` (within the
-    cap when the build did not split, and none at a radius of 0),
-    vertex-major with groups ascending.  Then, at a positive ``far_rate``
-    p, the far field on a grid of k = ``cells_per_axis`` cells per axis: a
-    point's cell is floor(x * (k / side)) per axis (k - 1 at most), and a
-    pair's offset is u's cell less v's, mod k.  Per axis an offset steps
-    s = min(o, k - o) cells, so its pairs lie at least gap = |max(s - 1, 0)
-    side / k| (1 - 1e-9) apart and at most |min((s + 1) side / k, side /
-    2)| (1 + 1e-9); it thins at min(g(gap), p), raised to 1e-300 when
-    below it.  The offsets with a positive rate, a gap within the cap and
-    a greatest distance beyond the split radius go in ascending rate, ties
-    by flat offset; their pairs by v's flat cell, v and u.  A row of two
-    uniforms at a time, a gap then an acceptance uniform, moves a point t
-    along the cumulative hazard, -log1p(-rate) per pair, until it passes
-    the end; a point lands on pair floor((t - start of its offset) /
-    hazard), and one that lands where the last one did is dropped.  A
-    thinned pair is a far candidate when it lies beyond the split radius
-    (when positive) and within the cap, and it joins when its rate times
-    its acceptance uniform falls below g(d).
+    otherwise.  A build that did not split is a grid of one cell taken
+    whole.  A split is capped at the support of g too, on a grid of k =
+    ``cells_per_axis`` cells per axis: a point's cell is floor(x * (k /
+    side)) per axis (k - 1 at most), and a pair's offset is u's cell less
+    v's, mod k.  Per axis an offset steps s = min(o, k - o) cells, so its
+    pairs lie at least gap = |max(s - 1, 0) side / k| (1 - 1e-9) apart;
+    its rate is g(gap), 0 for a gap beyond the cap and raised to 1e-300
+    when below it.  An offset whose rate is above graph._WHOLE_COST is
+    whole: one uniform per pair within the cap, ordered by v's flat cell,
+    v, offset and u.  Then the offsets of a positive rate up to it go in
+    ascending rate, ties by flat offset, their pairs by v's flat cell, v
+    and u.  A row of two uniforms at a time, a gap then an acceptance
+    uniform, moves a point t along the cumulative hazard, -log1p(-rate)
+    per pair, until it passes the end; a point lands on pair floor((t -
+    start of its offset) / hazard), and one that lands where the last one
+    did is dropped.  A thinned pair within the cap is drawn, and it joins
+    when its rate times its acceptance uniform falls below g(d).
     """
     torus, n_u = V.torus, U.positions.shape[0]
     flat = _dense_distances(V, U).ravel()
+    v, u = np.divmod(np.arange(flat.size), n_u)
     cap = record.get("truncation_radius", math.inf)
-    radius = record.get("split_radius", cap)
-    rate = record.get("far_rate", 0.0)
-    near = np.flatnonzero(flat <= radius) if radius > 0.0 else np.empty(0, dtype=np.int64)
-    near_hits = near[rng.random(near.size) < eval_kernel(spec, flat[near])]
-    far, far_hits = [], []
-    if rate > 0.0:
+    if "cells_per_axis" in record:
+        cap = min(cap, support_radius(spec))
         k, width = record["cells_per_axis"], torus.side / record["cells_per_axis"]
         cell_v, cell_u = (
             np.minimum((c.positions * (k / torus.side)).astype(int), k - 1) for c in (V, U)
@@ -272,42 +226,48 @@ def split_reference(V, U, spec, rng, record):
         offset = ((cell_u[None, :, :] - cell_v[:, None, :]) % k).reshape(-1, torus.d)
         steps = np.minimum(offset, k - offset)
         gap = np.sqrt(np.sum((np.maximum(steps - 1, 0) * width) ** 2, axis=-1)) * (1.0 - 1e-9)
-        most = np.minimum((steps + 1) * width, 0.5 * torus.side)
-        most = np.sqrt(np.sum(most**2, axis=-1)) * (1.0 + 1e-9)
-        rates = np.minimum(eval_kernel(spec, gap), rate)
+        rates = np.where(gap <= cap, eval_kernel(spec, gap), 0.0)
         rates[(rates > 0.0) & (rates < 1e-300)] = 1e-300
         offset_id = np.ravel_multi_index(tuple(offset.T), (k,) * torus.d)
         cell_id = np.repeat(np.ravel_multi_index(tuple(cell_v.T), (k,) * torus.d), n_u)
-        pair = np.flatnonzero((rates > 0.0) & (gap <= cap) & (most > radius))
-        v, u = np.divmod(pair, n_u)
-        pair = pair[np.lexsort((u, v, cell_id[pair], offset_id[pair], rates[pair]))]
-        _, first, counts = np.unique(offset_id[pair], return_index=True, return_counts=True)
-        order = np.argsort(first)
-        first, counts = first[order], counts[order]
-        hazard = -np.log1p(-rates[pair[first]])
-        ends, end = [], 0.0
-        for count, h in zip(counts, hazard):
-            end += count * h
-            ends.append(end)
-        t, last = 0.0, -1
-        while pair.size:
-            skip_u, accept_u = rng.random((1, 2))[0]
-            t += -np.log1p(-np.array([skip_u]))[0]
-            if t >= end:
-                break
-            o = int(np.searchsorted(ends, t, side="right"))
-            begin = ends[o - 1] if o > 0 else 0.0
-            key = first[o] + min(int((t - begin) / hazard[o]), counts[o] - 1)
-            if key == last:
-                continue
-            last = key
-            dist = flat[pair[key]]
-            if dist <= cap and (radius == 0.0 or dist > radius):
-                far.append(pair[key])
-                if rates[pair[key]] * accept_u < eval_kernel(spec, dist):
-                    far_hits.append(pair[key])
-    keys = np.concatenate((near_hits, np.array(far_hits, dtype=np.int64)))
-    return np.sort(keys), near.size, len(far)
+        whole = rates > graph_module._WHOLE_COST
+        assert record["whole_offsets"] == np.unique(offset_id[whole]).size
+    else:
+        rates, offset_id, cell_id = np.ones_like(flat), np.zeros_like(v), np.zeros_like(v)
+        whole = np.ones(flat.size, dtype=bool)
+    near = np.flatnonzero(whole & (flat <= cap))
+    near = near[np.lexsort((u[near], offset_id[near], v[near], cell_id[near]))]
+    hits = list(near[rng.random(near.size) < eval_kernel(spec, flat[near])])
+    pair = np.flatnonzero(~whole & (rates > 0.0))
+    # the rate of a thinned pair bounds g at its distance
+    assert np.all(eval_kernel(spec, flat[pair]) <= rates[pair])
+    pair = pair[np.lexsort((u[pair], v[pair], cell_id[pair], offset_id[pair], rates[pair]))]
+    _, first, counts = np.unique(offset_id[pair], return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first, counts = first[order], counts[order]
+    hazard = -np.log1p(-rates[pair[first]])
+    ends, end = [], 0.0
+    for count, h in zip(counts, hazard):
+        end += count * h
+        ends.append(end)
+    t, last, far = 0.0, -1, 0
+    while pair.size:
+        skip_u, accept_u = rng.random((1, 2))[0]
+        t += -np.log1p(-np.array([skip_u]))[0]
+        if t >= end:
+            break
+        o = int(np.searchsorted(ends, t, side="right"))
+        begin = ends[o - 1] if o > 0 else 0.0
+        key = first[o] + min(int((t - begin) / hazard[o]), counts[o] - 1)
+        if key == last:
+            continue
+        last = key
+        dist = flat[pair[key]]
+        if dist <= cap:
+            far += 1
+            if rates[pair[key]] * accept_u < eval_kernel(spec, dist):
+                hits.append(pair[key])
+    return np.sort(np.array(hits, dtype=np.int64)), near.size, far
 
 
 def flat_keys(bi):
@@ -315,34 +275,32 @@ def flat_keys(bi):
     return rows * bi.group_count + bi.indices
 
 
-@SETTINGS
+@settings(max_examples=200, deadline=None)
 @given(
-    scenes(("boolean", "gaussian", "powerlaw", "tabulated")),
+    scenes(("boolean", "gaussian", "unit-gaussian", "powerlaw", "tabulated")),
     st.sampled_from(["exact", "truncated"]),
     st.sampled_from([1, 40, 1 << 16]),
     st.sampled_from([1, 3, 1 << 12]),
 )
 def test_split_exact_build_matches_reference(scene, mode, block_pairs, chunk):
-    # forced (FORCE_SPLIT), a build splits whenever its estimate is below
-    # one thinned pair per pair, which keeps its rate below 1; g stays
-    # within the rate past the split radius, and the memberships and the
-    # candidate count equal the reference's, whatever the blocks and the
-    # skip chunks.  A truncated build splits below its truncation radius
-    # and joins no pair beyond it
+    # forced (FORCE_SPLIT), every build of a vertex or more splits; it
+    # scans its offsets of rate above _WHOLE_COST whole, g(0) = 1 included,
+    # and thins the others at rates that bound g, and the memberships and
+    # the candidate count equal the reference's, whatever the blocks and
+    # the skip chunks.  A truncated build joins no pair beyond its
+    # truncation radius
     V, U = _sample(scene)
     spec = scene[1]
     patch = dict(FORCE_SPLIT, _BLOCK_PAIRS=block_pairs, _SKIP_CHUNK=chunk)
     with mock.patch.multiple(graph_module, **patch):
         bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode=mode))
     record = bi.build_options
-    dist = _dense_distances(V, U)
-    if "split_radius" in record:
-        assert 0.0 <= record["far_rate"] < 1.0
-        assert record["split_radius"] <= record.get("truncation_radius", math.inf)
-        assert np.all(eval_kernel(spec, dist[dist > record["split_radius"]]) <= record["far_rate"])
-    keys, near, far = split_reference(V, U, spec, np.random.default_rng(7), record)
+    assert ("cells_per_axis" in record) == (V.count > 0)
+    keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(7), record)
     assert np.array_equal(flat_keys(bi), keys)
-    assert record["candidate_pairs"] == near + far
+    assert record["candidate_pairs"] == whole + thinned
+    cap = record.get("truncation_radius", math.inf)
+    assert np.all(_dense_distances(V, U).ravel()[keys] <= cap)
 
 
 @st.composite
@@ -382,15 +340,15 @@ def _pair_offsets(V, U, k):
 @settings(max_examples=200, deadline=None)
 @given(grid_clouds(), st.floats(0.05, 3.0))
 def test_cell_offsets_bound_their_pairs(case, sigma):
-    # every pair at cell offset o lies within the offset's bounds, seams
-    # included, so g(d) is at most g at the offset's least distance: the
-    # rate the far field thins the offset at bounds g of every pair it thins
+    # every pair at cell offset o lies at least the offset's gap apart,
+    # seams included, so g(d) is at most g at that gap: the rate a split
+    # thins the offset at bounds g of every pair it thins
     V, U, k = case
-    least, most = graph_module._offset_bounds(V.torus, k)
+    gaps = graph_module._offset_gaps(V.torus, k)
     offset, dist = _pair_offsets(V, U, k), _dense_distances(V, U)
-    assert np.all(least[offset] <= dist) and np.all(dist <= most[offset])
+    assert np.all(gaps[offset] <= dist)
     spec = GaussianKernel(sigma=sigma, amplitude=0.5, d=V.torus.d)
-    assert np.all(eval_kernel(spec, dist) <= eval_kernel(spec, least[offset]))
+    assert np.all(eval_kernel(spec, dist) <= eval_kernel(spec, gaps[offset]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,48 +359,64 @@ def test_offset_pair_counts_are_direct_counts(case):
     V, U, k = case
     d = V.torus.d
     direct = np.bincount(_pair_offsets(V, U, k).ravel(), minlength=k**d)
-    count_v, count_u = (
-        np.bincount(graph_module._cells(c.positions, c.torus.side, k)[0], minlength=k**d)
-        for c in (V, U)
-    )
+    count_v, count_u = (graph_module._cells(c.positions, c.torus.side, k)[2] for c in (V, U))
     assert np.array_equal(graph_module._offset_pair_counts(count_v, count_u, k, d), direct)
     inverse = np.fft.irfftn
     with mock.patch("numpy.fft.irfftn", lambda *a, **kw: inverse(*a, **kw) + 0.6):
         assert np.array_equal(graph_module._offset_pair_counts(count_v, count_u, k, d), direct)
 
 
+def _grid_cells(V, U, k):
+    """Both clouds' graph._cells, and the pairs at each cell offset."""
+    cells = tuple(graph_module._cells(c.positions, c.torus.side, k) for c in (V, U))
+    return cells, graph_module._offset_pair_counts(cells[0][2], cells[1][2], k, V.torus.d)
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    grid_clouds(),
-    st.floats(0.3, 0.99),
-    st.floats(0.05, 2.0),
-    st.floats(0.0, 0.5),
-    st.floats(0.2, 2.0),
-    st.data(),
-)
-def test_far_field_rows_are_free_of_duplicates_and_chunks(case, peak, sigma, near, cap, data):
+@given(grid_clouds(), st.floats(0.3, 0.99), st.floats(0.05, 2.0), st.floats(0.2, 2.0), st.data())
+def test_far_field_rows_are_free_of_duplicates_and_chunks(case, peak, sigma, cap, data):
     # at rates near 1 a pair draws several points, often in different
     # chunks, and a chunk may end on a duplicate or hold no new pair; the
-    # thinned pairs are the same whatever _SKIP_CHUNK, each once, beyond the
-    # split radius and within the cap
+    # thinned pairs are the same whatever _SKIP_CHUNK, each once, within
+    # the cap
     V, U, k = case
     spec = GaussianKernel(sigma=sigma, amplitude=peak, d=V.torus.d)
     scale = 0.5 * V.torus.side * math.sqrt(V.torus.d)
-    radius, cap = near * scale, data.draw(st.sampled_from([math.inf, cap * scale]))
-    rate = eval_kernel(spec, radius)
+    cap = data.draw(st.sampled_from([math.inf, cap * scale]))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    grid = (k, *graph_module._offset_bounds(V.torus, k))
+    cells, pairs = _grid_cells(V, U, k)
+    rates = eval_kernel(spec, graph_module._offset_gaps(V.torus, k))
+    rates[(rates > 0.0) & (rates < graph_module._MIN_RATE)] = graph_module._MIN_RATE
+    offsets = np.flatnonzero((rates > 0.0) & (pairs > 0))
+    thin = (offsets, rates[offsets], pairs[offsets], cells)
     results = []
     for chunk in (1, 3, 4096):
         rng = np.random.default_rng(seed)
         with mock.patch.object(graph_module, "_SKIP_CHUNK", chunk):
-            results.append(graph_module._thin_far_field(V, U, spec, rng, radius, rate, cap, grid))
+            results.append(graph_module._thin_offsets(V, U, spec, rng, cap, k, *thin))
     keys, drawn = results[0]
     for other, n in results[1:]:
         assert np.array_equal(np.sort(other), np.sort(keys)) and n == drawn
     assert np.unique(keys).size == keys.size <= drawn
-    dist = _dense_distances(V, U).ravel()[keys]
-    assert np.all(dist <= cap) and (radius == 0.0 or np.all(dist > radius))
+    assert np.all(_dense_distances(V, U).ravel()[keys] <= cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_clouds(), st.floats(0.05, 2.0), st.floats(0.2, 2.0), st.data())
+def test_scan_is_the_one_cell_grid_taken_whole(case, sigma, cap, data):
+    # a grid of one cell has one offset, at gap 0; taken whole it draws the
+    # scan's uniforms in the scan's order, vertex-major with groups
+    # ascending, so the two agree on every membership and candidate count
+    V, U, _ = case
+    spec = GaussianKernel(sigma=sigma, amplitude=1.0, d=V.torus.d)
+    cap = data.draw(st.sampled_from([math.inf, cap * 0.5 * V.torus.side * math.sqrt(V.torus.d)]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    cells, _ = _grid_cells(V, U, 1)
+    whole = graph_module._scan_whole_offsets(
+        V, U, spec, np.random.default_rng(seed), cap, 1, np.zeros(1, dtype=np.intp), cells
+    )
+    keys, drawn = graph_module._scan(V, U, spec, np.random.default_rng(seed), cap)
+    assert np.array_equal(np.sort(whole[0]), keys) and whole[1] == drawn
 
 
 @SETTINGS
@@ -593,25 +567,25 @@ def test_tabulated_profile_at_zero_is_the_square_norm(spec):
     st.integers(0, 2**32 - 1),
 )
 def test_split_at_the_support_is_the_truncated_build(spec, factor, n_v, n_u, seed):
-    # no pair lies beyond the support of a bounded kernel, so a split
-    # there has no far field and draws a truncated build's stream; on a
-    # torus this large a boolean kernel always splits there
-    support = support_radius(spec)
+    # no pair beyond the support of a bounded kernel joins, so a split
+    # draws no uniform past it, and its exact build draws its truncated
+    # build's stream.  A boolean kernel makes every draw certain: both are
+    # the ball graph
     scale = spec.r if isinstance(spec, BooleanKernel) else spec.radii[-1]
     torus = Torus(spec.d, factor * scale)
     rng = np.random.default_rng(seed)
     V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (n_v, spec.d)), 1.0, torus)
     U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (n_u, spec.d)), 1.0, torus)
     with mock.patch.multiple(graph_module, **FORCE_SPLIT):
-        split = build_bipartite(V, U, spec, np.random.default_rng(seed), BuildOptions(mode="exact"))
-    truncated = build_bipartite(
-        V, U, spec, np.random.default_rng(seed), BuildOptions(mode="truncated")
-    )
+        split, truncated = (
+            build_bipartite(V, U, spec, np.random.default_rng(seed), BuildOptions(mode=mode))
+            for mode in ("exact", "truncated")
+        )
     record = split.build_options
+    assert truncated.build_options["truncation_radius"] == support_radius(spec)
+    for key in ("cells_per_axis", "whole_offsets", "candidate_pairs"):
+        assert record[key] == truncated.build_options[key]
+    assert np.array_equal(split.indptr, truncated.indptr)
+    assert np.array_equal(split.indices, truncated.indices)
     if isinstance(spec, BooleanKernel):
-        assert record["split_radius"] == support
-    if record["split_radius"] == support:
-        assert record["far_rate"] == 0.0
-        assert record["candidate_pairs"] == truncated.build_options["candidate_pairs"]
-        assert np.array_equal(split.indptr, truncated.indptr)
-        assert np.array_equal(split.indices, truncated.indices)
+        np.testing.assert_array_equal(_dense_incidence(split), _dense_distances(V, U) < spec.r)

@@ -36,7 +36,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -57,11 +56,11 @@ from .geometry import (
 from .graph import (
     BuildOptions,
     _largest_share,
-    bipartite_labels,
     build_bipartite,
     degree_histogram,
     edges_to_csv,
     project_onto_vertices,
+    union_edges,
 )
 from .kernels import (
     ConvolutionGrid,
@@ -238,6 +237,9 @@ def _map_tasks(fn, tasks, threads: int):
     """Run tasks, optionally on a process pool; output order = task order."""
     if threads <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: a run on one thread loads no multiprocessing module
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (threads * 8))
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
@@ -419,17 +421,31 @@ def _phase_replicate(args):
     rng_aux = rng_for(config.seed, KIND_PHASE, k, STREAM_AUX)
     mark_v = rng_aux.random(bi.vertex_count) * lam_max
     mark_u = rng_aux.random(bi.group_count) * mu_max
-    # rows and columns in mark order: cell (i, j) is the leading block of
-    # a_i rows and b_j columns, a_i the number of vertex marks below lams[i]
+    # nodes in mark order: vertex ranks 0..n_v - 1, then group n_v + rank,
+    # so cell (i, j) holds the first a_i vertex nodes and the first b_j
+    # group nodes, a_i the number of vertex marks below lams[i]
+    n_v = bi.vertex_count
     order_v, order_u = np.argsort(mark_v), np.argsort(mark_u)
-    master = bi.incidence()[order_v][:, order_u]
-    for i, a in enumerate(np.searchsorted(mark_v[order_v], lams)):
-        for j, b in enumerate(np.searchsorted(mark_u[order_u], mus)):
-            # one component search serves both sides: vertices come first
-            cell = master[:a, :b]
-            labels = bipartite_labels(cell)
-            fractions[:, i, j] = _largest_share(labels[:a]), _largest_share(labels[a:])
-            kept[:, i, j] = a, b, cell.nnz
+    rank_v, rank_u = np.empty_like(order_v), np.empty_like(order_u)
+    rank_v[order_v], rank_u[order_u] = np.arange(n_v), np.arange(bi.group_count)
+    # the memberships as (vertex rank, group rank), by vertex rank
+    vertex = rank_v[np.repeat(np.arange(n_v), bi.membership_counts())]
+    by_vertex = np.argsort(vertex)
+    vertex, group = vertex[by_vertex], rank_u[bi.indices][by_vertex]
+    rows = np.searchsorted(mark_v[order_v], lams)
+    for j, b in enumerate(np.searchsorted(mark_u[order_u], mus)):
+        # one union per column: its rows add vertices in mark order, and
+        # after row i the partition is cell (i, j)'s, both sides at once
+        keep = group < b
+        v_node, u_node = vertex[keep], group[keep] + n_v
+        roots, done = np.arange(n_v + bi.group_count), 0
+        for i in np.argsort(rows, kind="stable"):
+            a = rows[i]
+            m = int(np.searchsorted(v_node, a))  # the cell's memberships
+            roots = union_edges(roots, v_node[done:m], u_node[done:m])
+            fractions[:, i, j] = _largest_share(roots[:a]), _largest_share(roots[n_v : n_v + b])
+            kept[:, i, j] = a, b, m
+            done = m
     return fractions, kept, bi.build_options, None
 
 

@@ -26,15 +26,18 @@ their pairs thins each at its offset's p_o, and a thinned pair within the
 cap joins when p_o times its uniform falls below g(d) (_thin_offsets).
 So the work on thinned offsets grows with the memberships, not with the
 pairs, and a kernel with g(0) at or near 1 takes its nearest offsets
-whole.  No pair beyond the support of g joins, so a split draws no
-uniform past it.  Smaller builds, and builds a split makes no cheaper,
-scan every pair in dense blocks of min-image distances and draw one
-uniform per pair within the cap, vertex-major with groups ascending: the
-order of a one-cell grid taken whole.
+whole.  Smaller builds, and builds a split makes no cheaper, scan every
+pair in dense blocks of min-image distances and draw one uniform per
+pair within the cap, vertex-major with groups ascending: the order of a
+one-cell grid taken whole.  No pair beyond the support of g joins, so
+neither a split nor a scan draws a uniform past it: both cap their pairs
+at the lesser of the truncation radius and the support.
 
 scipy is imported by the functions that use it (scipy.sparse and csgraph
-for matrices and components), so importing grig, and any run that builds
-no matrix, loads none; no build loads scipy.spatial.
+for matrices, projections and one-shot component searches), so importing
+grig, and any run that builds no matrix, loads none; no build loads
+scipy.spatial.  A phase sweep's cells take their components from
+union_edges, an incremental union in numpy, and load no scipy either.
 """
 
 from __future__ import annotations
@@ -185,13 +188,11 @@ def build_bipartite(
         record = {"mode": "truncated", "eps_tail": opts.eps_tail, "truncation_radius": cap}
     else:
         cap, record = math.inf, {"mode": "exact"}
-    grid = None
-    if n_v >= _THIN_MIN_VERTICES:
-        # no pair beyond the support joins: a split draws no uniform past it
-        reach = min(cap, support_radius(spec, 0.0))
-        grid = _grid(spec, V.torus, reach, n_v * n_u)
+    # no pair beyond the support joins: no build draws a uniform past it
+    reach = min(cap, support_radius(spec, 0.0))
+    grid = _grid(spec, V.torus, reach, n_v * n_u) if n_v >= _THIN_MIN_VERTICES else None
     if grid is None:
-        keys, drawn = _scan(V, U, spec, rng, cap)
+        keys, drawn = _scan(V, U, spec, rng, reach)
     else:
         keys, drawn, whole = _split(V, U, spec, rng, reach, *grid)
         record.update(cells_per_axis=grid[0], whole_offsets=whole)
@@ -564,10 +565,9 @@ def components(graph: IntersectionGraph) -> ComponentPartition:
     return _canonical_partition(labels.astype(np.int64))
 
 
-def bipartite_labels(incidence: sparse.csr_matrix) -> np.ndarray:
-    """Component label of every node of the bipartite graph with incidence
-    matrix B (vertices x groups, CSR): vertices first, then group u at
-    index B.shape[0] + u.
+def bipartite_components(bi: BipartiteGraph) -> ComponentPartition:
+    """Components of the bipartite graph; groups follow the vertices in the
+    node numbering (group u sits at index vertex_count + u).
 
     The graph is the block matrix [[0, B], [Bᵀ, 0]] with float64 unit
     entries, the type the search works in; only the upper block is
@@ -577,18 +577,13 @@ def bipartite_labels(incidence: sparse.csr_matrix) -> np.ndarray:
     from scipy import sparse
     from scipy.sparse import csgraph
 
-    n_v, n_u = incidence.shape
-    indptr = np.concatenate([incidence.indptr, np.full(n_u, incidence.nnz)])
+    n_v, n_u = bi.vertex_count, bi.group_count
+    indptr = np.concatenate([bi.indptr, np.full(n_u, bi.indices.size)])
     mat = sparse.csr_matrix(
-        (np.ones(incidence.nnz), incidence.indices + n_v, indptr), shape=(n_v + n_u, n_v + n_u)
+        (np.ones(bi.indices.size), bi.indices + n_v, indptr), shape=(n_v + n_u, n_v + n_u)
     )
-    return csgraph.connected_components(mat, directed=False)[1]
-
-
-def bipartite_components(bi: BipartiteGraph) -> ComponentPartition:
-    """Components of the bipartite graph; groups follow the vertices in the
-    node numbering (group u sits at index vertex_count + u)."""
-    return _canonical_partition(bipartite_labels(bi.incidence()).astype(np.int64))
+    labels = csgraph.connected_components(mat, directed=False)[1]
+    return _canonical_partition(labels.astype(np.int64))
 
 
 def restrict_partition(partition: ComponentPartition, node_indices: np.ndarray) -> ComponentPartition:
@@ -597,6 +592,34 @@ def restrict_partition(partition: ComponentPartition, node_indices: np.ndarray) 
     # re-densify ids before canonicalizing
     _, dense = np.unique(sub, return_inverse=True)
     return _canonical_partition(dense.astype(np.int64))
+
+
+def union_edges(roots: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`roots` with the edges (a[i], b[i]) merged in, by hooking and pointer
+    jumping (Shiloach and Vishkin, J. Algorithms 3, 1982), in numpy.
+
+    `roots` maps every node to the least node of its component, and so
+    does the result, which may be `roots` itself, overwritten.  Merging
+    only joins components, so adding edges in increments, one call each,
+    gives the partition after every increment (Newman and Ziff, Phys. Rev.
+    Lett. 85, 4104, 2000).  A round hooks the larger root of each edge
+    whose ends lie apart onto the least root it meets there, then jumps
+    (roots = roots[roots]) until every node points at a root.  Hooking
+    only lowers a root, so the roots stay least nodes, and each round
+    merges at least one pair of trees.
+    """
+    while True:
+        ra, rb = roots[a], roots[b]
+        apart = ra != rb
+        if not apart.any():
+            return roots
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(roots, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = roots[roots]
+            if np.array_equal(up, roots):
+                break
+            roots = up
 
 
 def _largest_share(labels: np.ndarray) -> float:

@@ -783,12 +783,14 @@ def test_cli_analytics_norm_quantities_build_no_profile(
 
 
 def _fresh_cli(*argv):
-    """Exit status of main(argv) in a fresh interpreter, and the scipy
-    modules loaded by then; with no argv, those of importing grig.cli."""
+    """Exit status of main(argv) in a fresh interpreter, and the scipy and
+    multiprocessing modules loaded by then; with no argv, those of importing
+    grig.cli."""
     probe = (
         "import json, sys; from grig.cli import main; "
         "argv = json.loads(sys.argv[1]); status = main(argv) if argv else None; "
-        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+        "heavy = ('scipy', 'multiprocessing'); "
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] in heavy)]))"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -800,12 +802,14 @@ def _fresh_cli(*argv):
 
 
 def test_import_surface_leaves_out_optimize_and_integrate():
-    # each CLI process pays for every scipy module grig imports: importing
-    # grig.cli loads none, scipy.optimize and scipy.integrate included
+    # each CLI process pays for every module grig imports: importing
+    # grig.cli loads no scipy module, scipy.optimize and scipy.integrate
+    # included, and no multiprocessing module, which only a process pool needs
     assert _fresh_cli() == [None, []]
 
 
 PLANTED_GAUSS = dict(PLANTED, kernel=GAUSS, seed=5)
+PHASE = dict(kind="phase", torus=TORUS_12, replicates=2, lambda_values=[1.0, 2.0], mu_values=[1.0, 2.0])
 
 
 @pytest.mark.parametrize(
@@ -824,12 +828,20 @@ PLANTED_GAUSS = dict(PLANTED, kernel=GAUSS, seed=5)
         ),
         pytest.param("sample", dict(SAMPLED, kind="sample"), [], 0, id="sample"),
         pytest.param("degrees", _without(dict(SAMPLED, kind="degrees"), "lambda"), [], 2, id="refused"),
+        pytest.param(
+            "phase", dict(PHASE, kernel=GAUSS, mode="truncated"), ["--threads", "1"], 0, id="phase-gaussian"
+        ),
+        pytest.param("phase", dict(PHASE, kernel=BOOL), ["--threads", "1"], 0, id="phase-boolean"),
     ],
 )
 def test_cli_runs_that_build_no_matrix_load_no_scipy(tmp_path, subcommand, payload, extra, status):
     # scipy.sparse and csgraph load at the first build that needs them;
-    # analytics, the planted-pair scans, a sample and a refused config need
-    # none
+    # analytics, the planted-pair scans, a sample, a refused config and a
+    # phase sweep need none: a sweep's cells take their components from an
+    # incremental union in numpy.  The boolean sweep's master builds (288 x
+    # 288 points) split on their grid of cells, so no build loads a KD-tree
+    # from scipy.spatial either.  None of these runs starts a process pool,
+    # the phase sweeps on one thread
     cfg = _write(tmp_path, "cfg.json", payload)
     assert _fresh_cli(subcommand, "--config", cfg, "--out", str(tmp_path / "o"), *extra) == [status, []]
 
@@ -841,17 +853,6 @@ def test_cli_degrees_loads_scipy_at_its_builds(tmp_path):
     status, modules = _fresh_cli("degrees", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1")
     assert status == 0
     assert "scipy.sparse" in modules
-
-
-def test_cli_boolean_phase_loads_no_scipy_spatial(tmp_path):
-    # a boolean sweep's master builds (288 x 288 points) split on their
-    # grid of cells, scanning the nearest offsets whole: the components load
-    # scipy.sparse, and no build loads a KD-tree from scipy.spatial
-    payload = dict(kind="phase", kernel=BOOL, torus=TORUS_12, replicates=2)
-    cfg = _write(tmp_path, "cfg.json", dict(payload, lambda_values=[1.0, 2.0], mu_values=[1.0, 2.0]))
-    status, modules = _fresh_cli("phase", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1")
-    assert status == 0
-    assert "scipy.sparse" in modules and "scipy.spatial" not in modules
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ projections and the phase replicate on random small clouds: d in
 {1, 2, 3}, boolean, gaussian and tabulated kernels, empty clouds, and
 tori smaller than twice the truncation radius; for the split build, exact
 and truncated, against a brute-force reference of its stream, with
-powerlaw kernels and gaussians of g(0) = 1 too; for the cell offsets on
+powerlaw kernels and gaussians of g(0) = 1 too; for the incremental
+union of the phase cells against csgraph; for the cell offsets on
 clouds with points on the cell seams; and for the tabulated
 self-convolution of short tables and boolean kernels in d in {1, 2, 3}."""
 
@@ -13,6 +14,8 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from grig import graph as graph_module
 from grig.experiments import (
@@ -42,6 +45,7 @@ from grig.graph import (
     largest_component_fraction,
     project_onto_groups,
     project_onto_vertices,
+    union_edges,
 )
 from grig.kernels import (
     BooleanKernel,
@@ -172,14 +176,14 @@ def test_rows_strictly_ascending(scene, mode):
 @SETTINGS
 @given(scenes(), st.sampled_from(["exact", "truncated"]), st.sampled_from([1, 40, 1 << 16]))
 def test_truncated_build_matches_brute_force(scene, mode, block_pairs):
-    # reference: dense distances, candidates with dist <= R (every pair
-    # in exact mode, R = inf), and one uniform per candidate, vertex-major,
-    # groups ascending, whatever the vertex blocks
+    # reference: dense distances, candidates with dist <= R (R = inf in
+    # exact mode), R capped at the support of g, and one uniform per
+    # candidate, vertex-major, groups ascending, whatever the vertex blocks
     V, U = _sample(scene)
     spec = scene[1]
     with mock.patch.object(graph_module, "_BLOCK_PAIRS", block_pairs):
         bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode=mode))
-    radius = bi.build_options.get("truncation_radius", math.inf)
+    radius = min(bi.build_options.get("truncation_radius", math.inf), support_radius(spec))
     dist = _dense_distances(V, U)
     rng = np.random.default_rng(7)
     for v, row in enumerate(_rows(bi)):
@@ -194,10 +198,10 @@ def split_reference(V, U, spec, rng, record):
     uniforms it drew at whole and at thinned cell offsets, replayed pair by
     pair from the dense distances; checks the record's ``whole_offsets``.
 
-    The cap is the truncation radius of a truncated build, and infinite
-    otherwise.  A build that did not split is a grid of one cell taken
-    whole.  A split is capped at the support of g too, on a grid of k =
-    ``cells_per_axis`` cells per axis: a point's cell is floor(x * (k /
+    The cap is the truncation radius of a truncated build, infinite
+    otherwise, and the support of g if that is less.  A build that did
+    not split is a grid of one cell taken whole.  A split is on a grid of
+    k = ``cells_per_axis`` cells per axis: a point's cell is floor(x * (k /
     side)) per axis (k - 1 at most), and a pair's offset is u's cell less
     v's, mod k.  Per axis an offset steps s = min(o, k - o) cells, so its
     pairs lie at least gap = |max(s - 1, 0) side / k| (1 - 1e-9) apart;
@@ -216,9 +220,8 @@ def split_reference(V, U, spec, rng, record):
     torus, n_u = V.torus, U.positions.shape[0]
     flat = _dense_distances(V, U).ravel()
     v, u = np.divmod(np.arange(flat.size), n_u)
-    cap = record.get("truncation_radius", math.inf)
+    cap = min(record.get("truncation_radius", math.inf), support_radius(spec))
     if "cells_per_axis" in record:
-        cap = min(cap, support_radius(spec))
         k, width = record["cells_per_axis"], torus.side / record["cells_per_axis"]
         cell_v, cell_u = (
             np.minimum((c.positions * (k / torus.side)).astype(int), k - 1) for c in (V, U)
@@ -520,6 +523,34 @@ def test_one_cell_sweep_equals_single_build(scene, mode):
     expected = [_fraction(bi, project_onto_vertices), _fraction(bi, project_onto_groups)]
     np.testing.assert_array_equal(fractions[:, 0, 0], expected)
     assert list(kept[:, 0, 0]) == [bi.vertex_count, bi.group_count, bi.indices.size]
+
+
+@st.composite
+def edge_increments(draw):
+    """(n, edges, cuts): up to 60 edges over n nodes, repeats, self-loops
+    and isolated nodes allowed, cut into nested increments edges[:cut],
+    some of them adding no edge."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=60))
+    cuts = draw(st.lists(st.integers(0, len(edges)), max_size=6))
+    return n, np.array(edges, dtype=np.intp).reshape(-1, 2), [0, *sorted(cuts), len(edges)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_increments())
+def test_union_edges_is_the_component_search_after_every_increment(case):
+    # after each increment every node's root is the least node of its
+    # component among the edges so far, as csgraph finds them
+    n, edges, cuts = case
+    roots = np.arange(n)
+    for lo, hi in zip(cuts, cuts[1:]):
+        roots = union_edges(roots, edges[lo:hi, 0], edges[lo:hi, 1])
+        adjacency = sparse.coo_matrix((np.ones(hi), tuple(edges[:hi].T)), shape=(n, n))
+        _, labels = csgraph.connected_components(adjacency, directed=False)
+        least = np.full(labels.max() + 1, n)
+        np.minimum.at(least, labels, np.arange(n))
+        np.testing.assert_array_equal(roots, least[labels])
 
 
 @st.composite

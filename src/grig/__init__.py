@@ -34,7 +34,6 @@ from .experiments import (
 from .geometry import GROUP, VERTEX, PointCloud, Torus, sample_poisson, torus_distance
 from .graph import (
     BipartiteGraph,
-    BuildOptions,
     IntersectionGraph,
     bipartite_components,
     build_bipartite,
@@ -67,7 +66,6 @@ __all__ = [
     "__version__",
     "BipartiteGraph",
     "BooleanKernel",
-    "BuildOptions",
     "ConfigError",
     "ConvergenceError",
     "ConvolutionGrid",

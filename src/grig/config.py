@@ -25,9 +25,8 @@ import os
 from dataclasses import fields
 
 from .errors import ConfigError
-from .experiments import CONFIG_KEYS, ExperimentConfig
+from .experiments import CONFIG_KEYS, ExperimentConfig, check_build_mode, truncation_radius
 from .geometry import Torus
-from .graph import BuildOptions
 from .kernels import _finite, kernel_from_json
 
 KINDS = ("sample", "degrees", "phase", "joint_groups", "connection", "visualize", "analytics")
@@ -166,10 +165,10 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
 
     replicates = _int_at_least(payload.get("replicates", 10), "replicates", 1)
     seed = _int_at_least(payload.get("seed", 0), "seed", 0)
-    eps_tail = _finite(payload.get("eps_tail", 1e-3), "eps_tail")
-    build = BuildOptions(payload.get("mode", "auto"), eps_tail)
-    if build.mode == "truncated" and build.eps_tail == 0.0:
-        build.truncation_radius(kernel)  # refuses unbounded support; builds resolve the radius
+    mode, eps_tail = payload.get("mode", "auto"), _finite(payload.get("eps_tail", 1e-3), "eps_tail")
+    check_build_mode(mode, eps_tail)
+    if mode == "truncated" and eps_tail == 0.0:
+        truncation_radius(kernel, 0.0)  # refuses unbounded support; runs resolve the radius
     threads = _int_at_least(payload.get("threads", os.cpu_count() or 1), "threads", 1)
     confidence = _unit_interval(payload, "confidence", 0.99)
     dispersion_alpha = _unit_interval(payload, "dispersion_alpha", 0.01)
@@ -192,8 +191,8 @@ def config_from_dict(payload: dict, kind=None) -> ExperimentConfig:
         mu_values=mu_values,
         replicates=replicates,
         seed=seed,
-        mode=build.mode,
-        eps_tail=build.eps_tail,
+        mode=mode,
+        eps_tail=eps_tail,
         threads=threads,
         probe_distances=_float_tuple(payload, "probe_distances"),
         confidence=confidence,

@@ -54,7 +54,6 @@ from .geometry import (
     sample_poisson,
 )
 from .graph import (
-    BuildOptions,
     _largest_share,
     build_bipartite,
     degree_histogram,
@@ -99,6 +98,27 @@ def rng_for(base_seed: int, *key: int) -> np.random.Generator:
 CONFIG_KEYS = {"lam": "lambda", "profile_options": "profile"}
 
 
+def check_build_mode(mode, eps_tail) -> None:
+    """Refuse a build mode other than auto, exact or truncated, and an
+    eps_tail outside [0, 1)."""
+    if mode not in ("auto", "exact", "truncated"):
+        raise ConfigError(f'mode must be "auto", "exact" or "truncated", got {mode!r}')
+    if not 0 <= eps_tail < 1:
+        raise ConfigError(f"eps_tail must lie in [0, 1), got {eps_tail}")
+
+
+def truncation_radius(spec: KernelSpec, eps_tail: float) -> float:
+    """Radius a truncated build joins pairs within: the support of a
+    bounded kernel, else the eps_tail radius, which needs eps_tail > 0.  At
+    eps_tail = 0 it computes support_radius(spec, 0.0) alone."""
+    radius = support_radius(spec, 0.0)
+    if math.isfinite(radius):
+        return radius
+    if eps_tail == 0.0:
+        raise ConfigError("truncated build needs eps_tail > 0 for a kernel with unbounded support")
+    return support_radius(spec, eps_tail)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment description (see config.load_config for JSON)."""
@@ -121,11 +141,16 @@ class ExperimentConfig:
     profile_options: dict = field(default_factory=dict)
 
     @cached_property
-    def build_options(self) -> BuildOptions:
-        """The builds' options, their truncation radius resolved at the
-        first read and reused by every later one: mode, eps_tail and kernel
-        must not be assigned after it."""
-        return BuildOptions(mode=self.mode, eps_tail=self.eps_tail).resolved(self.kernel)
+    def build_mode(self) -> dict:
+        """The builds' mode, resolved at the first read and reused by every
+        later one, so mode, eps_tail and kernel must not be assigned after
+        it: {"mode": "exact"}, which auto spells, or {"mode": "truncated",
+        "eps_tail": ..., "truncation_radius": ...}."""
+        check_build_mode(self.mode, self.eps_tail)
+        if self.mode != "truncated":
+            return {"mode": "exact"}
+        radius = truncation_radius(self.kernel, self.eps_tail)
+        return {"mode": "truncated", "eps_tail": self.eps_tail, "truncation_radius": radius}
 
     def describe(self) -> dict:
         """The config as a JSON config file spells it, keyed by CONFIG_KEYS,
@@ -189,8 +214,9 @@ def check_config(config: ExperimentConfig, run: str) -> None:
     dispersion test needs, a scene is not 2-d, or a sampling run expects
     more than MAX_EXPECTED_COUNT results (one per replicate and grid cell),
     vertices, groups or memberships, summed over its replicates (at the
-    grid maxima for a phase sweep).  A sampling run's truncation radius is
-    resolved last (ExperimentConfig.build_options)."""
+    grid maxima for a phase sweep).  A sampling run's build mode is
+    checked and its truncation radius resolved last
+    (ExperimentConfig.build_mode)."""
     described = config.describe()
     values = {key: described[key] for key in RUN_NEEDS[run]}
     missing = [key for key, value in values.items() if value is None or np.size(value) == 0]
@@ -230,18 +256,20 @@ def check_config(config: ExperimentConfig, run: str) -> None:
             )
     # the truncation radius, resolved once here, travels with the config to
     # every replicate, in this process or in a pool's
-    config.build_options
+    config.build_mode
 
 
 def _map_tasks(fn, tasks, threads: int):
-    """Run tasks, optionally on a process pool; output order = task order."""
-    if threads <= 1 or len(tasks) <= 1:
+    """Run tasks, optionally on a process pool of at most `threads`
+    workers, one per task and per CPU; output order = task order."""
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
     # imported here: a run on one thread loads no multiprocessing module
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(tasks) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
@@ -260,6 +288,16 @@ def _clouds(config: ExperimentConfig, lam: float, mu: float, *key: int):
         )
         for intensity, role, stream in ((lam, VERTEX, STREAM_VERTICES), (mu, GROUP, STREAM_GROUPS))
     )
+
+
+def _build(config: ExperimentConfig, V: PointCloud, U: PointCloud, rng: np.random.Generator):
+    """The config's build of V against U, capped at its truncation radius;
+    the build's record takes in the config's build_mode (and so a truncated
+    run's eps_tail)."""
+    mode = config.build_mode
+    bi = build_bipartite(V, U, config.kernel, rng, mode.get("truncation_radius", math.inf))
+    bi.build_options.update(mode)
+    return bi
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +342,7 @@ def _degree_replicate(args):
     config, k = args
     V, U = _clouds(config, config.lam, config.mu, KIND_DEGREE, k)
     rng_m = rng_for(config.seed, KIND_DEGREE, k, STREAM_MEMBERSHIPS)
-    bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options)
+    bi = _build(config, V, U, rng_m)
     hist = degree_histogram(project_onto_vertices(bi))
     record = dict(
         bi.build_options,
@@ -415,7 +453,7 @@ def _phase_replicate(args):
     try:
         V, U = _clouds(config, lam_max, mu_max, KIND_PHASE, k)
         rng_m = rng_for(config.seed, KIND_PHASE, k, STREAM_MEMBERSHIPS)
-        bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options)
+        bi = _build(config, V, U, rng_m)
     except GrigError as exc:  # the replicate's cells are recorded as failed, the sweep goes on
         return fractions, kept, None, f"{type(exc).__name__}: {exc}"
     rng_aux = rng_for(config.seed, KIND_PHASE, k, STREAM_AUX)
@@ -547,7 +585,7 @@ def _planted_trials(config: ExperimentConfig, kind: int, p: int, t: float) -> np
         positions = torus.wrap(rng_u.uniform(0.0, torus.side, (batch.sum(), torus.d)))
         U = PointCloud(GROUP, positions, config.mu, torus)
         first, second = (
-            build_bipartite(V, U, config.kernel, rng, config.build_options).indices
+            _build(config, V, U, rng).indices
             for V, rng in zip(planted, rng_m)
         )
         trial_of_group = np.repeat(np.arange(batch.size), batch)
@@ -689,7 +727,6 @@ def sample_origin_degrees(
     mu: float,
     n_samples: int,
     rng: np.random.Generator,
-    eps_tail: float = 1e-6,
 ) -> np.ndarray:
     """Sample the degree of a vertex planted at the origin of the plane.
 
@@ -700,13 +737,10 @@ def sample_origin_degrees(
     ||g||) points of density g(. - u_k) / ||g||, and each proposal is kept
     with probability (1 - prod_k (1 - g_k)) / sum_k g_k over the groups of
     its own sample.  Samples run in batches of about _BATCH_PAIRS expected
-    groups, proposals and (proposal, group) pairs.  eps_tail must be > 0
-    and has no effect on the output.
+    groups, proposals and (proposal, group) pairs.
     """
     if lam < 0 or mu < 0:
         raise ValueError("intensities must be >= 0")
-    if eps_tail <= 0:
-        raise ValueError("eps_tail must be > 0")
     norm = kernel_norm(spec)
     joined = rng.poisson(mu * norm, size=n_samples)
     # per sample: E[M] groups, lam ||g|| E[M] proposals and lam ||g|| E[M^2] pairs
@@ -762,7 +796,7 @@ def export_visualization(config: ExperimentConfig, out_dir) -> dict:
     check_config(config, "visualize")
     V, U = _clouds(config, config.lam, config.mu, KIND_VISUALIZE)
     rng_m = rng_for(config.seed, KIND_VISUALIZE, STREAM_MEMBERSHIPS)
-    bi = build_bipartite(V, U, config.kernel, rng_m, config.build_options)
+    bi = _build(config, V, U, rng_m)
     gv = project_onto_vertices(bi)
 
     rows = ((cloud.role, i, *pos) for cloud in (V, U) for i, pos in enumerate(cloud.positions))

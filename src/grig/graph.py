@@ -11,27 +11,27 @@ onto U uses Bᵀ B.  Components of the projections match the respective
 restrictions of the bipartite components exactly, which the test suite
 checks sample by sample.
 
-The mode only caps the pairs a build may join: a truncated build at
-R = support_radius(spec, eps_tail), skipping at most an eps_tail
-fraction of membership mass (none for a bounded kernel, whose R is its
-support), an exact build nowhere.  A build of at least _THIN_MIN_VERTICES
-vertices splits on a grid of k cells per axis (_cells_per_axis) when that
-is estimated to cost less than a scan (_grid).  The pairs whose cells lie
-at offset o are at least gap_o apart, and g is radial and non-increasing,
-so such a pair joins with probability at most p_o = g(gap_o).  An offset
-with p_o above _WHOLE_COST is scanned whole: one uniform per pair within
-the cap, ordered by v's cell, v, offset and u, compared with g(d)
+A build joins no pair farther apart than its cap: a truncated run's
+radius (experiments.truncation_radius; it skips at most an eps_tail
+fraction of membership mass, none for a bounded kernel), or infinity for
+an exact build.  A build of at least _THIN_MIN_VERTICES vertices splits
+on a grid of k cells per axis (_cells_per_axis) when that is estimated
+to cost less than a scan (_grid).  The pairs whose cells lie at offset o
+are at least gap_o apart, and g is radial and non-increasing, so such a
+pair joins with probability at most p_o = g(gap_o).  An offset with p_o
+above _WHOLE_COST is scanned whole: one uniform per pair within the cap,
+ordered by v's cell, v, offset and u, compared with g(d)
 (_scan_whole_offsets).  The others are thinned: one Poisson process over
-their pairs thins each at its offset's p_o, and a thinned pair within the
-cap joins when p_o times its uniform falls below g(d) (_thin_offsets).
-So the work on thinned offsets grows with the memberships, not with the
-pairs, and a kernel with g(0) at or near 1 takes its nearest offsets
-whole.  Smaller builds, and builds a split makes no cheaper, scan every
-pair in dense blocks of min-image distances and draw one uniform per
-pair within the cap, vertex-major with groups ascending: the order of a
-one-cell grid taken whole.  No pair beyond the support of g joins, so
-neither a split nor a scan draws a uniform past it: both cap their pairs
-at the lesser of the truncation radius and the support.
+their pairs thins each at its offset's p_o, and a thinned pair within
+the cap joins when p_o times its uniform falls below g(d)
+(_thin_offsets).  So the work on thinned offsets grows with the
+memberships, not with the pairs, and a kernel with g(0) at or near 1
+takes its nearest offsets whole.  Smaller builds, and builds a split
+makes no cheaper, scan every pair in dense blocks of min-image distances
+and draw one uniform per pair within the cap, vertex-major with groups
+ascending: the order of a one-cell grid taken whole.  No pair beyond the
+support of g joins, so neither a split nor a scan draws a uniform past
+it: both cap their pairs at the lesser of the cap and the support.
 
 scipy is imported by the functions that use it (scipy.sparse and csgraph
 for matrices, projections and one-shot component searches), so importing
@@ -43,11 +43,10 @@ union_edges, an incremental union in numpy, and load no scipy either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
 from .geometry import GROUP, VERTEX, PointCloud, ball_volume, min_image_distance
 from .kernels import (
     BooleanKernel,
@@ -94,48 +93,6 @@ _MAX_CELLS = 1 << 12
 _MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class BuildOptions:
-    """Build mode: the cap on the distance of the pairs a build may join.
-    A truncated build joins none beyond its truncation radius; exact, and
-    auto, which spells exact, join every pair with probability g(d)."""
-
-    mode: str = "auto"  # auto | exact | truncated
-    eps_tail: float = 1e-3
-    # (spec, radius): the truncation radius resolved for spec, reused for
-    # that spec alone; set by resolved(), not by the constructor
-    _resolved: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.mode not in ("auto", "exact", "truncated"):
-            raise ConfigError(f'mode must be "auto", "exact" or "truncated", got {self.mode!r}')
-        if not 0 <= self.eps_tail < 1:
-            raise ConfigError(f"eps_tail must lie in [0, 1), got {self.eps_tail}")
-
-    def resolved(self, spec: KernelSpec) -> BuildOptions:
-        """These options with a truncated build's radius for `spec` resolved,
-        so that the builds of spec reuse it."""
-        if self.mode != "truncated":
-            return self
-        options = replace(self)
-        object.__setattr__(options, "_resolved", (spec, self.truncation_radius(spec)))
-        return options
-
-    def truncation_radius(self, spec: KernelSpec) -> float:
-        """Radius a truncated build considers pairs within: the radius
-        resolved for this very spec, the support of a bounded kernel, else
-        the eps_tail radius, which needs eps_tail > 0.  At eps_tail = 0 it
-        computes support_radius(spec, 0.0) alone."""
-        if self._resolved is not None and self._resolved[0] is spec:
-            return self._resolved[1]
-        radius = support_radius(spec, 0.0)
-        if math.isfinite(radius):
-            return radius
-        if self.eps_tail == 0.0:
-            raise ConfigError("truncated build needs eps_tail > 0 for a kernel with unbounded support")
-        return support_radius(spec, self.eps_tail)
-
-
 @dataclass
 class BipartiteGraph:
     """Incidence matrix B in CSR layout: vertex v belongs to the groups
@@ -165,14 +122,17 @@ def build_bipartite(
     U: PointCloud,
     spec: KernelSpec,
     rng: np.random.Generator,
-    options: BuildOptions | None = None,
+    cap: float = math.inf,
 ) -> BipartiteGraph:
-    """Sample the membership graph between a vertex and a group cloud.
+    """Sample the membership graph between a vertex and a group cloud,
+    joining no pair farther apart than `cap`: a truncated build's radius,
+    infinite for an exact build.
 
-    Its ``build_options`` record the resolved mode (with eps_tail and the
-    truncation radius when truncated), ``cells_per_axis`` and
-    ``whole_offsets`` (the offsets scanned whole) when the build splits,
-    and ``candidate_pairs``, the number of uniforms compared with g.
+    Its ``build_options`` record the mode the cap implies, ``exact`` when
+    infinite, else ``truncated`` with the cap as ``truncation_radius``;
+    ``cells_per_axis`` and ``whole_offsets`` (the offsets scanned whole)
+    when the build splits; and ``candidate_pairs``, the number of uniforms
+    compared with g.
     """
     if V.role != VERTEX or U.role != GROUP:
         raise ValueError("build_bipartite needs a vertex cloud and a group cloud")
@@ -180,14 +140,10 @@ def build_bipartite(
         raise ValueError("clouds must live on the same torus")
     if spec.d != V.torus.d:
         raise ValueError(f"kernel dimension {spec.d} != torus dimension {V.torus.d}")
-    opts = options or BuildOptions()
+    if not cap >= 0.0:  # also refuses NaN
+        raise ValueError(f"cap must be a distance >= 0, got {cap}")
     n_v, n_u = V.positions.shape[0], U.positions.shape[0]
-
-    if opts.mode == "truncated":
-        cap = opts.truncation_radius(spec)
-        record = {"mode": "truncated", "eps_tail": opts.eps_tail, "truncation_radius": cap}
-    else:
-        cap, record = math.inf, {"mode": "exact"}
+    record = {"mode": "exact"} if cap == math.inf else {"mode": "truncated", "truncation_radius": cap}
     # no pair beyond the support joins: no build draws a uniform past it
     reach = min(cap, support_radius(spec, 0.0))
     grid = _grid(spec, V.torus, reach, n_v * n_u) if n_v >= _THIN_MIN_VERTICES else None

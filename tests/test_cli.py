@@ -5,12 +5,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from grig import __version__, analytics
+from grig import __version__, analytics, experiments
 from grig.cli import main
 from grig.config import KINDS, config_from_dict, default_sweep_values, load_config, resolve_torus
 from grig.errors import ConfigError
@@ -108,6 +109,20 @@ VALID_CONFIGS = [
         "profile": {"n_radii": 64, "max_refinements": 2, "t_max": 4.0, "tol": 1e-6},
     },
     {"kind": "connection", "kernel": BOOL, "mu": 1.5, "profile": {"method": "tabulated"}},
+    # small enough for every sampling run
+    {
+        "kind": "visualize",
+        "kernel": {"family": "tabulated", "radii": [0.5, 1.0], "values": [0.9, 0.1], "d": 2},
+        "torus": {"d": 2, "measure": "side", "value": 5.0},
+        "lambda": 1.0,
+        "mu": 1.0,
+        "lambda_values": [0.5, 1.0],
+        "mu_values": [1.0, 2.0],
+        "replicates": 3,
+        "seed": 5,
+        "mode": "truncated",
+        "eps_tail": 0.0,
+    },
 ]
 # fractional, out-of-range, huge and beyond-float-range values
 EDGE_VALUES = st.sampled_from([True, 2.7, -1, 0, 400, 10**6, 10**400, math.inf, math.nan])
@@ -124,10 +139,11 @@ CONFIG_PATHS = (
 
 
 @st.composite
-def edited_configs(draw):
-    """A valid config with a few key paths set to arbitrary JSON values."""
-    payload = json.loads(json.dumps(draw(st.sampled_from(VALID_CONFIGS))))
-    edits = draw(st.dictionaries(st.sampled_from(CONFIG_PATHS), EDGE_VALUES | JSON, max_size=3))
+def edited_configs(draw, bases=VALID_CONFIGS, most=3):
+    """A valid config of `bases` with at most `most` key paths set to
+    arbitrary JSON values."""
+    payload = json.loads(json.dumps(draw(st.sampled_from(bases))))
+    edits = draw(st.dictionaries(st.sampled_from(CONFIG_PATHS), EDGE_VALUES | JSON, max_size=most))
     for path, value in edits.items():
         target = payload
         for key in path[:-1]:
@@ -505,6 +521,43 @@ def test_cli_main_exits_0_or_2_on_fuzzed_configs(payload, quantity, overrides):
         assert code in (0, 2)
         if code == 2:
             assert not os.path.exists(out)
+
+
+BUILD_MODES = st.fixed_dictionaries(
+    {},
+    optional={
+        "mode": st.sampled_from(["auto", "exact", "truncated", "bogus"]),
+        "eps_tail": st.sampled_from([0.0, 1e-3, 0.5, 1.0]),
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edited_configs([c for c in VALID_CONFIGS if "lambda" in c], most=1),
+    st.sampled_from(["sample", "phase", "visualize"]),
+    BUILD_MODES,
+)
+def test_cli_sampling_runs_on_fuzzed_configs(payload, subcommand, build):
+    # every accepted run is tiny under a limit of 2^10 expected points,
+    # memberships and cells, and one thread starts no pool.  A refused
+    # config writes nothing; a run writes its manifest, ok on exit 0 and
+    # partial or failed on exit 1
+    payload.update(build, threads=1)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        experiments, "MAX_EXPECTED_COUNT", 1 << 10
+    ):
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        code = main([subcommand, "--config", cfg, "--out", out])
+        event(f"{subcommand} exit {code}")
+        if code == 2:
+            assert not os.path.exists(out)
+            return
+        with open(os.path.join(out, "manifest.json")) as fh:
+            status = json.load(fh)["status"]
+        assert (code, status) in ((0, "ok"), (1, "partial"), (1, "failed")), (code, status)
 
 
 def test_cli_runtime_failure_partial_manifest(tmp_path, capsys):

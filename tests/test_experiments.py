@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,7 +10,6 @@ from scipy import stats as sps
 from test_properties import flat_keys, split_reference
 
 from grig import experiments
-from grig import graph as graph_module
 from grig.config import config_from_dict
 from grig.analytics import expected_degree, sample_dominating_degree
 from grig.errors import ConfigError, ConvergenceError
@@ -130,7 +130,8 @@ def _replayed_build(cfg, kind, k, lam, mu):
     V = sample_poisson(cfg.torus, lam, rng_for(cfg.seed, kind, k, STREAM_VERTICES), role=VERTEX)
     U = sample_poisson(cfg.torus, mu, rng_for(cfg.seed, kind, k, STREAM_GROUPS), role=GROUP)
     rng_m = rng_for(cfg.seed, kind, k, STREAM_MEMBERSHIPS)
-    return V, U, build_bipartite(V, U, cfg.kernel, rng_m, cfg.build_options)
+    cap = cfg.build_mode.get("truncation_radius", math.inf)
+    return V, U, build_bipartite(V, U, cfg.kernel, rng_m, cap)
 
 
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
@@ -393,7 +394,7 @@ def test_truncation_radius_is_resolved_once_per_run(monkeypatch, threads):
             calls.append(eps_tail)
         return support_radius(spec, eps_tail)
 
-    monkeypatch.setattr(graph_module, "support_radius", counting)
+    monkeypatch.setattr(experiments, "support_radius", counting)
     payload = {
         "kernel": {"family": "gaussian", "sigma": 1.0, "norm": 1.0, "d": 2},
         "torus": {"d": 2, "measure": "side", "value": 10.0},
@@ -424,11 +425,74 @@ def test_phase_sweep_threads_equivalent():
         seed=9,
     )
     serial = run_phase_sweep(cfg)
-    import dataclasses
-
     threaded = run_phase_sweep(dataclasses.replace(cfg, threads=2))
     np.testing.assert_array_equal(serial.mean_v, threaded.mean_v)
     np.testing.assert_array_equal(serial.mean_u, threaded.mean_u)
+
+
+@pytest.mark.parametrize("bad", [{"mode": "bogus"}, {"eps_tail": 1.5}])
+def test_hand_built_build_mode_is_refused_before_any_draw(monkeypatch, bad):
+    # a config built by hand, past config_from_dict, is still refused by
+    # the runner's check before a generator is seeded or a build is made
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the sweep drew before refusing its config")
+
+    monkeypatch.setattr(experiments, "rng_for", no_draw)
+    monkeypatch.setattr(experiments, "build_bipartite", no_draw)
+    config = _cfg(kind="phase", lambda_values=(1.0,), mu_values=(1.0,), **bad)
+    with pytest.raises(ConfigError, match="mode|eps_tail"):
+        run_phase_sweep(config)
+
+
+def test_process_pool_is_capped_by_tasks_and_cpus(monkeypatch):
+    # a pool starts at most one worker per task and per CPU, whatever
+    # threads asks for.  The fake pool records its size and maps serially,
+    # so no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    tasks = [-3, -2, -1, 0, 1, 2]
+    cases = ((100_000, 6, 4), (3, 6, 3), (100_000, 2, 2), (2, 1, None), (1, 6, None))
+    for threads, n_tasks, size in cases:
+        sizes.clear()
+        expected = [abs(t) for t in tasks[:n_tasks]]
+        assert experiments._map_tasks(abs, tasks[:n_tasks], threads) == expected
+        assert sizes == ([] if size is None else [size])
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    sizes.clear()
+    assert experiments._map_tasks(abs, tasks, 100_000) == [abs(t) for t in tasks] and sizes == []
+    # a sweep asking for 10^5 threads over 2 replicates gets 2 workers,
+    # and the results of a serial run
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+    cfg = _cfg(
+        kind="phase",
+        kernel=BOOL_R1,
+        torus=Torus(2, 6.0),
+        lambda_values=(1.0,),
+        mu_values=(1.0,),
+        replicates=2,
+    )
+    serial = run_phase_sweep(cfg)
+    sizes.clear()
+    pooled = run_phase_sweep(dataclasses.replace(cfg, threads=100_000))
+    assert sizes == [2]
+    np.testing.assert_array_equal(serial.mean_v, pooled.mean_v)
 
 
 def test_phase_sweep_requires_grids():
@@ -593,7 +657,7 @@ def test_planted_shared_counts_follow_poisson_law():
 
 def test_origin_degrees_dominated_by_compound_poisson():
     n = 20_000
-    true_deg = sample_origin_degrees(GAUSS_N1, 1.0, 1.0, n, rng_for(9, 7, 0), eps_tail=1e-6)
+    true_deg = sample_origin_degrees(GAUSS_N1, 1.0, 1.0, n, rng_for(9, 7, 0))
     dom = sample_dominating_degree(1.0, 1.0, kernel_norm(GAUSS_N1), rng_for(9, 7, 1), size=n)
     top = int(np.quantile(dom, 0.999))
     for k in range(top + 1):
@@ -601,17 +665,6 @@ def test_origin_degrees_dominated_by_compound_poisson():
         p_dom = float(np.mean(dom <= k))
         se = math.sqrt(p_true * (1 - p_true) / n + p_dom * (1 - p_dom) / n)
         assert p_true >= p_dom - 3.0 * se
-
-
-def test_origin_degrees_validation():
-    with pytest.raises(ValueError):
-        sample_origin_degrees(GAUSS_N1, 1.0, 1.0, 10, rng_for(0, 0), eps_tail=0.0)
-
-
-def test_origin_degrees_ignore_eps_tail():
-    a = sample_origin_degrees(GAUSS_N1, 1.0, 1.0, 5000, rng_for(4, 1), eps_tail=1e-6)
-    b = sample_origin_degrees(GAUSS_N1, 1.0, 1.0, 5000, rng_for(4, 1), eps_tail=0.5)
-    np.testing.assert_array_equal(a, b)
 
 
 def test_origin_degrees_zero_cases():
@@ -670,7 +723,7 @@ def test_origin_degrees_heavy_tail_runs():
     # cut off, so nothing scales with it; still under the compound Poisson
     spec = PowerLawKernel.with_norm(1.5, 1.0, 1)
     n = 100_000
-    degrees = sample_origin_degrees(spec, 1.0, 1.0, n, rng_for(12, 3), eps_tail=1e-6)
+    degrees = sample_origin_degrees(spec, 1.0, 1.0, n, rng_for(12, 3))
     dom = sample_dominating_degree(1.0, 1.0, kernel_norm(spec), rng_for(12, 4), size=n)
     for k in range(int(np.quantile(dom, 0.999)) + 1):
         p_true, p_dom = np.mean(degrees <= k), np.mean(dom <= k)

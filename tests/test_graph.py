@@ -7,10 +7,10 @@ from scipy import stats as sps
 
 from grig import graph as graph_module
 from grig.errors import ConfigError
+from grig.experiments import ExperimentConfig, _build, truncation_radius
 from grig.geometry import GROUP, VERTEX, PointCloud, Torus, sample_poisson, torus_distance
 from grig.graph import (
     BipartiteGraph,
-    BuildOptions,
     bipartite_components,
     build_bipartite,
     components,
@@ -29,7 +29,7 @@ from grig.kernels import (
     kernel_norm,
     support_radius,
 )
-from test_properties import FORCE_SPLIT, flat_keys, split_reference
+from test_properties import FORCE_SPLIT, flat_keys, mode_cap, split_reference
 
 TORUS = Torus(2, 8.0)
 
@@ -71,7 +71,7 @@ def test_boolean_memberships_respect_radius():
     V, U = _clouds(1, lam=2.0, mu=2.0)
     spec = BooleanKernel(r=1.0, d=2)
     for mode in ("exact", "truncated"):
-        bi = build_bipartite(V, U, spec, np.random.default_rng(5), BuildOptions(mode=mode))
+        bi = build_bipartite(V, U, spec, np.random.default_rng(5), mode_cap(mode, spec))
         for v, members in enumerate(_rows(bi)):
             for u in members:
                 assert torus_distance(TORUS, V.positions[v], U.positions[u]) <= 1.0
@@ -82,7 +82,7 @@ def test_boolean_memberships_respect_radius():
 def test_zero_kernel_gives_empty_memberships():
     V, U = _clouds(2)
     spec = TabulatedKernel(radii=np.array([1.0, 2.0]), values=np.array([0.0, 0.0]), d=2)
-    bi = build_bipartite(V, U, spec, np.random.default_rng(0), BuildOptions(mode="exact"))
+    bi = build_bipartite(V, U, spec, np.random.default_rng(0))
     assert all(m.size == 0 for m in _rows(bi))
 
 
@@ -96,7 +96,7 @@ def test_origin_membership_count_poisson():
     counts = np.empty(10_000, dtype=np.int64)
     for k in range(counts.size):
         U = sample_poisson(torus, mu, rng, role=GROUP)
-        bi = build_bipartite(planted, U, spec, rng, BuildOptions(mode="exact"))
+        bi = build_bipartite(planted, U, spec, rng)
         counts[k] = _rows(bi)[0].size
     expected = mu * kernel_norm(spec)
     z = (counts.mean() - expected) / math.sqrt(expected / counts.size)
@@ -115,9 +115,7 @@ def test_build_modes_agree_for_bounded_kernel():
     for mode in ("exact", "truncated"):
         for k in range(30):
             V, U = _clouds(100 + k, lam=1.5, mu=1.5)
-            bi = build_bipartite(
-                V, U, spec, np.random.default_rng(1000 + k), BuildOptions(mode=mode)
-            )
+            bi = build_bipartite(V, U, spec, np.random.default_rng(1000 + k), mode_cap(mode, spec))
             edge_counts[mode].append(sum(m.size for m in _rows(bi)))
     a = np.array(edge_counts["exact"], dtype=float)
     b = np.array(edge_counts["truncated"], dtype=float)
@@ -137,15 +135,14 @@ def test_powerlaw_far_pairs_join_with_probability_g(mode):
     # probability g 1[d <= R], and no pair beyond R joins
     spec = PowerLawKernel.with_norm(2.0, 1.0, 2)
     torus = Torus(2, math.sqrt(1000.0))
-    options = BuildOptions(mode=mode, eps_tail=0.05)
-    cap = options.truncation_radius(spec) if mode == "truncated" else math.inf
+    cap = truncation_radius(spec, 0.05) if mode == "truncated" else math.inf
     n = 1000
     width, counts, means, variances = None, 0.0, 0.0, 0.0
     for seed in range(8):
         rng = np.random.default_rng(seed)
         V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (n, 2)), 1.0, torus)
         U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (n, 2)), 1.0, torus)
-        bi = build_bipartite(V, U, spec, rng, options)
+        bi = build_bipartite(V, U, spec, rng, cap)
         record = bi.build_options
         # g(0) < _WHOLE_COST: every offset is thinned
         assert record["whole_offsets"] == 0
@@ -188,7 +185,7 @@ def test_split_rate_floor_keeps_far_skips_finite(monkeypatch):
     rng = np.random.default_rng(0)
     V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
     U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
-    bi = build_bipartite(V, U, spec, rng, BuildOptions(mode="exact"))
+    bi = build_bipartite(V, U, spec, rng)
     assert "cells_per_axis" not in bi.build_options
     monkeypatch.setattr(graph_module, "_GRID_SETUP_COST", 0.0)
     monkeypatch.setattr(graph_module, "_CELL_COST", 0.0)
@@ -196,7 +193,7 @@ def test_split_rate_floor_keeps_far_skips_finite(monkeypatch):
     floored = bound == graph_module._MIN_RATE
     g = eval_kernel(spec, graph_module._offset_gaps(torus, k)[floored])
     assert k == 64 and floored.any() and np.all((0.0 < g) & (g < graph_module._MIN_RATE))
-    bi = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode="exact"))
+    bi = build_bipartite(V, U, spec, np.random.default_rng(1))
     record = bi.build_options
     assert record["cells_per_axis"] == 64 and 0 < record["whole_offsets"] <= 9
     keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(1), record)
@@ -215,11 +212,11 @@ def test_scan_memory_is_bounded_by_its_block(monkeypatch, mode):
     V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (2, 1)), 1.0, torus)
     U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (1 << 16, 1)), 1.0, torus)
     spec = GaussianKernel(sigma=1.0, amplitude=1.0, d=1)
-    whole = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode=mode))
+    whole = build_bipartite(V, U, spec, np.random.default_rng(1), mode_cap(mode, spec))
     monkeypatch.setattr(graph_module, "_BLOCK_PAIRS", 1 << 10)
     tracemalloc.start()
     try:
-        split = build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode=mode))
+        split = build_bipartite(V, U, spec, np.random.default_rng(1), mode_cap(mode, spec))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -239,7 +236,7 @@ def test_scan_fallback_of_a_large_build(mode):
     spec = BooleanKernel(r=1.0, d=2)
     V, U = _clouds(5, lam=20.0, mu=20.0, torus=torus)
     assert V.count >= graph_module._THIN_MIN_VERTICES
-    bi = build_bipartite(V, U, spec, np.random.default_rng(9), BuildOptions(mode=mode))
+    bi = build_bipartite(V, U, spec, np.random.default_rng(9), mode_cap(mode, spec))
     record = bi.build_options
     assert "cells_per_axis" not in record and "whole_offsets" not in record
     keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(9), record)
@@ -258,7 +255,7 @@ def test_split_never_thins_at_rate_one(monkeypatch, scan_cost, mode):
     spec = BooleanKernel(r=1.0, d=2)
     V, U = _clouds(5, lam=20.0, mu=20.0, torus=torus)
     assert V.count >= graph_module._THIN_MIN_VERTICES
-    bi = build_bipartite(V, U, spec, np.random.default_rng(9), BuildOptions(mode=mode))
+    bi = build_bipartite(V, U, spec, np.random.default_rng(9), mode_cap(mode, spec))
     record = bi.build_options
     assert record["cells_per_axis"] == 3 and record["whole_offsets"] == 9
     keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(9), record)
@@ -279,7 +276,7 @@ def test_one_vertex_scan_copies_no_group_cloud(d):
     spec = GaussianKernel(sigma=1.0, amplitude=1.0, d=d)
     tracemalloc.start()
     try:
-        bi = build_bipartite(V, U, spec, np.random.default_rng(0), BuildOptions(mode="exact"))
+        bi = build_bipartite(V, U, spec, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,7 +307,7 @@ def test_near_field_leaves_pairs_past_its_radius_to_the_far_field(monkeypatch):
     assert cell(below) == 2 and cell(seam) == 3
     V = PointCloud(VERTEX, np.array([[0.0], [10.0], [20.0]]), 1.0, torus)
     U = PointCloud(GROUP, np.array([[below], [seam], [30.0]]), 1.0, torus)
-    bi = build_bipartite(V, U, spec, np.random.default_rng(3), BuildOptions(mode="exact"))
+    bi = build_bipartite(V, U, spec, np.random.default_rng(3))
     assert bi.build_options["cells_per_axis"] == k
     keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(3), bi.build_options)
     assert whole == 1 and np.array_equal(flat_keys(bi), keys)
@@ -320,47 +317,46 @@ def test_near_field_leaves_pairs_past_its_radius_to_the_far_field(monkeypatch):
 def test_truncated_same_seed_reproducible():
     V, U = _clouds(7, lam=2.0, mu=2.0)
     spec = GaussianKernel.with_norm(1.0, 1.0, 2)
-    bi1 = build_bipartite(V, U, spec, np.random.default_rng(42), BuildOptions(mode="truncated"))
-    bi2 = build_bipartite(V, U, spec, np.random.default_rng(42), BuildOptions(mode="truncated"))
+    bi1 = build_bipartite(V, U, spec, np.random.default_rng(42), mode_cap("truncated", spec))
+    bi2 = build_bipartite(V, U, spec, np.random.default_rng(42), mode_cap("truncated", spec))
     assert all(np.array_equal(m1, m2) for m1, m2 in zip(_rows(bi1), _rows(bi2)))
 
 
 def test_truncated_unbounded_kernel_zero_eps_rejected():
-    V, U = _clouds(3)
     spec = GaussianKernel.with_norm(1.0, 1.0, 2)
     with pytest.raises(ConfigError):
-        build_bipartite(
-            V, U, spec, np.random.default_rng(0), BuildOptions(mode="truncated", eps_tail=0.0)
-        )
+        truncation_radius(spec, 0.0)
+
+
+def test_build_takes_a_distance_cap():
+    # a cap is a distance: NaN and negative caps are refused, and the
+    # record names the mode a cap implies, exact when it is infinite
+    V, U = _clouds(4, lam=0.5, mu=0.5)
+    assert V.count < graph_module._THIN_MIN_VERTICES  # a scan: no grid in the record
+    spec = GaussianKernel.with_norm(1.0, 1.0, 2)
+    for cap in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="cap"):
+            build_bipartite(V, U, spec, np.random.default_rng(0), cap)
+    modes = {
+        math.inf: {"mode": "exact"},
+        2.5: {"mode": "truncated", "truncation_radius": 2.5},
+        0.0: {"mode": "truncated", "truncation_radius": 0.0},
+    }
+    for cap, mode in modes.items():
+        bi = build_bipartite(V, U, spec, np.random.default_rng(0), cap)
+        assert bi.build_options == dict(mode, candidate_pairs=bi.build_options["candidate_pairs"])
+    assert bi.build_options["candidate_pairs"] == bi.indices.size == 0
 
 
 def test_build_role_validation():
     V, U = _clouds(4)
     spec = BooleanKernel(r=1.0, d=2)
     with pytest.raises(ValueError):
-        build_bipartite(U, U, spec, np.random.default_rng(0), BuildOptions())
+        build_bipartite(U, U, spec, np.random.default_rng(0))
     other = Torus(2, 9.0)
     V2 = PointCloud(VERTEX, V.positions, 1.0, other)
     with pytest.raises(ValueError):
-        build_bipartite(V2, U, spec, np.random.default_rng(0), BuildOptions())
-
-
-def test_resolved_radius_serves_its_own_kernel_alone():
-    # the resolved radius is no constructor argument, and options resolved
-    # for one kernel give another kernel that kernel's own radius
-    with pytest.raises(TypeError):
-        BuildOptions(mode="truncated", _resolved=(None, 1.0))
-    narrow, wide = GaussianKernel.with_norm(1.0, 1.0, 2), GaussianKernel.with_norm(2.0, 1.0, 2)
-    options = BuildOptions(mode="truncated").resolved(narrow)
-    plain = BuildOptions(mode="truncated")
-    assert options == plain and repr(options) == repr(plain)
-    assert options.truncation_radius(narrow) == support_radius(narrow, 1e-3)
-    assert options.truncation_radius(wide) == support_radius(wide, 1e-3)
-    assert support_radius(wide, 1e-3) > support_radius(narrow, 1e-3)
-    V, U = _clouds(4, lam=0.5, mu=0.5)
-    record = build_bipartite(V, U, wide, np.random.default_rng(0), options).build_options
-    assert record["truncation_radius"] == support_radius(wide, 1e-3)
-    assert BuildOptions(mode="exact").resolved(narrow) == BuildOptions(mode="exact")
+        build_bipartite(V2, U, spec, np.random.default_rng(0))
 
 
 def test_far_field_setup_is_priced_once_per_build():
@@ -404,11 +400,11 @@ def test_scan_cost_is_priced_by_kernel_family(monkeypatch):
 def test_auto_mode_is_exact():
     # auto spells exact: the same record and memberships at the same seed,
     # on a build that splits and on one that scans
-    spec = GaussianKernel.with_norm(1.0, 1.0, 2)
+    spec, torus = GaussianKernel.with_norm(1.0, 1.0, 2), Torus(2, 16.0)
     for lam, splits in ((2.0, True), (0.125, False)):
-        V, U = _clouds(8, lam=lam, mu=2.0, torus=Torus(2, 16.0))
+        V, U = _clouds(8, lam=lam, mu=2.0, torus=torus)
         auto, exact = (
-            build_bipartite(V, U, spec, np.random.default_rng(1), BuildOptions(mode=mode))
+            _build(ExperimentConfig("degrees", spec, torus, mode=mode), V, U, np.random.default_rng(1))
             for mode in ("auto", "exact")
         )
         assert auto.build_options == exact.build_options
@@ -448,7 +444,7 @@ def test_projection_onto_groups():
 def test_projection_matches_brute_force():
     V, U = _clouds(11, lam=2.0, mu=2.0)
     spec = BooleanKernel(r=1.0, d=2)
-    bi = build_bipartite(V, U, spec, np.random.default_rng(3), BuildOptions(mode="exact"))
+    bi = build_bipartite(V, U, spec, np.random.default_rng(3))
     gv = project_onto_vertices(bi)
     # brute force pair scan over membership lists
     n = bi.vertex_count
@@ -466,9 +462,7 @@ def test_projection_matches_brute_force():
 
 def test_adjacency_symmetric_no_self_loops():
     V, U = _clouds(12, lam=2.0, mu=2.0)
-    bi = build_bipartite(
-        V, U, BooleanKernel(r=1.2, d=2), np.random.default_rng(4), BuildOptions()
-    )
+    bi = build_bipartite(V, U, BooleanKernel(r=1.2, d=2), np.random.default_rng(4))
     gv = project_onto_vertices(bi)
     for v in range(gv.node_count):
         neigh = gv.neighbors(v)
@@ -519,9 +513,7 @@ def test_projected_components_match_bipartite_restriction():
     # connectivity through groups is exactly connectivity in the projection
     for seed in range(20):
         V, U = _clouds(200 + seed, lam=1.5, mu=1.5)
-        bi = build_bipartite(
-            V, U, BooleanKernel(r=1.0, d=2), np.random.default_rng(seed), BuildOptions()
-        )
+        bi = build_bipartite(V, U, BooleanKernel(r=1.0, d=2), np.random.default_rng(seed))
         both = bipartite_components(bi)
         pv = components(project_onto_vertices(bi))
         pu = components(project_onto_groups(bi))

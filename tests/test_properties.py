@@ -27,6 +27,7 @@ from grig.experiments import (
     ExperimentConfig,
     _phase_replicate,
     rng_for,
+    truncation_radius,
 )
 from grig.geometry import (
     GROUP,
@@ -40,7 +41,6 @@ from grig.geometry import (
 )
 from grig.graph import (
     BipartiteGraph,
-    BuildOptions,
     build_bipartite,
     largest_component_fraction,
     project_onto_groups,
@@ -67,6 +67,12 @@ FORCE_SPLIT = dict(
     _GRID_SETUP_COST=0.0,
     _CELL_COST=0.0,
 )
+
+
+def mode_cap(mode, spec):
+    """The cap of a build of `spec` in a run's `mode` at the default
+    eps_tail 1e-3: its truncation radius when truncated, else infinite."""
+    return truncation_radius(spec, 1e-3) if mode == "truncated" else math.inf
 
 
 @st.composite
@@ -165,7 +171,7 @@ def _dense_incidence(bi):
 @given(scenes(), st.sampled_from(["exact", "truncated"]))
 def test_rows_strictly_ascending(scene, mode):
     V, U = _sample(scene)
-    bi = build_bipartite(V, U, scene[1], np.random.default_rng(1), BuildOptions(mode=mode))
+    bi = build_bipartite(V, U, scene[1], np.random.default_rng(1), mode_cap(mode, scene[1]))
     assert bi.indptr.shape == (bi.vertex_count + 1,)
     assert bi.indptr[0] == 0 and bi.indptr[-1] == bi.indices.size
     for row in _rows(bi):
@@ -182,7 +188,7 @@ def test_truncated_build_matches_brute_force(scene, mode, block_pairs):
     V, U = _sample(scene)
     spec = scene[1]
     with mock.patch.object(graph_module, "_BLOCK_PAIRS", block_pairs):
-        bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode=mode))
+        bi = build_bipartite(V, U, spec, np.random.default_rng(7), mode_cap(mode, spec))
     radius = min(bi.build_options.get("truncation_radius", math.inf), support_radius(spec))
     dist = _dense_distances(V, U)
     rng = np.random.default_rng(7)
@@ -296,7 +302,7 @@ def test_split_exact_build_matches_reference(scene, mode, block_pairs, chunk):
     spec = scene[1]
     patch = dict(FORCE_SPLIT, _BLOCK_PAIRS=block_pairs, _SKIP_CHUNK=chunk)
     with mock.patch.multiple(graph_module, **patch):
-        bi = build_bipartite(V, U, spec, np.random.default_rng(7), BuildOptions(mode=mode))
+        bi = build_bipartite(V, U, spec, np.random.default_rng(7), mode_cap(mode, spec))
     record = bi.build_options
     assert ("cells_per_axis" in record) == (V.count > 0)
     keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(7), record)
@@ -435,7 +441,7 @@ def test_exact_boolean_build_is_the_ball_graph(d, side, n_v, n_u, data):
     U = PointCloud(GROUP, rng.uniform(0.0, side, (n_u, d)), 1.0, torus)
     spec = BooleanKernel(r=0.25 * side * math.sqrt(d), d=d)
     with mock.patch.object(graph_module, "_BLOCK_PAIRS", block * n_u):
-        bi = build_bipartite(V, U, spec, np.random.default_rng(0), BuildOptions(mode="exact"))
+        bi = build_bipartite(V, U, spec, np.random.default_rng(0))
     np.testing.assert_array_equal(_dense_incidence(bi), _dense_distances(V, U) < spec.r)
 
 
@@ -443,7 +449,7 @@ def test_exact_boolean_build_is_the_ball_graph(d, side, n_v, n_u, data):
 @given(scenes(), st.sampled_from(["exact", "truncated"]))
 def test_projections_equal_dense_gram_matrix(scene, mode):
     V, U = _sample(scene)
-    bi = build_bipartite(V, U, scene[1], np.random.default_rng(3), BuildOptions(mode=mode))
+    bi = build_bipartite(V, U, scene[1], np.random.default_rng(3), mode_cap(mode, scene[1]))
     B = _dense_incidence(bi)
     for graph, gram in ((project_onto_vertices(bi), B @ B.T), (project_onto_groups(bi), B.T @ B)):
         upper = np.triu_indices(gram.shape[0], 1)
@@ -463,7 +469,7 @@ def _master(scene, lams, mus, k, mode):
     V = sample_poisson(torus, lams.max(), rng_for(seed, KIND_PHASE, k, STREAM_VERTICES), role=VERTEX)
     U = sample_poisson(torus, mus.max(), rng_for(seed, KIND_PHASE, k, STREAM_GROUPS), role=GROUP)
     rng_m = rng_for(seed, KIND_PHASE, k, STREAM_MEMBERSHIPS)
-    bi = build_bipartite(V, U, spec, rng_m, BuildOptions(mode=mode))
+    bi = build_bipartite(V, U, spec, rng_m, mode_cap(mode, spec))
     rng_aux = rng_for(seed, KIND_PHASE, k, STREAM_AUX)
     mark_v = rng_aux.random(bi.vertex_count) * lams.max()
     return bi, mark_v, rng_aux.random(bi.group_count) * mus.max()
@@ -496,7 +502,8 @@ def test_phase_cell_fractions_equal_projection_components(scene, lam_scale, mu_s
     fractions, kept, record, err = _phase_replicate(_phase_args(scene, lams, mus, 2, mode))
     assert err is None
     bi, mark_v, mark_u = _master(scene, lams, mus, 2, mode)
-    assert record == bi.build_options
+    # the build's record, merged with the run's mode record
+    assert record == dict(bi.build_options, **_phase_args(scene, lams, mus, 2, mode)[0].build_mode)
     B = _dense_incidence(bi)
     for i, lam in enumerate(lams):
         for j, mu in enumerate(mus):
@@ -609,7 +616,7 @@ def test_split_at_the_support_is_the_truncated_build(spec, factor, n_v, n_u, see
     U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (n_u, spec.d)), 1.0, torus)
     with mock.patch.multiple(graph_module, **FORCE_SPLIT):
         split, truncated = (
-            build_bipartite(V, U, spec, np.random.default_rng(seed), BuildOptions(mode=mode))
+            build_bipartite(V, U, spec, np.random.default_rng(seed), mode_cap(mode, spec))
             for mode in ("exact", "truncated")
         )
     record = split.build_options

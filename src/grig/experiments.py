@@ -215,8 +215,8 @@ def check_config(config: ExperimentConfig, run: str) -> None:
     more than MAX_EXPECTED_COUNT results (one per replicate and grid cell),
     vertices, groups or memberships, summed over its replicates (at the
     grid maxima for a phase sweep).  A sampling run's build mode is
-    checked and its truncation radius resolved last
-    (ExperimentConfig.build_mode)."""
+    checked last, and the truncation radius of a run that builds resolved
+    with it (ExperimentConfig.build_mode); a sample builds nothing."""
     described = config.describe()
     values = {key: described[key] for key in RUN_NEEDS[run]}
     missing = [key for key, value in values.items() if value is None or np.size(value) == 0]
@@ -254,6 +254,9 @@ def check_config(config: ExperimentConfig, run: str) -> None:
             raise ConfigError(
                 f"{run} expects {count:.4g} {name}, over the limit of {MAX_EXPECTED_COUNT}"
             )
+    if run == "sample":
+        check_build_mode(config.mode, config.eps_tail)
+        return
     # the truncation radius, resolved once here, travels with the config to
     # every replicate, in this process or in a pool's
     config.build_mode
@@ -314,6 +317,7 @@ class DegreeResult:
     isolated_lower_bound: float
     replicates: int
     node_total: int
+    edges: int  # of the projections, summed over replicates
     warnings: list = field(default_factory=list)
     build: dict = field(default_factory=dict)  # see _build_totals
 
@@ -343,14 +347,15 @@ def _degree_replicate(args):
     V, U = _clouds(config, config.lam, config.mu, KIND_DEGREE, k)
     rng_m = rng_for(config.seed, KIND_DEGREE, k, STREAM_MEMBERSHIPS)
     bi = _build(config, V, U, rng_m)
-    hist = degree_histogram(project_onto_vertices(bi))
+    gv = project_onto_vertices(bi)
+    hist = degree_histogram(gv)
     record = dict(
         bi.build_options,
         vertices=bi.vertex_count,
         groups=bi.group_count,
         memberships=int(bi.indices.size),
     )
-    return hist.counts, hist.mean, record
+    return hist.counts, hist.mean, gv.edge_count, record
 
 
 def run_degree_experiment(config: ExperimentConfig, out_dir=None) -> DegreeResult:
@@ -359,10 +364,10 @@ def run_degree_experiment(config: ExperimentConfig, out_dir=None) -> DegreeResul
     results = _map_tasks(
         _degree_replicate, [(config, k) for k in range(config.replicates)], config.threads
     )
-    width = max(c.size for c, _, _ in results)
+    width = max(c.size for c, *_ in results)
     pooled = np.zeros(width, dtype=np.int64)
     means = []
-    for counts, mean, _ in results:
+    for counts, mean, *_ in results:
         pooled[: counts.size] += counts
         means.append(mean)
     total = int(pooled.sum())
@@ -393,8 +398,9 @@ def run_degree_experiment(config: ExperimentConfig, out_dir=None) -> DegreeResul
         ),
         replicates=config.replicates,
         node_total=total,
+        edges=sum(edges for _, _, edges, _ in results),
         warnings=warnings,
-        build=_build_totals([r for _, _, r in results]),
+        build=_build_totals([r for *_, r in results]),
     )
     if out_dir is not None:
         write_csv(os.path.join(out_dir, "histogram.csv"), ["degree", "count"], enumerate(pooled))

@@ -6,10 +6,11 @@ the incidence matrix B (vertices x groups) in CSR layout, kept as two
 plain arrays: ``indptr`` and ``indices``, vertex-major with groups
 ascending within each vertex.  Projecting onto V links two vertices iff
 they share a group: the off-diagonal entries of B Bᵀ count the shared
-groups, and that symmetric matrix is all a projection stores.  Projecting
-onto U uses Bᵀ B.  Components of the projections match the respective
-restrictions of the bipartite components exactly, which the test suite
-checks sample by sample.
+groups, and that symmetric matrix, in the same CSR layout, is all a
+projection stores.  Projecting onto U uses Bᵀ B.  Both are computed in
+numpy (_project), in blocks of bounded memory.  Components of the
+projections match the respective restrictions of the bipartite
+components exactly, which the test suite checks sample by sample.
 
 A build joins no pair farther apart than its cap: a truncated run's
 radius (experiments.truncation_radius; it skips at most an eps_tail
@@ -33,11 +34,11 @@ ascending: the order of a one-cell grid taken whole.  No pair beyond the
 support of g joins, so neither a split nor a scan draws a uniform past
 it: both cap their pairs at the lesser of the cap and the support.
 
-scipy is imported by the functions that use it (scipy.sparse and csgraph
-for matrices, projections and one-shot component searches), so importing
-grig, and any run that builds no matrix, loads none; no build loads
-scipy.spatial.  A phase sweep's cells take their components from
-union_edges, an incremental union in numpy, and load no scipy either.
+scipy is imported by the functions that use it, and only
+BipartiteGraph.incidence and the one-shot component searches do
+(scipy.sparse and csgraph), so importing grig, and every CLI run, loads
+none; no build loads scipy.spatial.  A phase sweep's cells take their
+components from union_edges, an incremental union in numpy.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ from .kernels import (
 )
 from .serialize import write_csv
 
-# expected pairs per block of a scan or of the whole offsets, and cell pairs
-# per table of the thinned offsets; bounds the memory of one block
+# expected pairs per block of a scan or of the whole offsets, cell pairs per
+# table of the thinned offsets, and pairs per block of a projection; bounds
+# the memory of one block
 _BLOCK_PAIRS = 1 << 16
 # a build of fewer vertices scans every pair: for the one-vertex planted
 # builds the grid's enumeration costs more than the broadcast scan
@@ -424,61 +426,107 @@ def _thin_offsets(V, U, spec, rng, cap, k, offsets, rates, counts, cells):
 class IntersectionGraph:
     """One-mode projection: nodes on one side, edges from shared memberships.
 
-    ``shared`` is the symmetric CSR matrix of shared-membership counts off
-    the diagonal, neighbors sorted; the edge list is its upper triangle.
+    In CSR layout, as BipartiteGraph: node a's neighbours are
+    ``indices[indptr[a]:indptr[a + 1]]``, sorted and never a itself, and
+    ``counts`` holds the number of memberships a shares with each.  The
+    lists are symmetric; the edge list is their upper triangle.
     """
 
     side: str  # "V" or "U"
-    shared: sparse.csr_matrix
+    indptr: np.ndarray  # (node_count + 1,) row offsets into indices
+    indices: np.ndarray  # neighbour per entry
+    counts: np.ndarray  # shared memberships per entry, >= 1
 
     @property
     def node_count(self) -> int:
-        return self.shared.shape[0]
+        return self.indptr.size - 1
 
     @property
     def edge_count(self) -> int:
-        return self.shared.nnz // 2
+        return self.indices.size // 2
+
+    def _upper(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row of each entry, and the mask of entries above the diagonal."""
+        rows = np.repeat(np.arange(self.node_count), self.degrees())
+        return rows, self.indices > rows
 
     @property
     def edges(self) -> np.ndarray:
         """(m, 2) with edges[:, 0] < edges[:, 1], lexicographically sorted."""
-        from scipy import sparse
-
-        upper = sparse.triu(self.shared, k=1, format="coo")
-        return np.stack([upper.row, upper.col], axis=1)
+        rows, upper = self._upper()
+        return np.stack([rows[upper], self.indices[upper]], axis=1)
 
     @property
     def shared_counts(self) -> np.ndarray:
         """(m,) common-membership multiplicity of each edge, >= 1."""
-        from scipy import sparse
-
-        return sparse.triu(self.shared, k=1, format="coo").data
+        return self.counts[self._upper()[1]]
 
     def neighbors(self, node: int) -> np.ndarray:
-        return self.shared.indices[self.shared.indptr[node] : self.shared.indptr[node + 1]]
+        return self.indices[self.indptr[node] : self.indptr[node + 1]]
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.shared.indptr)
+        return np.diff(self.indptr)
 
 
-def _project(incidence: sparse.spmatrix, side: str) -> IntersectionGraph:
-    """Projection onto the rows of an incidence matrix: its Gram matrix
-    off the diagonal."""
-    shared = (incidence @ incidence.T).tocsr()
-    shared.setdiag(0)
-    shared.eliminate_zeros()
-    shared.sort_indices()
-    return IntersectionGraph(side=side, shared=shared)
+def _transpose(indptr, indices, n_cols):
+    """(indptr, indices) of the transpose of a CSR pattern with `n_cols`
+    columns, rows ascending within each column: the sorted keys
+    column * n_rows + row."""
+    n_rows = indptr.size - 1
+    ptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n_cols), out=ptr[1:])
+    keys = np.sort(indices * n_rows + np.repeat(np.arange(n_rows), np.diff(indptr)))
+    return ptr, keys % max(n_rows, 1)
+
+
+def _project(rows, columns, side: str) -> IntersectionGraph:
+    """Projection onto the rows of an incidence pattern, given in CSR as
+    `rows` = (indptr, indices) and as its transpose `columns`: its Gram
+    matrix off the diagonal.
+
+    Each entry (a, c) pairs with every member b of column c; the keys
+    a * n + b, counted by np.unique, less those of the diagonal, are the
+    entries and their counts.  Blocks of whole rows hold about
+    _BLOCK_PAIRS pairs, or one row's pairs when they are more, so the
+    blocks come out in key order.
+    """
+    (indptr, indices), (col_ptr, members) = rows, columns
+    n = indptr.size - 1
+    per_entry = np.diff(col_ptr)[indices]
+    ends = np.concatenate(([0], np.cumsum(per_entry)))[indptr]  # pairs before each row
+    keys, counts, lo = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _BLOCK_PAIRS, side="right")) - 1)
+        cols = indices[indptr[lo] : indptr[hi]]
+        seg = per_entry[indptr[lo] : indptr[hi]]
+        first = col_ptr[cols] - (np.cumsum(seg) - seg)
+        b = members[np.arange(ends[hi] - ends[lo]) + np.repeat(first, seg)]
+        a = np.repeat(np.arange(lo, hi) * n, np.diff(ends[lo : hi + 1]))
+        block, count = np.unique(a + b, return_counts=True)
+        # key a * n + b is b - a mod n + 1: 0 on the diagonal alone
+        off = block % (n + 1) != 0
+        keys.append(block[off])
+        counts.append(count[off])
+        lo = hi
+    keys = np.concatenate(keys)
+    return IntersectionGraph(
+        side=side,
+        indptr=np.searchsorted(keys, np.arange(n + 1) * n),
+        indices=keys % max(n, 1),
+        counts=np.concatenate(counts),
+    )
 
 
 def project_onto_vertices(bi: BipartiteGraph) -> IntersectionGraph:
     """Link vertices sharing at least one group; counts the shared groups."""
-    return _project(bi.incidence(), side="V")
+    rows = bi.indptr, bi.indices
+    return _project(rows, _transpose(*rows, bi.group_count), side="V")
 
 
 def project_onto_groups(bi: BipartiteGraph) -> IntersectionGraph:
     """Link groups sharing at least one vertex; counts the shared vertices."""
-    return _project(bi.incidence().T, side="U")
+    rows = bi.indptr, bi.indices
+    return _project(_transpose(*rows, bi.group_count), rows, side="U")
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +561,20 @@ def _canonical_partition(labels: np.ndarray) -> ComponentPartition:
     return ComponentPartition(n, ids, np.bincount(ids).astype(np.int64))
 
 
-def components(graph: IntersectionGraph) -> ComponentPartition:
-    """Connected components with ids ordered by smallest contained node."""
+def _component_labels(graph: IntersectionGraph) -> np.ndarray:
+    """csgraph's component label of each node of a projection, searched on
+    the scipy matrix of its arrays."""
+    from scipy import sparse
     from scipy.sparse import csgraph
 
-    _, labels = csgraph.connected_components(graph.shared, directed=False)
-    return _canonical_partition(labels.astype(np.int64))
+    n = graph.node_count
+    adjacency = sparse.csr_matrix((graph.counts, graph.indices, graph.indptr), shape=(n, n))
+    return csgraph.connected_components(adjacency, directed=False)[1]
+
+
+def components(graph: IntersectionGraph) -> ComponentPartition:
+    """Connected components with ids ordered by smallest contained node."""
+    return _canonical_partition(_component_labels(graph).astype(np.int64))
 
 
 def bipartite_components(bi: BipartiteGraph) -> ComponentPartition:
@@ -587,9 +643,7 @@ def largest_component_fraction(graph: IntersectionGraph) -> float:
     """Size of the largest component as a fraction of all nodes."""
     if graph.node_count == 0:
         raise ValueError("fraction undefined on an empty graph")
-    from scipy.sparse import csgraph
-
-    return _largest_share(csgraph.connected_components(graph.shared, directed=False)[1])
+    return _largest_share(_component_labels(graph))
 
 
 @dataclass(frozen=True)

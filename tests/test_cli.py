@@ -835,13 +835,12 @@ def test_cli_analytics_norm_quantities_build_no_profile(
     capsys.readouterr()
 
 
-def _fresh_cli(*argv):
-    """Exit status of main(argv) in a fresh interpreter, and the scipy and
-    multiprocessing modules loaded by then; with no argv, those of importing
-    grig.cli."""
+def _fresh(statement, *argv):
+    """`status` as `statement` sets it in a fresh interpreter, where argv
+    is the list of the given arguments, and the scipy and multiprocessing
+    modules loaded by then."""
     probe = (
-        "import json, sys; from grig.cli import main; "
-        "argv = json.loads(sys.argv[1]); status = main(argv) if argv else None; "
+        f"import json, sys; argv = json.loads(sys.argv[1]); {statement}; "
         "heavy = ('scipy', 'multiprocessing'); "
         "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] in heavy)]))"
     )
@@ -852,6 +851,13 @@ def _fresh_cli(*argv):
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(run.stdout.strip().splitlines()[-1])
+
+
+def _fresh_cli(*argv):
+    """Exit status of main(argv) in a fresh interpreter, and the scipy and
+    multiprocessing modules loaded by then; with no argv, those of importing
+    grig.cli."""
+    return _fresh("from grig.cli import main; status = main(argv) if argv else None", *argv)
 
 
 def test_import_surface_leaves_out_optimize_and_integrate():
@@ -880,6 +886,8 @@ PHASE = dict(kind="phase", torus=TORUS_12, replicates=2, lambda_values=[1.0, 2.0
             "validate", dict(PLANTED_GAUSS, kind="connection"), ["--replicates", "5"], 0, id="connection"
         ),
         pytest.param("sample", dict(SAMPLED, kind="sample"), [], 0, id="sample"),
+        pytest.param("degrees", dict(SAMPLED, kind="degrees"), ["--threads", "1"], 0, id="degrees"),
+        pytest.param("visualize", dict(SAMPLED, kind="visualize"), [], 0, id="visualize"),
         pytest.param("degrees", _without(dict(SAMPLED, kind="degrees"), "lambda"), [], 2, id="refused"),
         pytest.param(
             "phase", dict(PHASE, kernel=GAUSS, mode="truncated"), ["--threads", "1"], 0, id="phase-gaussian"
@@ -888,24 +896,29 @@ PHASE = dict(kind="phase", torus=TORUS_12, replicates=2, lambda_values=[1.0, 2.0
     ],
 )
 def test_cli_runs_that_build_no_matrix_load_no_scipy(tmp_path, subcommand, payload, extra, status):
-    # scipy.sparse and csgraph load at the first build that needs them;
-    # analytics, the planted-pair scans, a sample, a refused config and a
-    # phase sweep need none: a sweep's cells take their components from an
-    # incremental union in numpy.  The boolean sweep's master builds (288 x
-    # 288 points) split on their grid of cells, so no build loads a KD-tree
-    # from scipy.spatial either.  None of these runs starts a process pool,
-    # the phase sweeps on one thread
+    # no CLI run needs scipy.sparse or csgraph: analytics, the planted-pair
+    # scans, a sample, a refused config, the projections of degrees and
+    # visualize (in numpy) and a phase sweep, whose cells take their
+    # components from an incremental union in numpy.  The boolean sweep's
+    # master builds (288 x 288 points) split on their grid of cells, so no
+    # build loads a KD-tree from scipy.spatial either.  None of these runs
+    # starts a process pool: degrees and the phase sweeps on one thread
+    # keep their builds in the probed process
     cfg = _write(tmp_path, "cfg.json", payload)
     assert _fresh_cli(subcommand, "--config", cfg, "--out", str(tmp_path / "o"), *extra) == [status, []]
 
 
-def test_cli_degrees_loads_scipy_at_its_builds(tmp_path):
-    # the probe sees a load where there is one; one thread keeps the builds
-    # in the probed process
-    cfg = _write(tmp_path, "cfg.json", dict(SAMPLED, kind="degrees"))
-    status, modules = _fresh_cli("degrees", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1")
-    assert status == 0
-    assert "scipy.sparse" in modules
+def test_component_search_loads_csgraph():
+    # the probe sees a load where there is one: a one-shot component search
+    # builds its scipy matrix and loads csgraph
+    statement = (
+        "import numpy as np, grig; "
+        "bi = grig.BipartiteGraph(3, 1, np.array([0, 1, 2, 2]), np.array([0, 0])); "
+        "status = grig.components(grig.project_onto_vertices(bi)).n_components"
+    )
+    status, modules = _fresh(statement)
+    assert status == 2
+    assert "scipy.sparse.csgraph" in modules
 
 
 # ---------------------------------------------------------------------------

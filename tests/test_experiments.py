@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,6 +118,15 @@ def test_degree_experiment_artifacts(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["empirical_mean"] == res.empirical_mean
     assert report["warnings"] == []
+
+
+def test_degree_report_counts_edges(tmp_path):
+    # the projections' edges, summed over replicates: each edge adds 2 to
+    # the pooled degree sum, node_total * empirical_mean
+    res = run_degree_experiment(_cfg(lam=2.0, mu=2.0, replicates=3, seed=6), out_dir=tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["edges"] == res.edges > 0
+    assert report["edges"] == pytest.approx(res.node_total * res.empirical_mean / 2, rel=1e-12)
 
 
 def _pair_distances(V, U):
@@ -412,6 +422,18 @@ def test_truncation_radius_is_resolved_once_per_run(monkeypatch, threads):
     # the resolved radius reaches no field of the config's record
     assert config.describe() == described and "radius" not in json.dumps(described)
     assert {b["truncation_radius"] for b in grid.builds} == {support_radius(config.kernel, 1e-3)}
+
+
+def test_sample_resolves_no_truncation_radius():
+    # a sample builds nothing, so its check resolves no radius; a degrees
+    # run's check resolves one
+    for run, expected in (("sample", 0), ("degrees", 1)):
+        config = _cfg(kind=run, mode="truncated")
+        with mock.patch.object(
+            experiments, "truncation_radius", wraps=experiments.truncation_radius
+        ) as resolve:
+            experiments.check_config(config, run)
+        assert resolve.call_count == expected
 
 
 def test_phase_sweep_threads_equivalent():

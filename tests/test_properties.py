@@ -12,6 +12,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -461,6 +462,31 @@ def test_projections_equal_dense_gram_matrix(scene, mode):
         assert np.array_equal(graph.degrees(), off.sum(axis=1))
         for node in range(graph.node_count):
             assert np.array_equal(graph.neighbors(node), np.nonzero(off[node])[0])
+
+
+@SETTINGS
+@given(scenes(), st.sampled_from(["exact", "truncated"]))
+def test_projections_do_not_depend_on_their_blocks(scene, mode):
+    # one row per block against every row in one block, on both sides
+    V, U = _sample(scene)
+    bi = build_bipartite(V, U, scene[1], np.random.default_rng(3), mode_cap(mode, scene[1]))
+    for project in (project_onto_vertices, project_onto_groups):
+        graphs = []
+        for block_pairs in (1, 1 << 20):
+            with mock.patch.object(graph_module, "_BLOCK_PAIRS", block_pairs):
+                graphs.append(project(bi))
+        for name in ("indptr", "indices", "counts"):
+            assert np.array_equal(getattr(graphs[0], name), getattr(graphs[1], name))
+
+
+@pytest.mark.parametrize("n_v, n_u", [(0, 0), (0, 5), (5, 0), (4, 3)])
+def test_builds_without_memberships_project_to_empty_graphs(n_v, n_u):
+    bi = BipartiteGraph(n_v, n_u, np.zeros(n_v + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+    for project, n in ((project_onto_vertices, n_v), (project_onto_groups, n_u)):
+        graph = project(bi)
+        assert np.array_equal(graph.indptr, np.zeros(n + 1))
+        assert graph.indices.size == graph.counts.size == graph.edge_count == 0
+        assert graph.edges.shape == (0, 2)
 
 
 def _master(scene, lams, mus, k, mode):

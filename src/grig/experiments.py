@@ -445,6 +445,9 @@ def _phase_replicate(args):
     mus[j] and the memberships between kept ends.  An independent thinning
     of a Poisson process is Poisson, and memberships are drawn per pair
     whatever the intensities, so each cell is the model at (lams[i], mus[j]).
+    B's rows are taken in vertex-mark order by one gather over the
+    memberships, without a sort: a union's result does not depend on the
+    order of its edges.
 
     Returns (fractions, kept, record, error): fractions (2, n_lambda, n_mu)
     for the vertex and the group side, kept (3, n_lambda, n_mu) counts in
@@ -470,12 +473,14 @@ def _phase_replicate(args):
     # group nodes, a_i the number of vertex marks below lams[i]
     n_v = bi.vertex_count
     order_v, order_u = np.argsort(mark_v), np.argsort(mark_u)
-    rank_v, rank_u = np.empty_like(order_v), np.empty_like(order_u)
-    rank_v[order_v], rank_u[order_u] = np.arange(n_v), np.arange(bi.group_count)
-    # the memberships as (vertex rank, group rank), by vertex rank
-    vertex = rank_v[np.repeat(np.arange(n_v), bi.membership_counts())]
-    by_vertex = np.argsort(vertex)
-    vertex, group = vertex[by_vertex], rank_u[bi.indices][by_vertex]
+    rank_u = np.empty_like(order_u)
+    rank_u[order_u] = np.arange(bi.group_count)
+    # the memberships as (vertex rank, group rank), B's rows in mark order:
+    # row order_v[r] runs from indptr[order_v[r]], gathered in one pass
+    counts = bi.membership_counts()[order_v]
+    vertex = np.repeat(np.arange(n_v), counts)
+    at = np.repeat(bi.indptr[order_v] - (np.cumsum(counts) - counts), counts) + np.arange(vertex.size)
+    group = rank_u[bi.indices[at]]
     rows = np.searchsorted(mark_v[order_v], lams)
     for j, b in enumerate(np.searchsorted(mark_u[order_u], mus)):
         # one union per column: its rows add vertices in mark order, and

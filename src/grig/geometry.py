@@ -63,25 +63,40 @@ class Torus:
 
 
 def min_image_distance(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
-    """Torus distances between broadcast point arrays (coordinates last).
+    """Torus distances between broadcast point arrays (coordinates last):
+    folded_distance over their coordinates, in order."""
+    return folded_distance(((a[..., k], b[..., k]) for k in range(a.shape[-1])), side)
+
+
+def folded_distance(coordinates, side: float) -> np.ndarray:
+    """Torus distances from one pair (a_k, b_k) of broadcast arrays per
+    coordinate k, taken from `coordinates` one at a time.
 
     Per coordinate the shorter of |delta| and side - |delta| is taken, so
-    each distance is at most side * sqrt(d) / 2.  The coordinates are
-    worked one at a time in three arrays of the result's shape, and their
-    squares summed in order: the order np.add.reduce uses up to d = 7, so
-    those distances are bit-identical to
+    each distance is at most side * sqrt(d) / 2, and its square is added to
+    a running total, in coordinate order: the order np.add.reduce uses up
+    to d = 7, so those distances are bit-identical to
     ``sqrt(sum(min(delta, side - delta)**2, axis=-1))``; from d = 8 on that
-    reduce sums pairwise and may differ in the last ulp.
+    reduce sums pairwise, and the two differ by a few ulps (at most 3 over
+    3M pairs in d = 8-10).  The work takes three arrays of the result's
+    shape, of which the result keeps one.  A caller that makes each
+    coordinate's pair only when it is asked for (a generator) holds one
+    coordinate's pair at a time, so the whole work takes five arrays of
+    the result's shape whatever d.
     """
-    # work[i, ...] stays an array when the result is a scalar, so out= accepts it
-    work = np.empty((3,) + np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    delta, other, total = work[0, ...], work[1, ...], work[2, ...]
-    for k in range(a.shape[-1]):
-        np.subtract(a[..., k], b[..., k], out=delta)
+    total = None
+    for a_k, b_k in coordinates:
+        first = total is None
+        if first:
+            # arrays even when the result is a scalar, so out= accepts them
+            shape = np.broadcast_shapes(np.shape(a_k), np.shape(b_k))
+            delta, other, total = np.empty(shape), np.empty(shape), np.empty(shape)
+        np.subtract(a_k, b_k, out=delta)
+        del a_k, b_k  # freed before the next coordinate's pair is made
         np.abs(delta, out=delta)
         np.subtract(side, delta, out=other)
         np.minimum(delta, other, out=delta)
-        if k == 0:
+        if first:
             np.multiply(delta, delta, out=total)
         else:
             np.multiply(delta, delta, out=delta)

@@ -22,15 +22,17 @@ are at least gap_o apart, and g is radial and non-increasing, so such a
 pair joins with probability at most p_o = g(gap_o).  An offset with p_o
 above _WHOLE_COST is scanned whole: one uniform per pair within the cap,
 ordered by v's cell, v, offset and u, compared with g(d)
-(_scan_whole_offsets).  The others are thinned: one Poisson process over
-their pairs thins each at its offset's p_o, and a thinned pair within
-the cap joins when p_o times its uniform falls below g(d)
-(_thin_offsets).  So the work on thinned offsets grows with the
-memberships, not with the pairs, and a kernel with g(0) at or near 1
-takes its nearest offsets whole.  Smaller builds, and builds a split
-makes no cheaper, scan every pair in dense blocks of min-image distances
-and draw one uniform per pair within the cap, vertex-major with groups
-ascending: the order of a one-cell grid taken whole.  No pair beyond the
+(_scan_whole_offsets), in blocks that take the distances one coordinate
+at a time from coordinate-major copies of the clouds (folded_distance),
+so a block holds no (pairs, d) copy of either end.  The others are
+thinned: one Poisson process over their pairs thins each at its offset's
+p_o, and a thinned pair within the cap joins when p_o times its uniform
+falls below g(d) (_thin_offsets).  So the work on thinned offsets grows
+with the memberships, not with the pairs, and a kernel with g(0) at or
+near 1 takes its nearest offsets whole.  Smaller builds, and builds a
+split makes no cheaper, scan every pair in dense blocks of min-image
+distances and draw one uniform per pair within the cap, vertex-major with
+groups ascending: the order of a one-cell grid taken whole.  No pair beyond the
 support of g joins, so neither a split nor a scan draws a uniform past
 it: both cap their pairs at the lesser of the cap and the support.
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GROUP, VERTEX, PointCloud, ball_volume, min_image_distance
+from .geometry import GROUP, VERTEX, PointCloud, ball_volume, folded_distance, min_image_distance
 from .kernels import (
     BooleanKernel,
     GaussianKernel,
@@ -311,6 +313,16 @@ def _scan_whole_offsets(V, U, spec, rng, cap, k, offsets, cells):
     same groups: those of the cells A + o, offset by offset, each cell's a
     run of the groups in cell order.  Blocks of vertices in cell order hold
     about _BLOCK_PAIRS pairs, or one vertex's pairs when they are more.
+
+    Both clouds are gathered in cell order once, coordinate-major, and a
+    block takes one coordinate at a time: the vertex values repeated and
+    the group values gathered are folded into the running squared
+    distances (folded_distance).  So a block holds its group indices and
+    five arrays of its size whatever d, never a (pairs, d) copy of either
+    end: about 48 bytes per pair.  On the boolean master build of the
+    bench's `grig phase` (area 1000, lambda = mu = 4, 9 offsets, 149k
+    pairs) the scan's traced peak is 65 bytes per block pair, per-build
+    arrays included.
     """
     (_, order_v, count_v, _), (_, order_u, count_u, start_u) = cells
     if offsets.size == 0:
@@ -322,23 +334,25 @@ def _scan_whole_offsets(V, U, spec, rng, cap, k, offsets, cells):
     row = np.repeat(np.arange(occupied.size), count_v[occupied])
     per_vertex = lengths.sum(axis=1)[row]
     ends = np.cumsum(per_vertex)
-    # the points in cell order; np.take gathers rows far faster than indexing
-    vs, us = np.take(V.positions, order_v, axis=0), np.take(U.positions, order_u, axis=0)
+    # the points in cell order, coordinate-major: a block takes one
+    # coordinate at a time, never a (pairs, d) copy of either end
+    vs, us = np.take(V.positions.T, order_v, axis=1), np.take(U.positions.T, order_u, axis=1)
     keys, drawn, lo = [], 0, 0
     while lo < row.size:
         done = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK_PAIRS, side="right")))
         seg = lengths[row[lo:hi]].ravel()
         first = start_u[partner[row[lo:hi]]].ravel() - (np.cumsum(seg) - seg)
-        a = np.repeat(vs[lo:hi], per_vertex[lo:hi], axis=0)
-        u = np.arange(a.shape[0]) + np.repeat(first, seg)
-        dist = min_image_distance(a, np.take(us, u, axis=0), V.torus.side)
+        u = np.arange(ends[hi - 1] - done) + np.repeat(first, seg)
+        coordinates = ((np.repeat(x[lo:hi], per_vertex[lo:hi]), np.take(y, u)) for x, y in zip(vs, us))
+        dist = folded_distance(coordinates, V.torus.side)
         cand = np.flatnonzero(dist <= cap)
         hits = cand[rng.random(cand.size) < _eval_kernel_array(spec, dist[cand])]
         v = order_v[lo + np.searchsorted(ends[lo:hi] - done, hits, side="right")]
         keys.append(v * U.positions.shape[0] + order_u[u[hits]])
         drawn += cand.size
         lo = hi
+        del u, dist, cand  # freed before the next block makes its own
     return np.concatenate(keys), drawn
 
 

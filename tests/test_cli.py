@@ -139,11 +139,11 @@ CONFIG_PATHS = (
 
 
 @st.composite
-def edited_configs(draw, bases=VALID_CONFIGS, most=3):
-    """A valid config of `bases` with at most `most` key paths set to
-    arbitrary JSON values."""
+def edited_configs(draw, bases=VALID_CONFIGS, most=3, paths=CONFIG_PATHS):
+    """A valid config of `bases` with at most `most` key paths of `paths`
+    set to arbitrary JSON values."""
     payload = json.loads(json.dumps(draw(st.sampled_from(bases))))
-    edits = draw(st.dictionaries(st.sampled_from(CONFIG_PATHS), EDGE_VALUES | JSON, max_size=most))
+    edits = draw(st.dictionaries(st.sampled_from(paths), EDGE_VALUES | JSON, max_size=most))
     for path, value in edits.items():
         target = payload
         for key in path[:-1]:
@@ -543,6 +543,60 @@ def test_cli_sampling_runs_on_fuzzed_configs(payload, subcommand, build):
     # memberships and cells, and one thread starts no pool.  A refused
     # config writes nothing; a run writes its manifest, ok on exit 0 and
     # partial or failed on exit 1
+    payload.update(build, threads=1)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        experiments, "MAX_EXPECTED_COUNT", 1 << 10
+    ):
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            json.dump(payload, fh)
+        code = main([subcommand, "--config", cfg, "--out", out])
+        event(f"{subcommand} exit {code}")
+        if code == 2:
+            assert not os.path.exists(out)
+            return
+        with open(os.path.join(out, "manifest.json")) as fh:
+            status = json.load(fh)["status"]
+        assert (code, status) in ((0, "ok"), (1, "partial"), (1, "failed")), (code, status)
+
+
+SIDE_4 = {"d": 2, "measure": "side", "value": 4.0}
+# degrees and validate configs on kernels whose profile is a closed form,
+# each small enough for a limit of 2^10 expected points, memberships and
+# results
+CLOSED_FORM_CONFIGS = {
+    "degrees": [
+        {"kind": "degrees", "kernel": GAUSS, "torus": SIDE_4, "lambda": 1.0, "mu": 1.0, "replicates": 3, "seed": 3},
+        {"kind": "degrees", "kernel": BOOL, "torus": SIDE_4, "lambda": 2.0, "mu": 1.0, "replicates": 2, "seed": 4},
+    ],
+    "validate": [
+        {"kind": "joint_groups", "kernel": GAUSS, "torus": SIDE_4, "mu": 1.5, "probe_distances": [0.0, 1.0],
+         "replicates": 30, "seed": 5},
+        {"kind": "connection", "kernel": BOOL, "torus": SIDE_4, "mu": 1.5, "probe_distances": [0.5, 1.5],
+         "replicates": 30, "seed": 6},
+    ],
+}
+# no edit changes the kernel's family or dimension or the profile, so every
+# run keeps its closed-form profile
+CLOSED_FORM_PATHS = [
+    path
+    for path in CONFIG_PATHS
+    if path[0] != "profile" and path not in (("kernel",), ("kernel", "family"), ("kernel", "d"), ("kernel", "params"))
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(CLOSED_FORM_CONFIGS)).flatmap(
+        lambda sub: st.tuples(st.just(sub), edited_configs(CLOSED_FORM_CONFIGS[sub], 2, CLOSED_FORM_PATHS))
+    ),
+    BUILD_MODES,
+)
+def test_cli_degrees_and_validate_run_on_fuzzed_configs(case, build):
+    # the contract of the sampling fuzz for the two subcommands that build
+    # a profile: a refused config writes nothing; a run writes its manifest,
+    # ok on exit 0 and partial or failed on exit 1
+    subcommand, payload = case
     payload.update(build, threads=1)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         experiments, "MAX_EXPECTED_COUNT", 1 << 10

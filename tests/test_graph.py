@@ -284,6 +284,39 @@ def test_one_vertex_scan_copies_no_group_cloud(d):
     assert peak < 48 * n_u, peak / n_u
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_whole_offset_scan_takes_one_coordinate_at_a_time(monkeypatch, d):
+    # forced to split, a boolean r = 1 build on a side-3.5 torus lays 3
+    # cells per axis, each wider than r, and takes all 3^d offsets whole.
+    # In blocks of 2^10 pairs its peak, per-build arrays included, stays
+    # within 92 bytes per block pair: a block gathers one coordinate of
+    # each end at a time (68-82 here), where (pairs, d) copies of both ends
+    # and a three-row work array take 104-137.  The small cap keeps the
+    # memberships, which outlive the blocks, few.  The memberships and the
+    # candidate count equal those of unsplit blocks
+    for name, value in FORCE_SPLIT.items():
+        monkeypatch.setattr(graph_module, name, value)
+    torus = Torus(d, 3.5)
+    rng = np.random.default_rng(d)
+    V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (100, d)), 1.0, torus)
+    U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (100, d)), 1.0, torus)
+    spec = BooleanKernel(r=1.0, d=d)
+    whole = build_bipartite(V, U, spec, np.random.default_rng(1), 0.25)
+    assert whole.build_options["cells_per_axis"] == 3
+    assert whole.build_options["whole_offsets"] == 3**d
+    monkeypatch.setattr(graph_module, "_BLOCK_PAIRS", 1 << 10)
+    tracemalloc.start()
+    try:
+        split = build_bipartite(V, U, spec, np.random.default_rng(1), 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 92 * (1 << 10), peak / (1 << 10)
+    assert split.build_options == whole.build_options
+    assert np.array_equal(split.indptr, whole.indptr)
+    assert np.array_equal(split.indices, whole.indices)
+
+
 def test_near_field_leaves_pairs_past_its_radius_to_the_far_field(monkeypatch):
     # the offsets scanned whole end at a cell seam: of two groups a float
     # apart on either side of the seam 3 cells from a vertex, the nearer is

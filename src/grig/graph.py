@@ -36,11 +36,10 @@ groups ascending: the order of a one-cell grid taken whole.  No pair beyond the
 support of g joins, so neither a split nor a scan draws a uniform past
 it: both cap their pairs at the lesser of the cap and the support.
 
-scipy is imported by the functions that use it, and only
-BipartiteGraph.incidence and the one-shot component searches do
-(scipy.sparse and csgraph), so importing grig, and every CLI run, loads
-none; no build loads scipy.spatial.  A phase sweep's cells take their
-components from union_edges, an incremental union in numpy.
+Components have one search, union_edges, a union of the edges in numpy:
+a phase sweep's cells add theirs in increments, and components,
+largest_component_fraction and bipartite_components merge all of theirs
+at once.  Nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -110,15 +109,6 @@ class BipartiteGraph:
 
     def membership_counts(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def incidence(self) -> sparse.csr_matrix:
-        """B as a scipy matrix with unit entries."""
-        from scipy import sparse
-
-        return sparse.csr_matrix(
-            (np.ones(self.indices.size, dtype=np.int64), self.indices, self.indptr),
-            shape=(self.vertex_count, self.group_count),
-        )
 
 
 def build_bipartite(
@@ -284,6 +274,7 @@ def _scan(V, U, spec, rng, cap):
             hits = rng.random(dist.size) < _eval_kernel_array(spec, dist)
             keys.append(cand[hits] + (start * n_u + lo))
             drawn += cand.size
+            del dist, cand, hits  # freed before the next block makes its own
     return (keys[0] if len(keys) == 1 else np.concatenate(keys)), drawn
 
 
@@ -562,62 +553,41 @@ class ComponentPartition:
         return int(self.sizes.max()) if self.sizes.size else 0
 
 
-def _canonical_partition(labels: np.ndarray) -> ComponentPartition:
-    n = labels.size
-    if n == 0:
-        return ComponentPartition(0, labels.astype(np.int64), np.empty(0, dtype=np.int64))
-    n_comp = int(labels.max()) + 1
-    first = np.full(n_comp, n, dtype=np.int64)
-    np.minimum.at(first, labels, np.arange(n, dtype=np.int64))
-    rank = np.empty(n_comp, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(n_comp, dtype=np.int64)
-    ids = rank[labels]
-    return ComponentPartition(n, ids, np.bincount(ids).astype(np.int64))
+def _partition(least: np.ndarray) -> ComponentPartition:
+    """Partition in which each node's `least` names the least node of its
+    component, which names itself: ranking those nodes in ascending order
+    gives the ids, ordered by smallest node, with no sort."""
+    ids = (np.cumsum(least == np.arange(least.size)) - 1)[least]
+    return ComponentPartition(least.size, ids, np.bincount(ids))
 
 
-def _component_labels(graph: IntersectionGraph) -> np.ndarray:
-    """csgraph's component label of each node of a projection, searched on
-    the scipy matrix of its arrays."""
-    from scipy import sparse
-    from scipy.sparse import csgraph
-
-    n = graph.node_count
-    adjacency = sparse.csr_matrix((graph.counts, graph.indices, graph.indptr), shape=(n, n))
-    return csgraph.connected_components(adjacency, directed=False)[1]
+def _roots(graph: IntersectionGraph) -> np.ndarray:
+    """Least node of each node's component: the upper triangle's edges
+    merged into singletons (union_edges)."""
+    rows, upper = graph._upper()
+    return union_edges(np.arange(graph.node_count), rows[upper], graph.indices[upper])
 
 
 def components(graph: IntersectionGraph) -> ComponentPartition:
     """Connected components with ids ordered by smallest contained node."""
-    return _canonical_partition(_component_labels(graph).astype(np.int64))
+    return _partition(_roots(graph))
 
 
 def bipartite_components(bi: BipartiteGraph) -> ComponentPartition:
     """Components of the bipartite graph; groups follow the vertices in the
-    node numbering (group u sits at index vertex_count + u).
-
-    The graph is the block matrix [[0, B], [Bᵀ, 0]] with float64 unit
-    entries, the type the search works in; only the upper block is
-    stored, since an undirected component search reads each stored entry
-    in both directions.
-    """
-    from scipy import sparse
-    from scipy.sparse import csgraph
-
-    n_v, n_u = bi.vertex_count, bi.group_count
-    indptr = np.concatenate([bi.indptr, np.full(n_u, bi.indices.size)])
-    mat = sparse.csr_matrix(
-        (np.ones(bi.indices.size), bi.indices + n_v, indptr), shape=(n_v + n_u, n_v + n_u)
-    )
-    labels = csgraph.connected_components(mat, directed=False)[1]
-    return _canonical_partition(labels.astype(np.int64))
+    node numbering (group u sits at index vertex_count + u), so each
+    membership (v, u) is the edge (v, vertex_count + u)."""
+    n_v = bi.vertex_count
+    v = np.repeat(np.arange(n_v), bi.membership_counts())
+    return _partition(union_edges(np.arange(n_v + bi.group_count), v, n_v + bi.indices))
 
 
 def restrict_partition(partition: ComponentPartition, node_indices: np.ndarray) -> ComponentPartition:
-    """Partition induced on a subset of nodes, in canonical id order."""
+    """Partition induced on a subset of nodes, ids ordered by each
+    component's first place in `node_indices`."""
     sub = partition.component_id[np.asarray(node_indices, dtype=np.int64)]
-    # re-densify ids before canonicalizing
-    _, dense = np.unique(sub, return_inverse=True)
-    return _canonical_partition(dense.astype(np.int64))
+    _, first, dense = np.unique(sub, return_index=True, return_inverse=True)
+    return _partition(first[dense])
 
 
 def union_edges(roots: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -625,14 +595,15 @@ def union_edges(roots: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     jumping (Shiloach and Vishkin, J. Algorithms 3, 1982), in numpy.
 
     `roots` maps every node to the least node of its component, and so
-    does the result, which may be `roots` itself, overwritten.  Merging
-    only joins components, so adding edges in increments, one call each,
-    gives the partition after every increment (Newman and Ziff, Phys. Rev.
-    Lett. 85, 4104, 2000).  A round hooks the larger root of each edge
-    whose ends lie apart onto the least root it meets there, then jumps
-    (roots = roots[roots]) until every node points at a root.  Hooking
-    only lowers a root, so the roots stay least nodes, and each round
-    merges at least one pair of trees.
+    does the result, which may be `roots` itself, overwritten.  A one-shot
+    search merges every edge into np.arange(n) in one call.  Merging only
+    joins components, so adding edges in increments, one call each, gives
+    the partition after every increment (Newman and Ziff, Phys. Rev. Lett.
+    85, 4104, 2000), as a phase sweep's cells do.  A round hooks the larger
+    root of each edge whose ends lie apart onto the least root it meets
+    there, then jumps (roots = roots[roots]) until every node points at a
+    root.  Hooking only lowers a root, so the roots stay least nodes, and
+    each round merges at least one pair of trees.
     """
     while True:
         ra, rb = roots[a], roots[b]
@@ -657,7 +628,7 @@ def largest_component_fraction(graph: IntersectionGraph) -> float:
     """Size of the largest component as a fraction of all nodes."""
     if graph.node_count == 0:
         raise ValueError("fraction undefined on an empty graph")
-    return _largest_share(_component_labels(graph))
+    return _largest_share(_roots(graph))
 
 
 @dataclass(frozen=True)

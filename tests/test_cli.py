@@ -962,17 +962,24 @@ def test_cli_runs_that_build_no_matrix_load_no_scipy(tmp_path, subcommand, paylo
     assert _fresh_cli(subcommand, "--config", cfg, "--out", str(tmp_path / "o"), *extra) == [status, []]
 
 
-def test_component_search_loads_csgraph():
-    # the probe sees a load where there is one: a one-shot component search
-    # builds its scipy matrix and loads csgraph
+def test_probe_sees_a_csgraph_load():
+    # positive control: the probe lists a scipy module where one loads
+    status, modules = _fresh("import scipy.sparse.csgraph; status = 0")
+    assert status == 0
+    assert "scipy.sparse.csgraph" in modules
+
+
+def test_component_searches_load_no_scipy():
+    # the one-shot component searches merge their edges in numpy
+    # (union_edges), as a phase sweep's cells do
     statement = (
         "import numpy as np, grig; "
         "bi = grig.BipartiteGraph(3, 1, np.array([0, 1, 2, 2]), np.array([0, 0])); "
-        "status = grig.components(grig.project_onto_vertices(bi)).n_components"
+        "gv = grig.project_onto_vertices(bi); "
+        "status = [grig.components(gv).n_components, grig.largest_component_fraction(gv), "
+        "grig.bipartite_components(bi).n_components]"
     )
-    status, modules = _fresh(statement)
-    assert status == 2
-    assert "scipy.sparse.csgraph" in modules
+    assert _fresh(statement) == [[2, 2 / 3, 2], []]
 
 
 # ---------------------------------------------------------------------------

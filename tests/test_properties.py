@@ -4,7 +4,8 @@ projections and the phase replicate on random small clouds: d in
 tori smaller than twice the truncation radius; for the split build, exact
 and truncated, against a brute-force reference of its stream, with
 powerlaw kernels and gaussians of g(0) = 1 too; for the incremental
-union of the phase cells against csgraph; for the cell offsets on
+union of the phase cells and the one-shot component searches against
+csgraph; for the cell offsets on
 clouds with points on the cell seams; and for the tabulated
 self-convolution of short tables and boolean kernels in d in {1, 2, 3}."""
 
@@ -13,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
@@ -43,7 +44,9 @@ from grig.geometry import (
 )
 from grig.graph import (
     BipartiteGraph,
+    bipartite_components,
     build_bipartite,
+    components,
     largest_component_fraction,
     project_onto_groups,
     project_onto_vertices,
@@ -508,9 +511,25 @@ def _master(scene, lams, mus, k, mode):
     return bi, mark_v, rng_aux.random(bi.group_count) * mus.max()
 
 
+def _csgraph_partition(n, a, b):
+    """Ids and sizes of the components csgraph finds among the edges
+    (a[i], b[i]) over n nodes, the ids ranked by each component's least
+    node."""
+    adjacency = sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    labels = csgraph.connected_components(adjacency, directed=False)[1]
+    least = np.full(n, n)
+    np.minimum.at(least, labels, np.arange(n))
+    _, ids, sizes = np.unique(least[labels], return_inverse=True, return_counts=True)
+    return ids, sizes
+
+
 def _fraction(bi, project):
+    """Largest component's share of a projection's nodes, as csgraph
+    finds it; NaN on no nodes."""
     graph = project(bi)
-    return largest_component_fraction(graph) if graph.node_count else math.nan
+    if graph.node_count == 0:
+        return math.nan
+    return _csgraph_partition(graph.node_count, *graph.edges.T)[1].max() / graph.node_count
 
 
 def _phase_args(scene, lams, mus, k, mode):
@@ -541,12 +560,7 @@ def test_phase_cell_fractions_equal_projection_components(scene, lam_scale, mu_s
     for i, lam in enumerate(lams):
         for j, mu in enumerate(mus):
             sub = B[np.ix_(mark_v < lam, mark_u < mu)]
-            cell = BipartiteGraph(
-                sub.shape[0],
-                sub.shape[1],
-                np.concatenate(([0], np.cumsum(sub.sum(axis=1)))),
-                np.nonzero(sub)[1],
-            )
+            cell = _from_dense(sub)
             expected = [_fraction(cell, project_onto_vertices), _fraction(cell, project_onto_groups)]
             np.testing.assert_array_equal(fractions[:, i, j], expected)
             assert list(kept[:, i, j]) == [sub.shape[0], sub.shape[1], sub.sum()]
@@ -591,6 +605,71 @@ def test_union_edges_is_the_component_search_after_every_increment(case):
         least = np.full(labels.max() + 1, n)
         np.minimum.at(least, labels, np.arange(n))
         np.testing.assert_array_equal(roots, least[labels])
+
+
+def _from_dense(B):
+    """The BipartiteGraph of a dense 0/1 incidence matrix."""
+    return BipartiteGraph(*B.shape, np.concatenate(([0], np.cumsum(B.sum(axis=1)))), np.nonzero(B)[1])
+
+
+@st.composite
+def incidences(draw):
+    """A BipartiteGraph: random memberships over 0-25 vertices and 0-25
+    groups; or, one group per edge, a path labelled in zigzag (0, n - 1, 1,
+    n - 2, ...) or a star centred on its largest label, with 0-4 isolated
+    vertices labelled after it; or a build of a random scene."""
+    shape = draw(st.sampled_from(["random", "zigzag", "star", "build"]))
+    if shape == "build":
+        scene = draw(scenes())
+        return build_bipartite(*_sample(scene), scene[1], np.random.default_rng(scene[4]))
+    if shape == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        size = draw(st.integers(0, 25)), draw(st.integers(0, 25))
+        return _from_dense(rng.random(size) < draw(st.floats(0.0, 0.3)))
+    n = draw(st.integers(1, 20))
+    if shape == "zigzag":
+        path = np.arange(n)
+        path[0::2], path[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
+        edges = np.stack([path[:-1], path[1:]], axis=1)
+    else:
+        edges = np.stack([np.full(n - 1, n - 1), np.arange(n - 1)], axis=1)
+    B = np.zeros((n + draw(st.integers(0, 4)), len(edges)), dtype=bool)
+    B[edges[:, 0], np.arange(len(edges))] = B[edges[:, 1], np.arange(len(edges))] = True
+    return _from_dense(B)
+
+
+def _no_memberships(n_v, n_u):
+    return BipartiteGraph(n_v, n_u, np.zeros(n_v + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(incidences())
+@example(_no_memberships(0, 0))
+@example(_no_memberships(0, 3))
+@example(_no_memberships(4, 0))
+def test_component_searches_equal_csgraph(bi):
+    # the one-shot searches give the ids, ranked by least node, and the
+    # sizes of csgraph's components: on the bipartite graph, whose group u
+    # is node vertex_count + u, and on both projections
+    n_v = bi.vertex_count
+    part = bipartite_components(bi)
+    v = np.repeat(np.arange(n_v), bi.membership_counts())
+    ids, sizes = _csgraph_partition(n_v + bi.group_count, v, n_v + bi.indices)
+    assert part.node_count == n_v + bi.group_count
+    np.testing.assert_array_equal(part.component_id, ids)
+    np.testing.assert_array_equal(part.sizes, sizes)
+    for project in (project_onto_vertices, project_onto_groups):
+        graph = project(bi)
+        part = components(graph)
+        ids, sizes = _csgraph_partition(graph.node_count, *graph.edges.T)
+        assert part.node_count == graph.node_count
+        np.testing.assert_array_equal(part.component_id, ids)
+        np.testing.assert_array_equal(part.sizes, sizes)
+        if graph.node_count:
+            assert largest_component_fraction(graph) == sizes.max() / graph.node_count
+        else:
+            with pytest.raises(ValueError):
+                largest_component_fraction(graph)
 
 
 @st.composite

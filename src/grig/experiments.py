@@ -213,8 +213,9 @@ def check_config(config: ExperimentConfig, run: str) -> None:
     not be t), a joint-groups check has fewer replicates than its
     dispersion test needs, a scene is not 2-d, or a sampling run expects
     more than MAX_EXPECTED_COUNT results (one per replicate and grid cell),
-    vertices, groups or memberships, summed over its replicates (at the
-    grid maxima for a phase sweep).  A sampling run's build mode is
+    vertices, groups or memberships, or, for a run that projects onto the
+    vertices, member pairs, summed over its replicates (at the grid maxima
+    for a phase sweep).  A sampling run's build mode is
     checked last, and the truncation radius of a run that builds resolved
     with it (ExperimentConfig.build_mode); a sample builds nothing."""
     described = config.describe()
@@ -249,6 +250,10 @@ def check_config(config: ExperimentConfig, run: str) -> None:
         "groups": runs * mu * volume,
         "memberships": runs * vertices * mu * kernel_norm(config.kernel),
     }
+    if run in ("degrees", "visualize"):
+        # the member pairs the vertex projection sorts: a group holds
+        # Poisson(lam ||g||) vertices, so L (L - 1) / 2 pairs in the mean
+        expected["projection pairs"] = runs * mu * volume * (lam * kernel_norm(config.kernel)) ** 2 / 2
     for name, count in expected.items():
         if not count <= MAX_EXPECTED_COUNT:  # also refuses NaN
             raise ConfigError(

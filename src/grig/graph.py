@@ -5,12 +5,14 @@ independently with probability g(torus_distance(v, u)).  The result is
 the incidence matrix B (vertices x groups) in CSR layout, kept as two
 plain arrays: ``indptr`` and ``indices``, vertex-major with groups
 ascending within each vertex.  Projecting onto V links two vertices iff
-they share a group: the off-diagonal entries of B Bᵀ count the shared
-groups, and that symmetric matrix, in the same CSR layout, is all a
-projection stores.  Projecting onto U uses Bᵀ B.  Both are computed in
-numpy (_project), in blocks of bounded memory.  Components of the
-projections match the respective restrictions of the bipartite
-components exactly, which the test suite checks sample by sample.
+they share a group: the entries of B Bᵀ above the diagonal count the
+shared groups, and a projection stores just those, as its edge list of
+pairs a < b and their counts, each pair once.  Projecting onto U uses
+Bᵀ B.  Both are computed in numpy (_project), in blocks of bounded
+memory, sorting each pair of a group's members (a vertex's groups)
+once.  Components of the projections match the respective restrictions
+of the bipartite components exactly, which the test suite checks sample
+by sample.
 
 A build joins no pair farther apart than its cap: a truncated run's
 radius (experiments.truncation_radius; it skips at most an eps_tail
@@ -429,109 +431,82 @@ def _thin_offsets(V, U, spec, rng, cap, k, offsets, rates, counts, cells):
 
 @dataclass
 class IntersectionGraph:
-    """One-mode projection: nodes on one side, edges from shared memberships.
+    """One-mode projection: nodes on one side, an edge between every two
+    that share a membership.  Each edge is stored once, as the pair a < b,
+    with the number of memberships a and b share."""
 
-    In CSR layout, as BipartiteGraph: node a's neighbours are
-    ``indices[indptr[a]:indptr[a + 1]]``, sorted and never a itself, and
-    ``counts`` holds the number of memberships a shares with each.  The
-    lists are symmetric; the edge list is their upper triangle.
-    """
-
-    side: str  # "V" or "U"
-    indptr: np.ndarray  # (node_count + 1,) row offsets into indices
-    indices: np.ndarray  # neighbour per entry
-    counts: np.ndarray  # shared memberships per entry, >= 1
-
-    @property
-    def node_count(self) -> int:
-        return self.indptr.size - 1
+    node_count: int
+    edges: np.ndarray  # (m, 2) pairs a < b, lexicographically sorted
+    shared_counts: np.ndarray  # (m,) memberships each pair shares, >= 1
 
     @property
     def edge_count(self) -> int:
-        return self.indices.size // 2
-
-    def _upper(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row of each entry, and the mask of entries above the diagonal."""
-        rows = np.repeat(np.arange(self.node_count), self.degrees())
-        return rows, self.indices > rows
-
-    @property
-    def edges(self) -> np.ndarray:
-        """(m, 2) with edges[:, 0] < edges[:, 1], lexicographically sorted."""
-        rows, upper = self._upper()
-        return np.stack([rows[upper], self.indices[upper]], axis=1)
-
-    @property
-    def shared_counts(self) -> np.ndarray:
-        """(m,) common-membership multiplicity of each edge, >= 1."""
-        return self.counts[self._upper()[1]]
-
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node] : self.indptr[node + 1]]
+        return self.edges.shape[0]
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return np.bincount(self.edges.ravel(), minlength=self.node_count)
 
 
 def _transpose(indptr, indices, n_cols):
-    """(indptr, indices) of the transpose of a CSR pattern with `n_cols`
-    columns, rows ascending within each column: the sorted keys
-    column * n_rows + row."""
-    n_rows = indptr.size - 1
+    """(indptr, indices, order) of the transpose of a CSR pattern with
+    `n_cols` columns, rows ascending within each column: order[t], a stable
+    argsort of `indices`, is the pattern's entry at place t of the
+    transpose."""
+    order = np.argsort(indices, kind="stable")
     ptr = np.zeros(n_cols + 1, dtype=np.int64)
     np.cumsum(np.bincount(indices, minlength=n_cols), out=ptr[1:])
-    keys = np.sort(indices * n_rows + np.repeat(np.arange(n_rows), np.diff(indptr)))
-    return ptr, keys % max(n_rows, 1)
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return ptr, rows[order], order
 
 
-def _project(rows, columns, side: str) -> IntersectionGraph:
+def _project(rows, columns, place) -> IntersectionGraph:
     """Projection onto the rows of an incidence pattern, given in CSR as
-    `rows` = (indptr, indices) and as its transpose `columns`: its Gram
-    matrix off the diagonal.
+    `rows` = (indptr, indices) and as its transpose `columns`, with
+    place[e] the place of entry e of `rows` in `columns`: its Gram matrix
+    above the diagonal.
 
-    Each entry (a, c) pairs with every member b of column c; the keys
-    a * n + b, counted by np.unique, less those of the diagonal, are the
-    entries and their counts.  Blocks of whole rows hold about
-    _BLOCK_PAIRS pairs, or one row's pairs when they are more, so the
+    Both layouts are sorted, so entry (a, c) pairs with the members b > a
+    of column c: those after its own place.  The keys a * n + b of those
+    pairs, counted by np.unique, are the edges and their counts, so every
+    pair of a column's members is sorted once.  Blocks of whole rows hold
+    about _BLOCK_PAIRS pairs, or one row's pairs when they are more, so the
     blocks come out in key order.
     """
     (indptr, indices), (col_ptr, members) = rows, columns
     n = indptr.size - 1
-    per_entry = np.diff(col_ptr)[indices]
+    after = place + 1
+    per_entry = col_ptr[indices + 1] - after
     ends = np.concatenate(([0], np.cumsum(per_entry)))[indptr]  # pairs before each row
     keys, counts, lo = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _BLOCK_PAIRS, side="right")) - 1)
-        cols = indices[indptr[lo] : indptr[hi]]
         seg = per_entry[indptr[lo] : indptr[hi]]
-        first = col_ptr[cols] - (np.cumsum(seg) - seg)
+        first = after[indptr[lo] : indptr[hi]] - (np.cumsum(seg) - seg)
         b = members[np.arange(ends[hi] - ends[lo]) + np.repeat(first, seg)]
         a = np.repeat(np.arange(lo, hi) * n, np.diff(ends[lo : hi + 1]))
         block, count = np.unique(a + b, return_counts=True)
-        # key a * n + b is b - a mod n + 1: 0 on the diagonal alone
-        off = block % (n + 1) != 0
-        keys.append(block[off])
-        counts.append(count[off])
+        keys.append(block)
+        counts.append(count)
         lo = hi
-    keys = np.concatenate(keys)
-    return IntersectionGraph(
-        side=side,
-        indptr=np.searchsorted(keys, np.arange(n + 1) * n),
-        indices=keys % max(n, 1),
-        counts=np.concatenate(counts),
-    )
+    pairs = np.divmod(np.concatenate(keys), max(n, 1))
+    return IntersectionGraph(n, np.stack(pairs, axis=1), np.concatenate(counts))
 
 
 def project_onto_vertices(bi: BipartiteGraph) -> IntersectionGraph:
     """Link vertices sharing at least one group; counts the shared groups."""
     rows = bi.indptr, bi.indices
-    return _project(rows, _transpose(*rows, bi.group_count), side="V")
+    col_ptr, members, order = _transpose(*rows, bi.group_count)
+    # each membership's place in the transpose: the inverse of order
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return _project(rows, (col_ptr, members), place)
 
 
 def project_onto_groups(bi: BipartiteGraph) -> IntersectionGraph:
     """Link groups sharing at least one vertex; counts the shared vertices."""
-    rows = bi.indptr, bi.indices
-    return _project(_transpose(*rows, bi.group_count), rows, side="U")
+    col_ptr, members, order = _transpose(bi.indptr, bi.indices, bi.group_count)
+    # the transpose's entry t is membership order[t] of B
+    return _project((col_ptr, members), (bi.indptr, bi.indices), order)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +537,9 @@ def _partition(least: np.ndarray) -> ComponentPartition:
 
 
 def _roots(graph: IntersectionGraph) -> np.ndarray:
-    """Least node of each node's component: the upper triangle's edges
-    merged into singletons (union_edges)."""
-    rows, upper = graph._upper()
-    return union_edges(np.arange(graph.node_count), rows[upper], graph.indices[upper])
+    """Least node of each node's component: the edges merged into
+    singletons (union_edges)."""
+    return union_edges(np.arange(graph.node_count), *graph.edges.T)
 
 
 def components(graph: IntersectionGraph) -> ComponentPartition:

@@ -474,6 +474,9 @@ OVERSIZED = [
         {"kind": "phase", "lambda_values": [1e-6] * 100, "mu_values": [1e-6] * 100, "replicates": 10**4},
         id="grid-results",
     ),
+    # 1e6 vertices and memberships per replicate, but about 5e8 member pairs to project
+    pytest.param("degrees", {"kind": "degrees", "lambda": 1e3, "mu": 1.0}, id="projection-pairs-degrees"),
+    pytest.param("visualize", {"kind": "visualize", "lambda": 1e3, "mu": 1.0}, id="projection-pairs-visualize"),
 ]
 
 

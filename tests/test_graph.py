@@ -494,7 +494,6 @@ def test_projection_shared_group_definitional():
 def test_projection_onto_groups():
     bi = _bi_from_lists(2, [[0, 1]])
     gu = project_onto_groups(bi)
-    assert gu.side == "U"
     assert gu.edge_count == 1
     bi = _bi_from_lists(3, [[0], [1], [2]])
     assert project_onto_groups(bi).edge_count == 0
@@ -523,11 +522,40 @@ def test_adjacency_symmetric_no_self_loops():
     V, U = _clouds(12, lam=2.0, mu=2.0)
     bi = build_bipartite(V, U, BooleanKernel(r=1.2, d=2), np.random.default_rng(4))
     gv = project_onto_vertices(bi)
-    for v in range(gv.node_count):
-        neigh = gv.neighbors(v)
-        assert v not in neigh
-        for w in neigh:
-            assert v in gv.neighbors(int(w))
+    a, b = gv.edges.T
+    assert np.all(a < b)
+    keys = a * gv.node_count + b
+    assert np.all(np.diff(keys) > 0)  # rows unique and lexicographically sorted
+    rows = _rows(bi)
+    expected = [
+        sum(np.intersect1d(rows[v], rows[w]).size > 0 for w in range(gv.node_count) if w != v)
+        for v in range(gv.node_count)
+    ]
+    assert np.array_equal(gv.degrees(), expected)
+
+
+def test_projection_sorts_each_member_pair_once(monkeypatch):
+    # a column of L members holds L (L - 1) / 2 pairs: the projection sorts
+    # those, and neither their mirror images nor the diagonal
+    V, U = _clouds(13, lam=3.0, mu=3.0)
+    bi = build_bipartite(V, U, BooleanKernel(r=1.0, d=2), np.random.default_rng(5))
+    columns = {
+        project_onto_vertices: np.bincount(bi.indices, minlength=bi.group_count),
+        project_onto_groups: bi.membership_counts(),
+    }
+    sorted_keys, unique = [], np.unique
+
+    def counting_unique(keys, **kwargs):
+        sorted_keys.append(keys.size)
+        return unique(keys, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    for block_pairs in (1 << 8, graph_module._BLOCK_PAIRS):
+        monkeypatch.setattr(graph_module, "_BLOCK_PAIRS", block_pairs)
+        for project, lengths in columns.items():
+            sorted_keys.clear()
+            assert project(bi).edge_count > 0
+            assert sum(sorted_keys) == np.sum(lengths * (lengths - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

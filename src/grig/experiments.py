@@ -492,7 +492,7 @@ def _phase_replicate(args):
         # after row i the partition is cell (i, j)'s, both sides at once
         keep = group < b
         v_node, u_node = vertex[keep], group[keep] + n_v
-        roots, done = np.arange(n_v + bi.group_count), 0
+        roots, done = np.arange(n_v + b), 0  # groups ranked b or above never join
         for i in np.argsort(rows, kind="stable"):
             a = rows[i]
             m = int(np.searchsorted(v_node, a))  # the cell's memberships

@@ -18,25 +18,24 @@ A build joins no pair farther apart than its cap: a truncated run's
 radius (experiments.truncation_radius; it skips at most an eps_tail
 fraction of membership mass, none for a bounded kernel), or infinity for
 an exact build.  A build of at least _THIN_MIN_VERTICES vertices splits
-on a grid of k cells per axis (_cells_per_axis) when that is estimated
-to cost less than a scan (_grid).  The pairs whose cells lie at offset o
-are at least gap_o apart, and g is radial and non-increasing, so such a
-pair joins with probability at most p_o = g(gap_o).  An offset with p_o
-above _WHOLE_COST is scanned whole: one uniform per pair within the cap,
-ordered by v's cell, v, offset and u, compared with g(d)
-(_scan_whole_offsets), in blocks that take the distances one coordinate
-at a time from coordinate-major copies of the clouds (folded_distance),
-so a block holds no (pairs, d) copy of either end.  The others are
-thinned: one Poisson process over their pairs thins each at its offset's
-p_o, and a thinned pair within the cap joins when p_o times its uniform
-falls below g(d) (_thin_offsets).  So the work on thinned offsets grows
-with the memberships, not with the pairs, and a kernel with g(0) at or
-near 1 takes its nearest offsets whole.  Smaller builds, and builds a
-split makes no cheaper, scan every pair in dense blocks of min-image
-distances and draw one uniform per pair within the cap, vertex-major with
-groups ascending: the order of a one-cell grid taken whole.  No pair beyond the
-support of g joins, so neither a split nor a scan draws a uniform past
-it: both cap their pairs at the lesser of the cap and the support.
+on a grid of k cells per axis (_cells_per_axis, _grid).  The pairs whose
+cells lie at offset o are at least gap_o apart, and g is radial and
+non-increasing, so such a pair joins with probability at most p_o =
+g(gap_o).  An offset with p_o above _WHOLE_COST is scanned whole: one
+uniform per pair within the cap, ordered by v's cell, v, offset and u,
+compared with g(d) (_scan_whole_offsets), in blocks that take the
+distances one coordinate at a time from coordinate-major copies of the
+clouds (folded_distance), so a block holds no (pairs, d) copy of either
+end.  The others are thinned: one Poisson process over their pairs thins
+each at its offset's p_o, and a thinned pair within the cap joins when
+p_o times its uniform falls below g(d) (_thin_offsets).  So the work on
+thinned offsets grows with the memberships, not with the pairs, and a
+kernel with g(0) at or near 1 takes its nearest offsets whole.  Smaller
+builds scan every pair in dense blocks of min-image distances and draw
+one uniform per pair within the cap, vertex-major with groups ascending:
+the order of a one-cell grid taken whole.  No pair beyond the support of
+g joins, so neither a split nor a scan draws a uniform past it: both cap
+their pairs at the lesser of the cap and the support.
 
 Components have one search, union_edges, a union of the edges in numpy:
 a phase sweep's cells add theirs in increments, and components,
@@ -52,41 +51,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GROUP, VERTEX, PointCloud, ball_volume, folded_distance, min_image_distance
-from .kernels import (
-    BooleanKernel,
-    GaussianKernel,
-    KernelSpec,
-    PowerLawKernel,
-    TabulatedKernel,
-    _eval_kernel_array,
-    kernel_norm,
-    support_radius,
-)
+from .kernels import KernelSpec, _eval_kernel_array, kernel_norm, support_radius
 from .serialize import write_csv
 
 # expected pairs per block of a scan or of the whole offsets, cell pairs per
 # table of the thinned offsets, and pairs per block of a projection; bounds
 # the memory of one block
 _BLOCK_PAIRS = 1 << 16
-# a build of fewer vertices scans every pair: for the one-vertex planted
-# builds the grid's enumeration costs more than the broadcast scan
+# a build of fewer vertices scans every pair, any other splits.  A split
+# pays about 0.3 ms per build for its grid (cell sort, FFT, offset bounds),
+# more than a scan of so few rows: on a 2 vCPU Xeon (numpy 2.4.6) a
+# one-vertex planted build against 2^15 groups took 1.2 ms scanned and
+# 1.5 ms split, and gaussian (||g|| = 1) builds on a side-16 torus took
+# 0.44 against 0.48 ms at 63 x 512 points, but 1.6 against 0.57 ms at
+# 128 x 512
 _THIN_MIN_VERTICES = 64
-# estimated costs of a split, in thinned pairs: _WHOLE_COST per pair of an
-# offset scanned whole, which an offset of bound p_o above it is, and p_o
-# per pair of one thinned.  On gaussian and powerlaw builds of 2000-4000
-# points a whole pair took 0.18-0.23 of a thinned pair's time.  A scan costs
-# _SCAN_COST per pair, by kernel family, which a split must beat: a powerlaw
-# scan took 1.08-1.13 times a gaussian one, a tabulated one 1.2-1.4 times
-# and a boolean one 0.93-0.97 times
+# a split scans an offset whole when its bound p_o is above _WHOLE_COST and
+# thins it at p_o otherwise: a pair taken whole costs about _WHOLE_COST
+# thinned pairs.  On gaussian and powerlaw builds of 2000-4000 points a
+# whole pair took 0.18-0.23 of a thinned pair's time
 _WHOLE_COST = 0.2
-_SCAN_COST = {BooleanKernel: 0.085, GaussianKernel: 0.09, PowerLawKernel: 0.1, TabulatedKernel: 0.115}
-# a split's cost per build, in thinned pairs: _GRID_SETUP_COST, and
-# _CELL_COST per cell of its grid (the cell sort, the FFT, the offset bounds
-# and tables).  Split builds of 8 x 8 points with every offset thinned took
-# 1000-1300 thinned pairs' time more than their scans with 1-500 cells in
-# d = 1 and 2, and 1600-2100 with 2000-4096 cells
-_GRID_SETUP_COST = 1100.0
-_CELL_COST = 0.25
 # thinning at any rate >= g(gap_o) is exact; this floor keeps the skips finite
 _MIN_RATE = 1e-300
 # thinned pairs per chunk
@@ -142,12 +126,12 @@ def build_bipartite(
     record = {"mode": "exact"} if cap == math.inf else {"mode": "truncated", "truncation_radius": cap}
     # no pair beyond the support joins: no build draws a uniform past it
     reach = min(cap, support_radius(spec, 0.0))
-    grid = _grid(spec, V.torus, reach, n_v * n_u) if n_v >= _THIN_MIN_VERTICES else None
-    if grid is None:
+    if n_v < _THIN_MIN_VERTICES:
         keys, drawn = _scan(V, U, spec, rng, reach)
     else:
-        keys, drawn, whole = _split(V, U, spec, rng, reach, *grid)
-        record.update(cells_per_axis=grid[0], whole_offsets=whole)
+        k, bound = _grid(spec, V.torus, reach)
+        keys, drawn, whole = _split(V, U, spec, rng, reach, k, bound)
+        record.update(cells_per_axis=k, whole_offsets=whole)
     record["candidate_pairs"] = drawn
     return BipartiteGraph(
         vertex_count=n_v,
@@ -158,27 +142,15 @@ def build_bipartite(
     )
 
 
-def _grid(spec, torus, cap, pairs):
-    """(k, p) of the split of a build of `pairs` pairs capped at `cap`, or
-    None when scanning every pair is estimated to cost less: k cells per
-    axis (_cells_per_axis) and, per cell offset o, the bound p_o = g(gap_o)
+def _grid(spec, torus, cap):
+    """(k, p) of a split capped at `cap`: k cells per axis
+    (_cells_per_axis) and, per cell offset o, the bound p_o = g(gap_o)
     (_offset_gaps), 0 when gap_o lies beyond the cap and raised to
-    _MIN_RATE when below it.
-
-    An offset costs _WHOLE_COST per pair when p_o is above it and taken
-    whole, else p_o per pair, thinned.  Taking every offset to hold an
-    equal share of the pairs, a split costs per pair the mean of
-    min(p_o, _WHOLE_COST) over the offsets, plus per build
-    _GRID_SETUP_COST and _CELL_COST per cell; a scan costs its kernel
-    family's _SCAN_COST per pair.
-    """
+    _MIN_RATE when below it."""
     k = _cells_per_axis(spec, torus)
     gaps = _offset_gaps(torus, k)
     bound = np.where(gaps <= cap, _eval_kernel_array(spec, gaps), 0.0)
     bound[(bound > 0.0) & (bound < _MIN_RATE)] = _MIN_RATE
-    setup = (_GRID_SETUP_COST + _CELL_COST * gaps.size) / max(pairs, 1)
-    if np.minimum(bound, _WHOLE_COST).mean() + setup >= _SCAN_COST[type(spec)]:
-        return None
     return k, bound
 
 

@@ -173,23 +173,17 @@ def test_powerlaw_far_pairs_join_with_probability_g(mode):
     assert np.all(np.abs(z) < sps.norm.isf(1e-3 / (2 * z.size))), z
 
 
-def test_split_rate_floor_keeps_far_skips_finite(monkeypatch):
+def test_split_rate_floor_keeps_far_skips_finite():
     # sigma = 0.01 on 64 cells per axis of side 0.38 puts g near 3e-314 at
     # the offsets one cell past the nearest; skips at that rate could
     # overflow their running sum, so the rate is raised to the floor, which
-    # still bounds g there.  The grid's setup outweighs a split of these
-    # 100 x 100 points, so the build scans unless the estimate leaves the
-    # setup out
+    # still bounds g there
     spec = GaussianKernel(sigma=0.01, amplitude=1.0, d=2)
     torus = Torus(2, 24.32)
     rng = np.random.default_rng(0)
     V = PointCloud(VERTEX, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
     U = PointCloud(GROUP, rng.uniform(0.0, torus.side, (100, 2)), 1.0, torus)
-    bi = build_bipartite(V, U, spec, rng)
-    assert "cells_per_axis" not in bi.build_options
-    monkeypatch.setattr(graph_module, "_GRID_SETUP_COST", 0.0)
-    monkeypatch.setattr(graph_module, "_CELL_COST", 0.0)
-    k, bound = graph_module._grid(spec, torus, math.inf, 100 * 100)
+    k, bound = graph_module._grid(spec, torus, math.inf)
     floored = bound == graph_module._MIN_RATE
     g = eval_kernel(spec, graph_module._offset_gaps(torus, k)[floored])
     assert k == 64 and floored.any() and np.all((0.0 < g) & (g < graph_module._MIN_RATE))
@@ -253,30 +247,10 @@ def test_scan_frees_each_block_before_the_next(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
-def test_scan_fallback_of_a_large_build(mode):
-    # 200 vertices, but a boolean r = 1 kernel on an area-10 torus: its
-    # grid of 3 x 3 cells takes every offset whole, which costs more than a
-    # scan, so the build scans every pair and draws the stream of a build
-    # with no split
-    torus = Torus(2, math.sqrt(10.0))
-    spec = BooleanKernel(r=1.0, d=2)
-    V, U = _clouds(5, lam=20.0, mu=20.0, torus=torus)
-    assert V.count >= graph_module._THIN_MIN_VERTICES
-    bi = build_bipartite(V, U, spec, np.random.default_rng(9), mode_cap(mode, spec))
-    record = bi.build_options
-    assert "cells_per_axis" not in record and "whole_offsets" not in record
-    keys, whole, thinned = split_reference(V, U, spec, np.random.default_rng(9), record)
-    assert thinned == 0 and np.array_equal(flat_keys(bi), keys)
-    assert record["candidate_pairs"] == whole
-
-
-@pytest.mark.parametrize("scan_cost", [2.0, math.inf])
-@pytest.mark.parametrize("mode", ["exact", "truncated"])
-def test_split_never_thins_at_rate_one(monkeypatch, scan_cost, mode):
-    # the clouds of the scan fallback, at scan costs a split beats: every
-    # offset's rate is the boolean kernel's 1, which would thin every pair,
-    # so the split scans every offset whole instead
-    monkeypatch.setattr(graph_module, "_SCAN_COST", dict.fromkeys(graph_module._SCAN_COST, scan_cost))
+def test_split_never_thins_at_rate_one(mode):
+    # 200 vertices and a boolean r = 1 kernel on an area-10 torus: every
+    # offset's rate on its grid of 3 x 3 cells is the kernel's 1, which
+    # would thin every pair, so the split scans every offset whole instead
     torus = Torus(2, math.sqrt(10.0))
     spec = BooleanKernel(r=1.0, d=2)
     V, U = _clouds(5, lam=20.0, mu=20.0, torus=torus)
@@ -352,7 +326,7 @@ def test_near_field_leaves_pairs_past_its_radius_to_the_far_field(monkeypatch):
         monkeypatch.setattr(graph_module, name, value)
     torus = Torus(1, 500.0)
     spec = GaussianKernel(sigma=1.0, amplitude=1.0, d=1)
-    k, bound = graph_module._grid(spec, torus, math.inf, 9)
+    k, bound = graph_module._grid(spec, torus, math.inf)
     assert bound[2] > graph_module._WHOLE_COST >= bound[3] > 0.0
 
     def cell(x):
@@ -418,42 +392,50 @@ def test_build_role_validation():
         build_bipartite(V2, U, spec, np.random.default_rng(0))
 
 
-def test_far_field_setup_is_priced_once_per_build():
-    # a gaussian build of 122 x 137 points on a side-8 torus scans, as its
-    # grid's setup would cost more than the scan; a thousand times as many
-    # pairs split, every offset thinned at g of its gap, and a build
-    # records the grid the split was priced on
+def test_build_records_the_grid_it_splits_on():
+    # a gaussian split on a side-8 torus lays 5 cells per axis and bounds
+    # every offset by g of its gap, and a build records the grid it split on
     spec = GaussianKernel.with_norm(1.0, 1.0, 2)
-    assert graph_module._grid(spec, TORUS, math.inf, 122 * 137) is None
-    k, bound = graph_module._grid(spec, TORUS, math.inf, 122 * 137 * 1000)
+    k, bound = graph_module._grid(spec, TORUS, math.inf)
     assert k == graph_module._cells_per_axis(spec, TORUS) == 5
     assert np.array_equal(bound, eval_kernel(spec, graph_module._offset_gaps(TORUS, k)))
-    V, U = _clouds(8, lam=2.0, mu=2.0)
-    assert (V.count, U.count) == (122, 137)
-    assert "cells_per_axis" not in build_bipartite(V, U, spec, np.random.default_rng(0)).build_options
     torus = Torus(2, 16.0)
     V, U = _clouds(8, lam=2.0, mu=2.0, torus=torus)
     record = build_bipartite(V, U, spec, np.random.default_rng(0)).build_options
-    k, _ = graph_module._grid(spec, torus, math.inf, V.count * U.count)
+    k, _ = graph_module._grid(spec, torus, math.inf)
     assert record["cells_per_axis"] == k and record["whole_offsets"] == 0
 
 
-def test_scan_cost_is_priced_by_kernel_family(monkeypatch):
-    # a powerlaw evaluation (np.power) costs more than a gaussian one
-    # (np.exp), and so does a powerlaw scan per pair: the powerlaw build of
-    # 247 x 136 points on a side-8 torus splits, where priced as a
-    # gaussian scan it would scan, while the gaussian build of 122 x 137
-    # points still scans
-    plaw = PowerLawKernel.with_norm(1.5, 1.0, 2)
-    V, U = _clouds(8, lam=4.0, mu=2.0)
-    assert (V.count, U.count) == (247, 136)
-    assert "cells_per_axis" in build_bipartite(V, U, plaw, np.random.default_rng(0)).build_options
-    gaussian = GaussianKernel.with_norm(1.0, 1.0, 2)
-    V2, U2 = _clouds(8, lam=2.0, mu=2.0)
-    assert "cells_per_axis" not in build_bipartite(V2, U2, gaussian, np.random.default_rng(0)).build_options
-    priced = graph_module._SCAN_COST[GaussianKernel]
-    monkeypatch.setattr(graph_module, "_SCAN_COST", dict.fromkeys(graph_module._SCAN_COST, priced))
-    assert "cells_per_axis" not in build_bipartite(V, U, plaw, np.random.default_rng(0)).build_options
+@pytest.mark.parametrize(
+    "spec, torus, lam",
+    [
+        # 200 vertices on an area-10 torus: a grid of 3 x 3 cells, all whole
+        (BooleanKernel(r=1.0, d=2), Torus(2, math.sqrt(10.0)), 20.0),
+        # 122 x 137 points on a side-8 torus
+        (GaussianKernel.with_norm(1.0, 1.0, 2), TORUS, 2.0),
+        (PowerLawKernel.with_norm(1.5, 1.0, 2), TORUS, 2.0),
+        (TabulatedKernel(radii=np.array([0.5, 1.0, 2.0]), values=np.array([0.9, 0.4, 0.1]), d=2), TORUS, 2.0),
+    ],
+    ids=["boolean", "gaussian", "powerlaw", "tabulated"],
+)
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_build_path_is_chosen_by_vertex_count(spec, torus, lam, mode):
+    # a build of _THIN_MIN_VERTICES vertices or more splits, whatever its
+    # kernel and however few its pairs, and replays the reference's split;
+    # its first _THIN_MIN_VERTICES - 1 vertices scan, a grid of one cell
+    V, U = _clouds(8, lam=lam, mu=lam, torus=torus)
+    assert V.count >= graph_module._THIN_MIN_VERTICES
+    cap = mode_cap(mode, spec)
+    few = PointCloud(VERTEX, V.positions[: graph_module._THIN_MIN_VERTICES - 1], lam, torus)
+    for cloud, splits in ((V, True), (few, False)):
+        bi = build_bipartite(cloud, U, spec, np.random.default_rng(2), cap)
+        record = bi.build_options
+        assert ("cells_per_axis" in record) == ("whole_offsets" in record) == splits
+        if splits:
+            assert record["cells_per_axis"] == graph_module._cells_per_axis(spec, torus)
+        keys, whole, thinned = split_reference(cloud, U, spec, np.random.default_rng(2), record)
+        assert np.array_equal(flat_keys(bi), keys)
+        assert record["candidate_pairs"] == whole + thinned
 
 
 def test_auto_mode_is_exact():

@@ -64,14 +64,8 @@ from grig.kernels import (
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
-# a build of any size splits: its estimate per pair, at most _WHOLE_COST,
-# is below a scan's of one thinned pair, its grid's setup left out
-FORCE_SPLIT = dict(
-    _THIN_MIN_VERTICES=1,
-    _SCAN_COST=dict.fromkeys(graph_module._SCAN_COST, 1.0),
-    _GRID_SETUP_COST=0.0,
-    _CELL_COST=0.0,
-)
+# a build of a vertex or more splits
+FORCE_SPLIT = dict(_THIN_MIN_VERTICES=1)
 
 
 def mode_cap(mode, spec):

@@ -21,7 +21,8 @@ an exact build.  A build of at least _THIN_MIN_VERTICES vertices splits
 on a grid of k cells per axis (_cells_per_axis, _grid).  The pairs whose
 cells lie at offset o are at least gap_o apart, and g is radial and
 non-increasing, so such a pair joins with probability at most p_o =
-g(gap_o).  An offset with p_o above _WHOLE_COST is scanned whole: one
+g(gap_o).  An offset with p_o above _WHOLE_COST, or equal to 1, is
+scanned whole: one
 uniform per pair within the cap, ordered by v's cell, v, offset and u,
 compared with g(d) (_scan_whole_offsets), in blocks that take the
 distances one coordinate at a time from coordinate-major copies of the
@@ -256,14 +257,16 @@ def _split(V, U, spec, rng, cap, k, bound):
     """Sorted flat keys of a split build's memberships on its grid of k
     cells per axis, the number of uniforms compared with g, and the number
     of offsets scanned whole: those holding pairs with p_o = bound[o] above
-    _WHOLE_COST.  The offsets holding pairs with 0 < p_o <= _WHOLE_COST are
-    thinned after them."""
+    _WHOLE_COST or equal to 1.  The offsets holding pairs with the other
+    p_o > 0 are thinned after them."""
     d, side = V.torus.d, V.torus.side
     cells = _cells(V.positions, side, k), _cells(U.positions, side, k)
     pairs = _offset_pair_counts(cells[0][2], cells[1][2], k, d)
     live = (bound > 0.0) & (pairs > 0)
-    whole = np.flatnonzero(live & (bound > _WHOLE_COST))
-    thin = np.flatnonzero(live & (bound <= _WHOLE_COST))
+    # _thin_offsets takes rates below 1: at p_o = 1 its hazard is infinite
+    # and it never ends, so such an offset is whole whatever _WHOLE_COST
+    taken = live & ((bound > _WHOLE_COST) | (bound >= 1.0))
+    whole, thin = np.flatnonzero(taken), np.flatnonzero(live & ~taken)
     keys, drawn = _scan_whole_offsets(V, U, spec, rng, cap, k, whole, cells)
     far, thinned = _thin_offsets(V, U, spec, rng, cap, k, thin, bound[thin], pairs[thin], cells)
     return np.sort(np.concatenate((keys, far))), drawn + thinned, whole.size

@@ -246,11 +246,14 @@ def test_scan_frees_each_block_before_the_next(monkeypatch):
     assert np.array_equal(split.indices, whole.indices)
 
 
+@pytest.mark.parametrize("whole_cost", [graph_module._WHOLE_COST, 2.0, math.inf])
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
-def test_split_never_thins_at_rate_one(mode):
+def test_split_never_thins_at_rate_one(monkeypatch, whole_cost, mode):
     # 200 vertices and a boolean r = 1 kernel on an area-10 torus: every
     # offset's rate on its grid of 3 x 3 cells is the kernel's 1, which
-    # would thin every pair, so the split scans every offset whole instead
+    # would thin every pair, so the split scans every offset whole instead,
+    # also where _WHOLE_COST would thin every offset of a lesser rate
+    monkeypatch.setattr(graph_module, "_WHOLE_COST", whole_cost)
     torus = Torus(2, math.sqrt(10.0))
     spec = BooleanKernel(r=1.0, d=2)
     V, U = _clouds(5, lam=20.0, mu=20.0, torus=torus)

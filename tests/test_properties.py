@@ -217,8 +217,8 @@ def split_reference(V, U, spec, rng, record):
     v's, mod k.  Per axis an offset steps s = min(o, k - o) cells, so its
     pairs lie at least gap = |max(s - 1, 0) side / k| (1 - 1e-9) apart;
     its rate is g(gap), 0 for a gap beyond the cap and raised to 1e-300
-    when below it.  An offset whose rate is above graph._WHOLE_COST is
-    whole: one uniform per pair within the cap, ordered by v's flat cell,
+    when below it.  An offset whose rate is above graph._WHOLE_COST, or
+    is 1, is whole: one uniform per pair within the cap, ordered by v's flat cell,
     v, offset and u.  Then the offsets of a positive rate up to it go in
     ascending rate, ties by flat offset, their pairs by v's flat cell, v
     and u.  A row of two uniforms at a time, a gap then an acceptance
@@ -244,7 +244,7 @@ def split_reference(V, U, spec, rng, record):
         rates[(rates > 0.0) & (rates < 1e-300)] = 1e-300
         offset_id = np.ravel_multi_index(tuple(offset.T), (k,) * torus.d)
         cell_id = np.repeat(np.ravel_multi_index(tuple(cell_v.T), (k,) * torus.d), n_u)
-        whole = rates > graph_module._WHOLE_COST
+        whole = (rates > graph_module._WHOLE_COST) | (rates >= 1.0)
         assert record["whole_offsets"] == np.unique(offset_id[whole]).size
     else:
         rates, offset_id, cell_id = np.ones_like(flat), np.zeros_like(v), np.zeros_like(v)
